@@ -35,6 +35,7 @@ from .spectral import (
     DiscreteSpectrum,
     RWSpectrum,
     eval_psi_recurrence,
+    psi_table,
     finite_spectrum,
     symmetric_rw_spectrum,
     rw_psi_values,
@@ -82,6 +83,11 @@ from .simulate import (
     ks_statistic,
 )
 
+# The independent references are used by no module on the main path; load
+# them with the package all the same, so `bdhit.oracles` is at hand after
+# `import bdhit`.
+from . import oracles
+
 __all__ = [
     "__version__",
     # model
@@ -106,6 +112,7 @@ __all__ = [
     "DiscreteSpectrum",
     "RWSpectrum",
     "eval_psi_recurrence",
+    "psi_table",
     "finite_spectrum",
     "symmetric_rw_spectrum",
     "rw_psi_values",

@@ -547,7 +547,8 @@ def _verify_battery(spec):
     sc = float(max(abs(float(v)) for row in c.rows for v in row)) + 1.0
     yield "cmatrix-column-recursion", d <= 1e-10 * sc, f"defect {d:g}"
 
-    measure = finite_spectrum(spec, pi, c)
+    ev = finite_evaluator(spec, c_rows=rows)
+    measure = ev.measure
     ok = bool(np.all(np.diff(measure.theta) > 0) and measure.theta[0] > 0)
     yield "spectrum-atoms-positive-ascending", ok, f"theta[0] {measure.theta[0]:g}"
 
@@ -559,7 +560,6 @@ def _verify_battery(spec):
     )
     yield "eigenfunction-orthogonality", d <= 1e-9, f"max defect {d:g}"
 
-    ev = finite_evaluator(spec, c_rows=rows)
     d = max(
         abs(
             math.fsum(

@@ -28,7 +28,6 @@ from .model import (
 from .spectral import (
     DiscreteSpectrum,
     RWSpectrum,
-    eval_psi_recurrence,
     finite_spectrum,
     rw_psi_values,
     symmetric_rw_spectrum,
@@ -109,8 +108,11 @@ class DensityEvaluator:
     """Precomputed spectral data: measure, eigenfunction table, speed, C rows.
 
     psi has one row per spectral atom and one column per interior state;
-    pi is the speed measure over the same states.  c carries the rows of
-    the C-matrix so the differential-operator coefficients are at hand.
+    pi is the speed measure over the same states.  For a finite chain psi
+    is the one table finite_spectrum built (vectorized across the atoms)
+    and computed the weights from, never a second copy.  c carries the
+    rows of the C-matrix so the differential-operator coefficients are at
+    hand.
     """
 
     measure: object
@@ -144,10 +146,9 @@ def finite_evaluator(spec, c_rows=None):
     rational = spec.is_rational and rows <= 24
     c = build_c_matrix(spec, pi_sm, s, rows, rational=rational)
     measure = finite_spectrum(spec, pi_sm, c)
-    psi = np.vstack([eval_psi_recurrence(spec, -th) for th in measure.theta])
     return DensityEvaluator(
         measure=measure,
-        psi=psi,
+        psi=measure.psi,
         pi=pi_sm.array(),
         mu1=float(spec.mu[0]),
         spec=spec,

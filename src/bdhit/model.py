@@ -143,7 +143,25 @@ class SpeedMeasure:
     pi: tuple
 
     def array(self):
-        return np.asarray([float(p) for p in self.pi])
+        """The weights as floats.
+
+        Raises
+        ------
+        OverflowError
+            If an exact (rational) weight is too large for a float; the
+            message names the first such index.
+        """
+        out = np.empty(len(self.pi))
+        for i, p in enumerate(self.pi):
+            try:
+                out[i] = float(p)
+            except OverflowError:
+                raise OverflowError(
+                    f"speed measure overflows float range at pi[{i + 1}]; "
+                    "the floating-point routes need every pi_i below 1.8e308 "
+                    "(use fewer states)"
+                ) from None
+        return out
 
     def __getitem__(self, i):
         # 1-based state index, matching the usual subscript.

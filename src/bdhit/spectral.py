@@ -14,18 +14,18 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cython_lapack
 
 from .cmatrix import eval_psi_theta
-from .oracles import interior_rate_matrix
 
 __all__ = [
     "DiscreteSpectrum",
     "RWSpectrum",
     "eval_psi_recurrence",
+    "psi_table",
     "finite_spectrum",
     "symmetric_rw_spectrum",
     "rw_psi_values",
@@ -36,10 +36,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscreteSpectrum:
-    """Atoms (theta_k, w_k) of a finite chain, theta ascending and positive."""
+    """Atoms (theta_k, w_k) of a finite chain, theta ascending and positive.
+
+    psi is the eigenfunction table psi_{-theta_k}(i) (one row per atom, one
+    column per interior state) that finite_spectrum computed the weights
+    from, so evaluators reuse it instead of building it again; None when
+    the atoms were assembled some other way.
+    """
 
     theta: np.ndarray
     weights: np.ndarray
+    psi: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_atoms(self):
@@ -66,26 +73,46 @@ class RWSpectrum:
         return len(self.theta)
 
 
-def eval_psi_recurrence(spec, theta):
-    """Values psi_theta(1..N) from the defining three-term recurrence.
+def psi_table(spec, theta, n_states=None):
+    """Values psi_theta(1..n) for every theta in a 1-D array, one row each.
 
-    Same polynomial family as the C-matrix rows (psi_theta(i) =
-    sum_j C(i,j) theta^(j-1)), evaluated in its numerically stable form:
-    psi(0) = 0, psi(1) = 1/mu_1,
-    lambda_i psi(i+1) = (lambda_i + mu_i - theta) psi(i) - mu_i psi(i-1).
+    The defining three-term recurrence (the C-matrix row polynomials
+    psi_theta(i) = sum_j C(i,j) theta^(j-1) in their numerically stable
+    form):
+
+        psi(0) = 0,  psi(1) = 1/mu_1,
+        lambda_i psi(i+1) = (lambda_i + mu_i + theta) psi(i) - mu_i psi(i-1).
+
+    It walks the states once and advances every row together as a numpy
+    vector, so a table for all N atoms costs N vector steps rather than N^2
+    scalar ones.  Each entry goes through exactly the floating-point
+    operations of the scalar recurrence for its theta alone, in the same
+    order, so every row is bit-identical to that scalar run
+    (eval_psi_recurrence is the one-row case).  n_states (default N) stops
+    the walk early for callers that need only the first states.
     """
     lam = spec.lam_array()
     mu = spec.mu_array()
-    n = spec.n_states
-    theta = float(theta)
-    out = np.empty(n)
-    out[0] = 1.0 / mu[0]
+    n = spec.n_states if n_states is None else int(n_states)
+    if not 1 <= n <= spec.n_states:
+        raise ValueError(f"n_states {n}: outside 1..{spec.n_states}")
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1:
+        raise ValueError(f"theta: must be one-dimensional, got shape {theta.shape}")
+    out = np.empty((theta.size, n))
+    cur = np.full(theta.size, 1.0 / mu[0])
+    out[:, 0] = cur
     prev = 0.0
     for i in range(1, n):
-        nxt = ((lam[i - 1] + mu[i - 1] + theta) * out[i - 1] - mu[i - 1] * prev) / lam[i - 1]
-        prev = out[i - 1]
-        out[i] = nxt
+        nxt = ((lam[i - 1] + mu[i - 1] + theta) * cur - mu[i - 1] * prev) / lam[i - 1]
+        out[:, i] = nxt
+        prev, cur = cur, nxt
     return out
+
+
+def eval_psi_recurrence(spec, theta):
+    """Values psi_theta(1..N) for one theta: a one-row psi_table."""
+    return psi_table(spec, [float(theta)])[0]
 
 
 def _jacobi_diagonals(spec, pi):
@@ -93,17 +120,23 @@ def _jacobi_diagonals(spec, pi):
 
     Conjugating Q by diag(sqrt(pi)) must give a symmetric matrix with
     off-diagonal sqrt(lambda_i mu_{i+1}); any mismatch means pi does not
-    balance the rates.
+    balance the rates.  Only the 2(N-1) off-diagonal entries can differ
+    (the conjugation leaves the diagonal and the zeros alone), so they are
+    compared directly in O(N), with no dense matrix:
+    sqrt(pi_i) lambda_i / sqrt(pi_{i+1}) and sqrt(pi_{i+1}) mu_{i+1} / sqrt(pi_i)
+    against sqrt(lambda_i mu_{i+1}).
     """
     lam = spec.lam_array()
     mu = spec.mu_array()
     d = -(lam + mu)
     e = np.sqrt(lam[:-1] * mu[1:])
     root = np.sqrt(pi.array())
-    sym = (root[:, None] * interior_rate_matrix(spec)) / root[None, :]
-    ref = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    defect = np.max(np.abs(sym - ref))
-    scale = np.max(np.abs(ref))
+    upper = root[:-1] * lam[:-1] / root[1:]
+    lower = root[1:] * mu[1:] / root[:-1]
+    defect = max(
+        np.max(np.abs(upper - e), initial=0.0), np.max(np.abs(lower - e), initial=0.0)
+    )
+    scale = max(np.max(np.abs(d)), np.max(e, initial=0.0))
     if defect > 1e-10 * scale:
         raise ValueError(
             f"pi: does not symmetrize the generator (entrywise defect {defect:g})"
@@ -178,9 +211,13 @@ def finite_spectrum(spec, pi, c=None):
         w_k = 1 / sum_i pi_i psi_{-theta_k}(i)^2
 
     with psi normalized by psi(1) = 1/mu_1 = C(1,1), which removes any
-    eigenvector-scaling ambiguity.  When a C-matrix is supplied, the
-    recurrence values are cross-checked against Horner evaluation of its
-    rows on a low state (the two must agree: same polynomials).
+    eigenvector-scaling ambiguity.  The table psi_{-theta_k}(i) is built
+    once, by one psi_table walk vectorized across the atoms, and returned
+    on the spectrum (measure.psi) for evaluators to reuse.  The balance
+    check that pi symmetrizes the rates is O(N).  When a C-matrix is
+    supplied, the recurrence values are cross-checked against Horner
+    evaluation of its rows on a low state (the two must agree: same
+    polynomials).
     """
     _jacobi_diagonals(spec, pi)
     lam = spec.lam_array()
@@ -191,7 +228,7 @@ def finite_spectrum(spec, pi, c=None):
             f"internal error: nonpositive spectral atom {theta[0]!r} for an absorbed chain"
         )
     pia = pi.array()
-    psi = np.vstack([eval_psi_recurrence(spec, -th) for th in theta])
+    psi = psi_table(spec, -theta)
     weights = 1.0 / np.einsum("ki,i,ki->k", psi, pia, psi)
     if c is not None and c.max_index >= 1:
         i_chk = min(c.max_index, spec.n_states, 10)
@@ -203,7 +240,7 @@ def finite_spectrum(spec, pi, c=None):
                     "internal error: C-matrix row and recurrence disagree "
                     f"at state {i_chk} (|{horner:g} - {rec:g}|)"
                 )
-    return DiscreteSpectrum(theta, weights)
+    return DiscreteSpectrum(theta, weights, psi)
 
 
 def symmetric_rw_spectrum(kappa, n_nodes):
@@ -238,10 +275,11 @@ def orthogonality_defect(measure, c, pi, i, j):
 
     For a discrete measure the eigenfunctions are the polynomials whose
     coefficients sit in the C-matrix rows, evaluated through the
-    recurrence (Horner summation of the rows cancels catastrophically for
-    states around 10; the row-vs-recurrence agreement is enforced
-    separately in finite_spectrum and verify_columns).  For the walk's
-    quadrature the closed form is used and pi_j = 1.
+    recurrence, walked only up to state max(i, j) (Horner summation of the
+    rows cancels catastrophically for states around 10; the
+    row-vs-recurrence agreement is enforced separately in finite_spectrum
+    and verify_columns).  For the walk's quadrature the closed form is
+    used and pi_j = 1.
     """
     if isinstance(measure, RWSpectrum):
         vi = rw_psi_values(measure, i)
@@ -251,7 +289,7 @@ def orthogonality_defect(measure, c, pi, i, j):
         spec = c.spec
         if not (1 <= i <= spec.n_states and 1 <= j <= spec.n_states):
             raise ValueError(f"states ({i},{j}): outside 1..{spec.n_states}")
-        table = np.vstack([eval_psi_recurrence(spec, -th) for th in measure.theta])
+        table = psi_table(spec, -measure.theta, max(i, j))
         vi = table[:, i - 1]
         vj = table[:, j - 1]
         target = 1.0 / float(pi[j]) if i == j else 0.0

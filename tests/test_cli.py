@@ -106,6 +106,17 @@ class TestSpectrumCommand:
         np.testing.assert_allclose([r[0] for r in data], m.theta, rtol=1e-15)
         np.testing.assert_allclose([r[1] for r in data], m.weights, rtol=1e-15)
 
+    def test_speed_measure_overflow_named(self, tmp_path, monkeypatch, capsys):
+        code = run(
+            ["spectrum", "--model", "asymmetric_rw", "--lambda", "2", "--mu", "1",
+             "--N", "1025"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "pi[1025]" in err
+        assert "integer division" not in err
+
     def test_continuous_quadrature(self, tmp_path, monkeypatch):
         code = run(
             ["spectrum", "--continuous", "--model", "symmetric_rw", "--kappa", "2",

@@ -55,6 +55,14 @@ class TestFiniteEvaluator:
         assert not ev.is_continuous
         assert ev.psi.shape == (10, 10)
 
+    def test_psi_is_the_table_the_weights_came_from(self, chain_factory):
+        spec = chain_factory(52)
+        ev = b.finite_evaluator(spec)
+        assert ev.psi is ev.measure.psi
+        assert np.array_equal(ev.psi, b.psi_table(spec, -ev.measure.theta))
+        weights = 1.0 / np.einsum("ki,i,ki->k", ev.psi, ev.pi, ev.psi)
+        assert np.array_equal(ev.measure.weights, weights)
+
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_transition_matches_expm(self, chain_factory, t):
         spec = chain_factory(53)

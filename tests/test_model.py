@@ -92,6 +92,15 @@ class TestSpeedAndScale:
         pi = b.build_speed_measure(two_state_chain)
         np.testing.assert_allclose(pi.array(), [1.0, 1.0])
 
+    def test_exact_weight_beyond_float_range_named(self):
+        # pi_i = 2^(i-1) exactly: pi_1024 = 2^1023 is a float, pi_1025 is not.
+        assert b.build_speed_measure(b.asymmetric_rw_spec(2, 1, 1024)).array()[-1] == 2.0**1023
+        spec = b.asymmetric_rw_spec(2, 1, 1025)
+        with pytest.raises(OverflowError, match=r"overflows float range at pi\[1025\]"):
+            b.build_speed_measure(spec).array()
+        with pytest.raises(OverflowError, match=r"pi\[1025\]"):
+            b.finite_evaluator(spec)
+
     def test_scale_increments(self, rational_chain):
         pi = b.build_speed_measure(rational_chain)
         s = b.build_scale_function(rational_chain, pi)

@@ -1,6 +1,7 @@
 """Eigenfunctions, spectral measures, orthogonality, Stieltjes ratio."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,83 @@ class TestPsiRecurrence:
         qpsi = b.apply_Q(spec, [0.0, *psi])
         for i in range(spec.n_states - 1):
             assert qpsi[i] == pytest.approx(theta * psi[i], rel=1e-10, abs=1e-12)
+
+
+def scalar_psi(spec, theta):
+    """The one-theta recurrence as a plain Python loop: the reference for psi_table."""
+    lam = spec.lam_array()
+    mu = spec.mu_array()
+    out = np.empty(spec.n_states)
+    out[0] = 1.0 / mu[0]
+    prev = 0.0
+    for i in range(1, spec.n_states):
+        nxt = ((lam[i - 1] + mu[i - 1] + theta) * out[i - 1] - mu[i - 1] * prev) / lam[i - 1]
+        prev = out[i - 1]
+        out[i] = nxt
+    return out
+
+
+class TestPsiTable:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            b.symmetric_rw_spec(1, 200),
+            b.asymmetric_rw(2, 1, 60)[0],
+            random_chain(59, n=20),
+        ],
+        ids=["walk-200", "drift-2-1-60", "random-20"],
+    )
+    def test_rows_bit_identical_to_scalar_recurrence(self, spec):
+        pi, _ = measures(spec)
+        m = b.finite_spectrum(spec, pi)
+        table = b.psi_table(spec, -m.theta)
+        assert table.shape == (m.n_atoms, spec.n_states)
+        for k, th in enumerate(m.theta):
+            want = scalar_psi(spec, float(-th))
+            assert np.array_equal(table[k], want)
+            assert np.array_equal(b.eval_psi_recurrence(spec, -th), want)
+        assert np.array_equal(m.psi, table)
+
+    def test_prefix_of_states(self, chain_factory):
+        spec = chain_factory(60)
+        theta = np.array([-2.5, -0.3, 0.0, 1.7])
+        full = b.psi_table(spec, theta)
+        for n in (1, 4, spec.n_states):
+            assert np.array_equal(b.psi_table(spec, theta, n), full[:, :n])
+
+    def test_validation(self, chain_factory):
+        spec = chain_factory(61)
+        with pytest.raises(ValueError, match="n_states"):
+            b.psi_table(spec, [1.0], 0)
+        with pytest.raises(ValueError, match="n_states"):
+            b.psi_table(spec, [1.0], spec.n_states + 1)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            b.psi_table(spec, [[1.0]])
+
+
+class TestBalanceCheck:
+    @pytest.mark.parametrize("index", [0, 7, 19])
+    def test_one_weight_off_by_a_millionth_rejected(self, index):
+        spec = random_chain(62, n=20)
+        pi, _ = measures(spec)
+        b.finite_spectrum(spec, pi)
+        weights = list(pi.pi)
+        weights[index] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="does not symmetrize"):
+            b.finite_spectrum(spec, b.SpeedMeasure(tuple(weights)))
+
+    def test_no_dense_matrix_on_main_path(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("dense interior rate matrix built")
+
+        patched = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bdhit" and hasattr(module, "interior_rate_matrix"):
+                monkeypatch.setattr(module, "interior_rate_matrix", refuse)
+                patched.append(name)
+        assert "bdhit.oracles" in patched
+        ev = b.finite_evaluator(b.symmetric_rw_spec(1, 500))
+        assert ev.psi.shape == (500, 500)
 
 
 class TestFiniteSpectrum:
