@@ -47,6 +47,7 @@ from .densities import (
     DensityEvaluator,
     finite_evaluator,
     rw_evaluator,
+    spectral_sum,
     transition_probability,
     hitting_density,
     hitting_density_derivative,
@@ -123,6 +124,7 @@ __all__ = [
     "DensityEvaluator",
     "finite_evaluator",
     "rw_evaluator",
+    "spectral_sum",
     "transition_probability",
     "hitting_density",
     "hitting_density_derivative",

@@ -7,8 +7,12 @@ a finite chain, quadrature nodes for the symmetric walk):
     hitting:      f_i(t)         =      sum_k w_k exp(-theta_k t) psi_k(i)
     hitting cdf:  P_i[T_0 <= t]  =      sum_k w_k psi_k(i) (1 - exp(-theta_k t)) / theta_k
 
-with psi_k(1) = 1/mu_1, so f_i(t) = mu_1 P_i[X_t = 1].  Sums are
-compensated (math.fsum) because the terms alternate in sign.
+with psi_k(1) = 1/mu_1, so f_i(t) = mu_1 P_i[X_t = 1].  One kernel,
+spectral_sum, evaluates them all over an array of t: it forms the
+coefficient vector once, takes exp(-theta t) (expm1 for the CDF) over
+t-blocks of _BLOCK_ENTRIES = 2^17 entries (1 MiB) and reduces each row by
+numpy's pairwise sum over the atoms, so a value never depends on the block
+or on the rest of the grid.  The scalar functions are one-point calls.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import CMatrix, build_c_matrix
+from .cmatrix import CMatrix, build_c_matrix, diff_operator_coeffs
 from .model import (
     ProcessSpec,
     build_scale_function,
@@ -38,6 +42,7 @@ __all__ = [
     "DensityEvaluator",
     "finite_evaluator",
     "rw_evaluator",
+    "spectral_sum",
     "transition_probability",
     "hitting_density",
     "hitting_density_derivative",
@@ -45,6 +50,8 @@ __all__ = [
     "hitting_cdf",
     "time_grid",
 ]
+
+_BLOCK_ENTRIES = 1 << 17  # spectral_sum's t-by-atoms work array: 1 MiB of float64
 
 
 class InitialDistribution:
@@ -192,79 +199,105 @@ def _check_state(ev, i, name="state"):
         raise ValueError(f"{name} {i}: outside 1..{ev.n_states}")
 
 
-def _check_time(ev, t):
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"t: must be nonnegative, got {t}")
-    if t == 0 and ev.is_continuous:
+def spectral_sum(ev, t, start, target="absorption", transform=0):
+    """sum_k w_k exp(-theta_k t) a_k b_k at every t of a 1-D array.
+
+    start: a state i (a_k = psi_k(i)) or an InitialDistribution nu
+    (a_k = sum_i nu{i} psi_k(i)).  target: "absorption" (b_k = 1, the
+    density f), ("state", j) (b_k = pi_j psi_k(j), P[X_t = j]) or
+    ("c_row", j) (b_k = pi_j sum_m C(j, m) (-theta_k)^(m-1), the row-j
+    C-matrix operator applied to f, from the C coefficients).  transform:
+    an order k >= 0 (a factor (-theta_k)^k, the k-th t-derivative) or
+    "cdf" (-expm1(-theta_k t) / theta_k in place of exp(-theta_k t)).
+    """
+    m = ev.measure
+    neg_theta = -m.theta
+    if isinstance(start, InitialDistribution):
+        if start.max_state > ev.n_states:
+            raise ValueError(
+                f"nu: support reaches state {start.max_state}, evaluator covers 1..{ev.n_states}"
+            )
+        (i, mass), *rest = start.items
+        coef = mass * ev.psi[:, i - 1]
+        for i, mass in rest:
+            coef += mass * ev.psi[:, i - 1]
+        coef *= m.weights
+    else:
+        _check_state(ev, start)
+        coef = m.weights * ev.psi[:, start - 1]
+    if target != "absorption":
+        kind, j = target
+        if kind == "state":
+            _check_state(ev, j, "target state")
+            coef *= ev.psi[:, j - 1]
+        elif kind == "c_row":
+            if j > ev.c.max_index:
+                raise ValueError(
+                    f"state {j}: evaluator keeps C-matrix rows up to {ev.c.max_index}"
+                )
+            c_row = [float(v) for v in diff_operator_coeffs(ev.c, j)]
+            coef *= np.polyval(c_row[::-1], neg_theta)
+        else:
+            raise ValueError(f"target: expected 'state' or 'c_row', got {kind!r}")
+        coef *= ev.pi[j - 1]
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"t: expected a one-dimensional array, got shape {t.shape}")
+    t_min = min(t.tolist(), default=np.inf)  # faster than t.min() on one-point calls
+    if t_min < 0:
+        raise ValueError(f"t: must be nonnegative, got {t_min}")
+    if t_min == 0 and ev.is_continuous:
         raise ValueError("t: the continuous-spectrum evaluator needs t > 0")
-    return t
+    if transform == "cdf":
+        if ev.is_continuous:
+            raise ValueError(
+                "hitting_cdf: needs the discrete spectrum of a finite chain "
+                "(the quadrature version loses the 1/theta tail)"
+            )
+        coef /= neg_theta
+        decay = np.expm1
+    else:
+        if transform < 0:
+            raise ValueError(f"order: must be nonnegative, got {transform}")
+        if transform:
+            coef *= neg_theta**transform
+        decay = np.exp
+    out = np.empty(len(t))
+    rows = max(1, _BLOCK_ENTRIES // len(coef))
+    work = np.empty((min(rows, len(t)), len(coef)))
+    for lo in range(0, len(t), rows):
+        block = work[: len(t) - lo]
+        np.multiply(t[lo : lo + rows, None], neg_theta, out=block)
+        decay(block, out=block)
+        block *= coef
+        np.add.reduce(block, axis=-1, out=out[lo : lo + rows])
+    return out
 
 
 def transition_probability(ev, t, i, j):
     """P_i[X_t = j] before absorption, by the spectral sum."""
     _check_state(ev, i, "start state")
-    _check_state(ev, j, "target state")
-    t = _check_time(ev, t)
-    m = ev.measure
-    terms = m.weights * np.exp(-m.theta * t) * ev.psi[:, i - 1] * ev.psi[:, j - 1]
-    return float(ev.pi[j - 1]) * math.fsum(terms)
+    return float(spectral_sum(ev, (t,), i, ("state", j))[0])
 
 
 def hitting_density(ev, t, i):
     """Density of the absorption time T_0 started at state i."""
-    _check_state(ev, i)
-    t = _check_time(ev, t)
-    m = ev.measure
-    return math.fsum(m.weights * np.exp(-m.theta * t) * ev.psi[:, i - 1])
+    return float(spectral_sum(ev, (t,), i)[0])
 
 
 def hitting_density_derivative(ev, t, i, order):
     """d^order/dt^order of the absorption density, termwise (-theta)^order."""
-    _check_state(ev, i)
-    t = _check_time(ev, t)
-    if order < 0:
-        raise ValueError(f"order: must be nonnegative, got {order}")
-    m = ev.measure
-    terms = (
-        m.weights * (-m.theta) ** order * np.exp(-m.theta * t) * ev.psi[:, i - 1]
-    )
-    return math.fsum(terms)
+    return float(spectral_sum(ev, (t,), i, transform=order)[0])
 
 
 def mixture_density(ev, nu, t):
     """Absorption density under initial distribution nu: sum_i nu{i} f_i(t)."""
-    if nu.max_state > ev.n_states:
-        raise ValueError(
-            f"nu: support reaches state {nu.max_state}, evaluator covers 1..{ev.n_states}"
-        )
-    t = _check_time(ev, t)
-    m = ev.measure
-    weights = m.weights * np.exp(-m.theta * t)
-    return math.fsum(
-        mass * math.fsum(weights * ev.psi[:, s - 1]) for s, mass in nu.items
-    )
+    return float(spectral_sum(ev, (t,), nu)[0])
 
 
 def hitting_cdf(ev, nu, t):
     """P_nu[T_0 <= t] for a finite chain; tends to 1 as t grows."""
-    if ev.is_continuous:
-        raise ValueError(
-            "hitting_cdf: needs the discrete spectrum of a finite chain "
-            "(the quadrature version loses the 1/theta tail)"
-        )
-    if nu.max_state > ev.n_states:
-        raise ValueError(
-            f"nu: support reaches state {nu.max_state}, evaluator covers 1..{ev.n_states}"
-        )
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"t: must be nonnegative, got {t}")
-    m = ev.measure
-    shape = m.weights * (1.0 - np.exp(-m.theta * t)) / m.theta
-    return math.fsum(
-        mass * math.fsum(shape * ev.psi[:, s - 1]) for s, mass in nu.items
-    )
+    return float(spectral_sum(ev, (t,), nu, transform="cdf")[0])
 
 
 def time_grid(t_min, t_max, count, log=False):

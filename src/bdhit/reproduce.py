@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cmatrix import diff_operator_coeffs
+from .densities import spectral_sum
 
 __all__ = [
     "NumericApplication",
@@ -83,32 +84,12 @@ def apply_psi_dt_spectral(ev, nu, j, t):
 
     Differentiating the spectral sum termwise turns the row-j operator
     sum_m C(j, m) d^(m-1)/dt^(m-1) into the polynomial
-    sum_m C(j, m) (-theta)^(m-1) under the integral; that polynomial is
-    evaluated here from the C coefficients (not from the eigenfunction
-    table), so agreement with transition_probability is a genuine
-    two-route check.  At t = 0 on a finite chain this returns nu{j}.
+    sum_m C(j, m) (-theta)^(m-1) under the integral; spectral_sum's
+    ("c_row", j) target takes it from the C coefficients (not from the
+    eigenfunction table), so agreement with transition_probability is a
+    genuine two-route check.  At t = 0 on a finite chain this is nu{j}.
     """
-    if nu.max_state > ev.n_states:
-        raise ValueError(
-            f"nu: support reaches state {nu.max_state}, evaluator covers 1..{ev.n_states}"
-        )
-    if j > ev.c.max_index:
-        raise ValueError(
-            f"state {j}: evaluator keeps C-matrix rows up to {ev.c.max_index}"
-        )
-    coeffs = [float(v) for v in diff_operator_coeffs(ev.c, j)]
-    m = ev.measure
-    if isinstance(t, (int, float)) and t == 0 and ev.is_continuous:
-        raise ValueError("t: the continuous-spectrum evaluator needs t > 0")
-    neg_theta = -m.theta
-    op_vals = np.full_like(m.theta, coeffs[-1])
-    for c_m in reversed(coeffs[:-1]):
-        op_vals = op_vals * neg_theta + c_m
-    decay = m.weights * np.exp(-m.theta * float(t)) * op_vals
-    pi_j = float(ev.pi[j - 1])
-    return pi_j * math.fsum(
-        mass * math.fsum(decay * ev.psi[:, i - 1]) for i, mass in nu.items
-    )
+    return float(spectral_sum(ev, (t,), nu, ("c_row", j))[0])
 
 
 def _as_sample_arrays(samples):

@@ -1,5 +1,7 @@
 """Transition probabilities and hitting-time densities from the spectral data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -171,6 +173,122 @@ class TestHittingCdf:
         ev = b.rw_evaluator(1.0, n_nodes=64, n_states=16)
         with pytest.raises(ValueError, match="loses the 1/theta tail"):
             b.hitting_cdf(ev, b.InitialDistribution({1: 1.0}), 1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [b.asymmetric_rw(2, 1, 40)[0], b.symmetric_rw_spec(1, 50)],
+        ids=["drift-40", "walk-50"],
+    )
+    def test_small_t_is_mu1_t(self, spec):
+        # F_1(t) = mu_1 t (1 + O(t)): 1 - exp(-theta t) would lose the
+        # leading digits of every term at t = 1e-12.
+        ev = b.finite_evaluator(spec)
+        t = 1e-12
+        got = b.hitting_cdf(ev, b.InitialDistribution({1: 1.0}), t)
+        assert abs(got / (float(spec.mu[0]) * t) - 1.0) <= 1e-10
+
+
+class TestSpectralSum:
+    """The one kernel behind every spectral evaluation."""
+
+    @pytest.mark.parametrize(
+        "chain, pairs",
+        [
+            ("walk-200", [(1, 2), (2, 1), (3, 9), (10, 40), (1, 200)]),
+            ("random-20", [(1, 2), (2, 1), (4, 11), (1, 20), (20, 3)]),
+        ],
+    )
+    def test_alternating_sums_against_mpmath(self, chain_factory, chain, pairs):
+        # Off-diagonal transitions at small t: terms of both signs and
+        # magnitude O(1) cancel down to p.  The reference sums the same
+        # float spectral data exactly at 50 digits, so only the kernel's
+        # own rounding (exp and the pairwise sum) is measured.
+        mpmath = pytest.importorskip("mpmath")
+        spec = b.symmetric_rw_spec(1, 200) if chain == "walk-200" else chain_factory(71, n=20)
+        ev = b.finite_evaluator(spec)
+        ts = np.array([0.01, 0.1, 1.0])
+        m = ev.measure
+        mpf = mpmath.mpf
+        with mpmath.workdps(50):
+            for i, j in pairs:
+                got = b.spectral_sum(ev, ts, i, ("state", j))
+                terms = list(zip(m.weights, m.theta, ev.psi[:, i - 1], ev.psi[:, j - 1]))
+                for t, p in zip(ts, got):
+                    want = mpf(ev.pi[j - 1]) * mpmath.fsum(
+                        mpf(w) * mpmath.exp(-mpf(th) * mpf(t)) * mpf(a) * mpf(c)
+                        for w, th, a, c in terms
+                    )
+                    assert abs(p - float(want)) <= 1e-12 * max(1.0, abs(p)), (i, j, t)
+
+    @pytest.mark.parametrize(
+        "which, start, target, transform",
+        [
+            ("walk", b.InitialDistribution({1: 0.2, 5: 0.5, 9: 0.3}), "absorption", 0),
+            ("walk", 3, ("state", 7), 0),
+            ("walk", 2, ("c_row", 4), 0),
+            ("walk", 1, "absorption", 2),
+            ("walk", b.InitialDistribution({2: 1.0}), "absorption", "cdf"),
+            ("continuous", 1, "absorption", 0),
+        ],
+    )
+    def test_grid_call_is_bit_identical_to_pieces(self, which, start, target, transform):
+        ev = (
+            b.finite_evaluator(b.symmetric_rw_spec(1, 200))
+            if which == "walk"
+            else b.rw_evaluator(1, n_nodes=512, n_states=64)
+        )
+        grid = b.time_grid(0.01, 5.0, 20000)
+        whole = b.spectral_sum(ev, grid, start, target, transform)
+        cuts = [1, 2, 655, 656, 1000, 7777, 19999]  # a block holds 655 rows of 200 atoms
+        pieces = [b.spectral_sum(ev, p, start, target, transform) for p in np.split(grid, cuts)]
+        assert np.array_equal(whole, np.concatenate(pieces))
+
+    def test_scalar_wrappers_are_one_kernel_call(self, chain_factory):
+        ev = b.finite_evaluator(chain_factory(72))
+        nu = b.InitialDistribution({1: 0.25, 3: 0.5, 6: 0.25})
+        grid = b.time_grid(0.0, 4.0, 41)
+        cases = [
+            (lambda t: b.transition_probability(ev, t, 2, 5), (2, ("state", 5), 0)),
+            (lambda t: b.hitting_density(ev, t, 4), (4, "absorption", 0)),
+            (lambda t: b.hitting_density_derivative(ev, t, 4, 3), (4, "absorption", 3)),
+            (lambda t: b.mixture_density(ev, nu, t), (nu, "absorption", 0)),
+            (lambda t: b.hitting_cdf(ev, nu, t), (nu, "absorption", "cdf")),
+            (lambda t: b.apply_psi_dt_spectral(ev, nu, 3, t), (nu, ("c_row", 3), 0)),
+        ]
+        for scalar, (start, target, transform) in cases:
+            on_grid = b.spectral_sum(ev, grid, start, target, transform)
+            assert [scalar(t) for t in grid] == on_grid.tolist()
+
+    def test_long_grid_memory_is_blocked(self):
+        # 20 000 x 512 float64 would be 82 MB in one piece.
+        ev = b.rw_evaluator(1, n_nodes=512, n_states=64)
+        grid = b.time_grid(0.01, 5.0, 20000)
+        tracemalloc.start()
+        try:
+            b.spectral_sum(ev, grid, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_validation(self, chain_factory):
+        ev = b.finite_evaluator(chain_factory(73))
+        rw = b.rw_evaluator(1.0, n_nodes=64, n_states=8)
+        with pytest.raises(ValueError, match="t: must be nonnegative, got -0.5"):
+            b.spectral_sum(ev, [0.1, -0.5, 1.0], 1)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            b.spectral_sum(ev, [[0.1]], 1)
+        with pytest.raises(ValueError, match="needs t > 0"):
+            b.spectral_sum(rw, [1.0, 0.0], 1)
+        with pytest.raises(ValueError, match="target state 11: outside 1..10"):
+            b.spectral_sum(ev, [1.0], 1, ("state", 11))
+        with pytest.raises(ValueError, match="expected 'state' or 'c_row'"):
+            b.spectral_sum(ev, [1.0], 1, ("row", 2))
+        with pytest.raises(ValueError, match="loses the 1/theta tail"):
+            b.spectral_sum(rw, [1.0], 1, transform="cdf")
+        with pytest.raises(ValueError, match="order: must be nonnegative"):
+            b.spectral_sum(ev, [1.0], 1, transform=-1)
+        assert b.spectral_sum(ev, [], 1).shape == (0,)
 
 
 class TestRWEvaluator:
