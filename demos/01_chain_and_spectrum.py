@@ -53,6 +53,6 @@ print("worst orthogonality defect:", worst)
 
 # Every row of C evaluated at -theta_k reproduces the eigenfunction values,
 # and the total-mass identity sum_k w_k psi_k(i) / theta_k = 1 holds.
-psi1 = [b.eval_psi_recurrence(spec, -t)[0] for t in m.theta]
-total = float(np.sum(m.weights * np.array(psi1) / m.theta))
+psi1 = b.psi_table(spec, -m.theta)[:, 0]
+total = float(np.sum(m.weights * psi1 / m.theta))
 print("total-mass identity at i = 1:", total)

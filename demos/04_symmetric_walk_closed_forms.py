@@ -30,8 +30,8 @@ print("row 4 of C:", [str(v) for v in c.rows[4][1:]])
 # spectral density, exact for moderate states.
 ev = b.rw_evaluator(float(kappa), n_nodes=256, n_states=32)
 print("\n t      quadrature f_1     Bessel oracle")
-for t in (0.25, 1.0, 4.0):
-    got = b.hitting_density(ev, t, 1)
+ts = (0.25, 1.0, 4.0)
+for t, got in zip(ts, b.spectral_sum(ev, ts, 1)):
     want = rw_hitting_density_closed_form(kappa, t)
     print(f"{t:5.2f}   {got:.12f}   {want:.12f}")
 
@@ -57,7 +57,8 @@ for theta in (0.5, 1.0, 4.0):
 # Truncating the infinite lattice at N converges fast in the bulk: the
 # finite-chain transition P_t(1,1) approaches the quadrature value.
 print("\nN     |finite P_t(1,1) - quadrature|   (t = 4)")
-target = b.transition_probability(ev, 4.0, 1, 1)
+target = b.spectral_sum(ev, (4.0,), 1, ("state", 1))[0]
 for n in (4, 6, 8, 10, 12, 16):
     fin = b.finite_evaluator(b.symmetric_rw_spec(kappa, n), c_rows=2)
-    print(f"{n:3d}   {abs(b.transition_probability(fin, 4.0, 1, 1) - target):.3e}")
+    p = b.spectral_sum(fin, (4.0,), 1, ("state", 1))[0]
+    print(f"{n:3d}   {abs(p - target):.3e}")

@@ -56,17 +56,18 @@ print(f"  tilted rates vs direct construction, max error: {rate_err:.3e}")
 ev_base = b.finite_evaluator(ht2.base)
 ev_drift = b.finite_evaluator(direct_spec)
 print("\n  t     via conjugacy       direct drifted chain")
-for t in (0.5, 2.0):
-    via = b.transform_density(b.hitting_density(ev_base, t, 3), ht2, 3, t)
-    got = b.hitting_density(ev_drift, t, 3)
+ts = (0.5, 2.0)
+for t, f_base, got in zip(ts, b.spectral_sum(ev_base, ts, 3), b.spectral_sum(ev_drift, ts, 3)):
+    via = b.transform_density(f_base, ht2, 3, t)
     print(f"  {t:3.1f}   {via:.12e}   {got:.12e}")
 
 # The whole spectral evaluator transfers too: shift atoms by gamma,
 # rescale weights and eigenfunctions by k.
 ev_tilt = b.transformed_evaluator(ev_base, ht2)
+ts = (0.5, 1.0, 3.0)
 worst = max(
-    abs(b.transition_probability(ev_tilt, t, i, j) - b.transition_probability(ev_drift, t, i, j))
-    for t in (0.5, 1.0, 3.0)
+    np.max(np.abs(b.spectral_sum(ev_tilt, ts, i, ("state", j))
+                  - b.spectral_sum(ev_drift, ts, i, ("state", j))))
     for i in (1, 2, 5)
     for j in (1, 2, 5)
 )

@@ -2,8 +2,9 @@
 
 Simulates absorbed trajectories with a counter-based RNG (reproducible
 per path), then compares the empirical hitting-time law against the
-spectral CDF with a Kolmogorov-Smirnov test, and checkpoint occupancy
-counts against the transition probabilities with z-scores.
+spectral CDF with a Kolmogorov-Smirnov test (the CDF evaluated once, over
+the whole sorted sample), and checkpoint occupancy counts against the
+transition probabilities with z-scores.
 
 Run:  python3 demos/06_monte_carlo_validation.py   (~10 s)
 """
@@ -34,7 +35,7 @@ print(f"single path absorbed at t = {sample.times[0]:.6f} "
 cfg = b.SimConfig(50_000, 3000.0, 42, nu)
 sample = b.empirical_hitting(spec, cfg)
 assert sample.n_censored == 0
-ks = b.ks_statistic(sample, lambda t: b.hitting_cdf(ev, nu, t))
+ks = b.ks_statistic(sample, lambda t: b.spectral_sum(ev, t, nu, transform="cdf"))
 band = 1.6276 / math.sqrt(cfg.n_paths)
 print(f"\n{cfg.n_paths} paths, KS statistic {ks:.5f} vs 1% band {band:.5f}: "
       f"{'PASS' if ks < band else 'FAIL'}")
@@ -44,14 +45,16 @@ t_values = (0.3, 1.0, 3.0)
 occ = b.empirical_occupancy(spec, cfg, t_values)
 print("\ncheckpoint occupancy (empirical vs spectral, z-scores):")
 print("  t      state  empirical   expected    z")
+# State 0 holds the absorbed paths, whose expected share is the CDF.
+expected = {0: b.spectral_sum(ev, t_values, nu, transform="cdf")}
+for j in (1, 2):
+    expected[j] = sum(
+        mass * b.spectral_sum(ev, t_values, i, ("state", j)) for i, mass in nu.items
+    )
 worst_z = 0.0
 for a, t in enumerate(t_values):
     for j in (0, 1, 2):
-        p = sum(
-            mass * (b.hitting_cdf(ev, b.InitialDistribution({i: 1.0}), t) if j == 0
-                    else b.transition_probability(ev, t, i, j))
-            for i, mass in nu.items
-        )
+        p = expected[j][a]
         freq = occ[a, j] / cfg.n_paths
         se = math.sqrt(p * (1 - p) / cfg.n_paths)
         z = (freq - p) / se if se > 0 else 0.0
@@ -61,6 +64,6 @@ print(f"worst |z| = {worst_z:.2f} (expect < 4 almost surely)")
 
 # A deliberately wrong reference fails the same KS test.
 wrong = b.finite_evaluator(b.ProcessSpec(lam[:-1] + (0.0,), tuple(2 * m for m in mu)))
-ks_wrong = b.ks_statistic(sample, lambda t: b.hitting_cdf(wrong, nu, t))
+ks_wrong = b.ks_statistic(sample, lambda t: b.spectral_sum(wrong, t, nu, transform="cdf"))
 print(f"\nsanity: against a chain with doubled death rates the KS statistic "
       f"is {ks_wrong:.3f} (rejected)")

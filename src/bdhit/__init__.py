@@ -34,7 +34,6 @@ from .cmatrix import (
 from .spectral import (
     DiscreteSpectrum,
     RWSpectrum,
-    eval_psi_recurrence,
     psi_table,
     finite_spectrum,
     symmetric_rw_spectrum,
@@ -48,17 +47,11 @@ from .densities import (
     finite_evaluator,
     rw_evaluator,
     spectral_sum,
-    transition_probability,
-    hitting_density,
-    hitting_density_derivative,
-    mixture_density,
-    hitting_cdf,
     time_grid,
 )
 from .reproduce import (
     NumericApplication,
     ReproductionReport,
-    apply_psi_dt_spectral,
     apply_psi_dt_numeric,
     recover_initial,
     derivative_bound_sequence,
@@ -112,7 +105,6 @@ __all__ = [
     # spectral
     "DiscreteSpectrum",
     "RWSpectrum",
-    "eval_psi_recurrence",
     "psi_table",
     "finite_spectrum",
     "symmetric_rw_spectrum",
@@ -125,16 +117,10 @@ __all__ = [
     "finite_evaluator",
     "rw_evaluator",
     "spectral_sum",
-    "transition_probability",
-    "hitting_density",
-    "hitting_density_derivative",
-    "mixture_density",
-    "hitting_cdf",
     "time_grid",
     # reproduce
     "NumericApplication",
     "ReproductionReport",
-    "apply_psi_dt_spectral",
     "apply_psi_dt_numeric",
     "recover_initial",
     "derivative_bound_sequence",

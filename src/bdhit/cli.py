@@ -28,9 +28,6 @@ from .cmatrix import build_c_matrix, verify_columns
 from .densities import (
     InitialDistribution,
     finite_evaluator,
-    hitting_cdf,
-    hitting_density,
-    mixture_density,
     rw_evaluator,
     spectral_sum,
     time_grid,
@@ -220,6 +217,16 @@ def _spec_config(spec):
     return spec.to_dict()
 
 
+def _write_cmatrix_csv(path, c):
+    """Rows 0..max_index of a C-matrix as (row, col, value) lines."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("row,col,value\n")
+        for i in range(c.max_index + 1):
+            for j in range(i + 1):
+                fh.write(f"{i},{j},{_fmt(c.rows[i][j])}\n")
+    return path
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -231,12 +238,7 @@ def _cmd_cmatrix(args, parser):
     pi = build_speed_measure(spec)
     s = build_scale_function(spec, pi)
     c = build_c_matrix(spec, pi, s, rows)
-    csv_path = os.path.join(out, "cmatrix.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,value\n")
-        for i in range(c.max_index + 1):
-            for j in range(i + 1):
-                fh.write(f"{i},{j},{_fmt(c.rows[i][j])}\n")
+    csv_path = _write_cmatrix_csv(os.path.join(out, "cmatrix.csv"), c)
     cfg = {"spec": _spec_config(spec), "rows": c.max_index, "rational": c.rational}
     _write_manifest(out, "cmatrix", cfg, [csv_path], started)
     return 0
@@ -359,7 +361,7 @@ def _cmd_reproduce(args, parser):
     elif args.mode == "numeric":
         if nu is None:
             parser.error("numeric mode needs --samples FILE or --nu to synthesize from")
-        samples = lambda t: mixture_density(ev, nu, t)  # noqa: E731
+        samples = lambda t: spectral_sum(ev, t, nu)  # noqa: E731
         mode = "numeric"
     else:
         mode = args.mode
@@ -439,12 +441,7 @@ def _cmd_htransform(args, parser):
     doc["gamma"] = _jsonable(ht.gamma)
     doc["k_values"] = _jsonable(list(ht.k_values))
     _write_json(spec_path, doc)
-    csv_path = os.path.join(out, "htransform_cmatrix.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,value\n")
-        for i in range(c2.max_index + 1):
-            for j in range(i + 1):
-                fh.write(f"{i},{j},{_fmt(c2.rows[i][j])}\n")
+    csv_path = _write_cmatrix_csv(os.path.join(out, "htransform_cmatrix.csv"), c2)
     _write_manifest(out, "htransform", cfg, [spec_path, csv_path], started)
     return 0
 
@@ -469,7 +466,7 @@ def _cmd_simulate(args, parser):
         passed = False
     else:
         ev = finite_evaluator(spec)
-        ks = ks_statistic(sample, lambda t: hitting_cdf(ev, nu, t))
+        ks = ks_statistic(sample, lambda t: spectral_sum(ev, t, nu, transform="cdf"))
         passed = ks < critical
     summary = {
         "n_paths": config.n_paths,
@@ -513,17 +510,19 @@ def _is_constant_symmetric(spec):
 def _verify_battery(spec):
     """Yield (name, passed, detail) for the cross-module property checks."""
     n = spec.n_states
-    pi = build_speed_measure(spec)
-    s = build_scale_function(spec, pi)
+    rows = min(n, 10)
+    ev = finite_evaluator(spec, c_rows=rows)
+    c = ev.c
+    pi = c.pi
+    s = c.s
     lam = spec.lam_array()
     mu = spec.mu_array()
-    pia = pi.array()
 
     defect = max(
         abs(float(pi[i + 1]) * mu[i] - float(pi[i]) * lam[i - 1])
         for i in range(1, n)
     ) if n > 1 else 0.0
-    scale = float(np.max(pia * mu))
+    scale = float(np.max(ev.pi * mu))
     yield "speed-measure-balance", defect <= 1e-12 * scale, f"defect {defect:g}"
 
     rng = np.random.default_rng(7)
@@ -539,13 +538,10 @@ def _verify_battery(spec):
     sc = float(np.max(mu * np.abs(s.array()).max() + 1.0))
     yield "scale-harmonic", d <= 1e-10 * sc, f"max |Qs| {d:g} on 1..{n - 1}"
 
-    rows = min(n, 10)
-    c = build_c_matrix(spec, pi, s, rows)
     d = verify_columns(spec, c)
     sc = float(max(abs(float(v)) for row in c.rows for v in row)) + 1.0
     yield "cmatrix-column-recursion", d <= 1e-10 * sc, f"defect {d:g}"
 
-    ev = finite_evaluator(spec, c_rows=rows)
     measure = ev.measure
     ok = bool(np.all(np.diff(measure.theta) > 0) and measure.theta[0] > 0)
     yield "spectrum-atoms-positive-ascending", ok, f"theta[0] {measure.theta[0]:g}"
@@ -600,11 +596,9 @@ def _verify_battery(spec):
 
         gamma = kappa / 2
         plus, _ = rw_gamma_eigenfunctions(spec.mu[0], gamma, n)
-        spec2 = transform_rates(plus.base, plus)
-        c2 = transform_cmatrix(c, plus)
-        pi2 = build_speed_measure(spec2)
-        s2 = build_scale_function(spec2, pi2)
-        c2_direct = build_c_matrix(spec2, pi2, s2, c.max_index, rational=False)
+        ev2 = transformed_evaluator(ev, plus)
+        c2 = ev2.c
+        c2_direct = build_c_matrix(c2.spec, c2.pi, c2.s, c.max_index, rational=False)
         d = 0.0
         for i in range(c.max_index + 1):
             for j in range(i + 1):
@@ -613,10 +607,9 @@ def _verify_battery(spec):
                 d = max(d, abs(a - b) / max(1.0, abs(b)))
         yield "htransform-cmatrix-commutation", d <= 1e-10, f"max rel diff {d:g}"
 
-        ev2 = transformed_evaluator(ev, plus)
         x, t = min(2, n), 0.7
-        lhs = hitting_density(ev2, t, x)
-        rhs = transform_density(hitting_density(ev, t, x), plus, x, t)
+        lhs = spectral_sum(ev2, (t,), x)[0]
+        rhs = transform_density(spectral_sum(ev, (t,), x)[0], plus, x, t)
         d = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         yield "htransform-density-conjugacy", d <= 1e-9, f"rel diff {d:g}"
 
@@ -626,7 +619,7 @@ def _verify_battery(spec):
     if sample.n_censored:
         yield "monte-carlo-ks", False, f"{sample.n_censored} paths censored"
     else:
-        ks = ks_statistic(sample, lambda t: hitting_cdf(ev, nu, t))
+        ks = ks_statistic(sample, lambda t: spectral_sum(ev, t, nu, transform="cdf"))
         crit = _KS_CRIT_1PCT / math.sqrt(config.n_paths)
         yield "monte-carlo-ks", ks < crit, f"D {ks:.5f} vs critical {crit:.5f}"
 

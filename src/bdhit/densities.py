@@ -8,11 +8,13 @@ a finite chain, quadrature nodes for the symmetric walk):
     hitting cdf:  P_i[T_0 <= t]  =      sum_k w_k psi_k(i) (1 - exp(-theta_k t)) / theta_k
 
 with psi_k(1) = 1/mu_1, so f_i(t) = mu_1 P_i[X_t = 1].  One kernel,
-spectral_sum, evaluates them all over an array of t: it forms the
+spectral_sum, evaluates them all over an array of t, and it is the only
+evaluator: callers with several times pass them together.  It forms the
 coefficient vector once, takes exp(-theta t) (expm1 for the CDF) over
 t-blocks of _BLOCK_ENTRIES = 2^17 entries (1 MiB) and reduces each row by
 numpy's pairwise sum over the atoms, so a value never depends on the block
-or on the rest of the grid.  The scalar functions are one-point calls.
+or on the rest of the grid: a one-point call gives the same bits as the
+same t inside a long array.
 """
 
 from __future__ import annotations
@@ -43,11 +45,6 @@ __all__ = [
     "finite_evaluator",
     "rw_evaluator",
     "spectral_sum",
-    "transition_probability",
-    "hitting_density",
-    "hitting_density_derivative",
-    "mixture_density",
-    "hitting_cdf",
     "time_grid",
 ]
 
@@ -209,6 +206,12 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
     C-matrix operator applied to f, from the C coefficients).  transform:
     an order k >= 0 (a factor (-theta_k)^k, the k-th t-derivative) or
     "cdf" (-expm1(-theta_k t) / theta_k in place of exp(-theta_k t)).
+
+    So f_i(t) is spectral_sum(ev, t, i), P_i[X_t = j] is
+    spectral_sum(ev, t, i, ("state", j)) and P_nu[T_0 <= t] is
+    spectral_sum(ev, t, nu, transform="cdf").  Every t must be
+    nonnegative (NaN is refused); t = inf is allowed, where the CDF
+    is the total mass.
     """
     m = ev.measure
     neg_theta = -m.theta
@@ -243,15 +246,15 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"t: expected a one-dimensional array, got shape {t.shape}")
-    t_min = min(t.tolist(), default=np.inf)  # faster than t.min() on one-point calls
-    if t_min < 0:
-        raise ValueError(f"t: must be nonnegative, got {t_min}")
-    if t_min == 0 and ev.is_continuous:
+    bad = ~(t >= 0)  # negative or NaN; +inf stays (the CDF there is the total mass)
+    if bad.any():
+        raise ValueError(f"t: must be nonnegative, got {t[bad][0]}")
+    if ev.is_continuous and (t == 0).any():
         raise ValueError("t: the continuous-spectrum evaluator needs t > 0")
     if transform == "cdf":
         if ev.is_continuous:
             raise ValueError(
-                "hitting_cdf: needs the discrete spectrum of a finite chain "
+                "transform 'cdf': needs the discrete spectrum of a finite chain "
                 "(the quadrature version loses the 1/theta tail)"
             )
         coef /= neg_theta
@@ -274,37 +277,14 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
     return out
 
 
-def transition_probability(ev, t, i, j):
-    """P_i[X_t = j] before absorption, by the spectral sum."""
-    _check_state(ev, i, "start state")
-    return float(spectral_sum(ev, (t,), i, ("state", j))[0])
-
-
-def hitting_density(ev, t, i):
-    """Density of the absorption time T_0 started at state i."""
-    return float(spectral_sum(ev, (t,), i)[0])
-
-
-def hitting_density_derivative(ev, t, i, order):
-    """d^order/dt^order of the absorption density, termwise (-theta)^order."""
-    return float(spectral_sum(ev, (t,), i, transform=order)[0])
-
-
-def mixture_density(ev, nu, t):
-    """Absorption density under initial distribution nu: sum_i nu{i} f_i(t)."""
-    return float(spectral_sum(ev, (t,), nu)[0])
-
-
-def hitting_cdf(ev, nu, t):
-    """P_nu[T_0 <= t] for a finite chain; tends to 1 as t grows."""
-    return float(spectral_sum(ev, (t,), nu, transform="cdf")[0])
-
-
 def time_grid(t_min, t_max, count, log=False):
     """Evaluation grid on [t_min, t_max], linear by default, log on request."""
     t_min = float(t_min)
     t_max = float(t_max)
     count = int(count)
+    for name, bound in (("t_min", t_min), ("t_max", t_max)):
+        if not math.isfinite(bound):
+            raise ValueError(f"grid: {name} must be finite, got {bound}")
     if count < 1:
         raise ValueError(f"count: must be >= 1, got {count}")
     if t_max < t_min:

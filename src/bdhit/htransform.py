@@ -257,13 +257,12 @@ def transformed_evaluator(ev, ht):
     )
     psi = ev.psi * (k1**2 / interior)[None, :]
     pi = ev.pi * (interior / k1) ** 2
-    spec2 = transform_rates(ht.base, ht)
     c2 = transform_cmatrix(ev.c, ht)
     return DensityEvaluator(
         measure=measure,
         psi=psi,
         pi=pi,
-        mu1=float(spec2.mu[0]),
-        spec=spec2,
+        mu1=float(c2.spec.mu[0]),
+        spec=c2.spec,
         c=c2,
     )

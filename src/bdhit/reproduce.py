@@ -9,6 +9,12 @@ formed two ways: spectrally (termwise, exact for a known evaluator) or
 numerically from density samples alone (local polynomial fit plus one
 Richardson extrapolation step toward t = 0).  The numeric route is the
 blind one: it needs nothing but (t, f(t)) pairs and the chain's rates.
+
+Termwise, the row-j operator sum_m C(j, m) d^(m-1)/dt^(m-1) turns into
+the polynomial sum_m C(j, m) (-theta)^(m-1) under the spectral integral;
+spectral_sum's ("c_row", j) target takes it from the C coefficients, not
+from the eigenfunction table, so its agreement with the ("state", j)
+target is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .densities import spectral_sum
 __all__ = [
     "NumericApplication",
     "ReproductionReport",
-    "apply_psi_dt_spectral",
     "apply_psi_dt_numeric",
     "recover_initial",
     "derivative_bound_sequence",
@@ -77,19 +82,6 @@ class ReproductionReport:
             out["reference"] = list(self.reference)
             out["abs_error"] = list(self.abs_error)
         return out
-
-
-def apply_psi_dt_spectral(ev, nu, j, t):
-    """pi_j (C-row-j differential operator) applied to f_nu, termwise.
-
-    Differentiating the spectral sum termwise turns the row-j operator
-    sum_m C(j, m) d^(m-1)/dt^(m-1) into the polynomial
-    sum_m C(j, m) (-theta)^(m-1) under the integral; spectral_sum's
-    ("c_row", j) target takes it from the C coefficients (not from the
-    eigenfunction table), so agreement with transition_probability is a
-    genuine two-route check.  At t = 0 on a finite chain this is nu{j}.
-    """
-    return float(spectral_sum(ev, (t,), nu, ("c_row", j))[0])
 
 
 def _as_sample_arrays(samples):
@@ -167,7 +159,12 @@ def _window_grid(density, t_center, j, window_factor):
     lo = t_center * (1.0 - window_factor)
     hi = t_center * (1.0 + window_factor)
     t = np.linspace(lo, hi, n)
-    f = np.array([float(density(tt)) for tt in t])
+    f = np.asarray(density(t), dtype=float)
+    if f.shape != t.shape:
+        raise ValueError(
+            f"samples: the callable returned shape {f.shape} for a window of "
+            f"{n} times; it must return one density value per time"
+        )
     return t, f
 
 
@@ -185,11 +182,14 @@ def recover_initial(
     """Reconstruct nu{1..j_max} from the absorption density.
 
     mode "spectral": evaluates the operator termwise at t = 0 against the
-    known spectral data (nu required; this is the exactness route).
+    known spectral data (spectral_sum's ("c_row", j) target; nu required;
+    this is the exactness route).
 
     mode "numeric": uses only density values.  samples is either a
-    callable t -> f(t) (sampled on windows around t0 and t0/2) or
-    pregathered (t, f) data covering both windows.  Each state j gets a
+    callable that takes a 1-D array of times and returns the density at
+    each (called once per window, with that window's times: two windows,
+    around t0 and t0/2, for each state, so 2 j_max calls) or pregathered
+    (t, f) data covering both windows.  Each state j gets a
     degree-2(j-1) least-squares fit on 10j+1 points; the two window
     centers feed one Richardson step r(0) ~ 2 r(t0/2) - r(t0), which
     cancels the leading O(t) error of evaluating at positive time.  The
@@ -220,7 +220,7 @@ def recover_initial(
                 "mode 'spectral': t = 0 evaluation needs the discrete spectrum of a finite chain"
             )
         recovered = tuple(
-            apply_psi_dt_spectral(ev, nu, j, 0.0) for j in states
+            float(spectral_sum(ev, (0.0,), nu, ("c_row", j))[0]) for j in states
         )
         diagnostics = {"t": 0.0}
         reliable = True

@@ -5,7 +5,8 @@ results are bit-identical regardless of evaluation order or batching.
 Holding times are exponential at rate lambda_i + mu_i; the jump goes up
 with probability lambda_i / (lambda_i + mu_i).  Absorption times feed a
 Kolmogorov-Smirnov comparison against the spectral CDF, and checkpointed
-occupancy counts give empirical transition probabilities.
+occupancy counts give empirical transition probabilities.  The KS test
+evaluates its CDF once, over the whole sorted sample.
 """
 
 from __future__ import annotations
@@ -229,7 +230,8 @@ def ks_statistic(sample, cdf):
     """sup_t |F_n(t) - F(t)| for a fully observed sample against a CDF.
 
     sample is a HittingSample (censoring refused: the empirical CDF would
-    be defective) or any array of times.
+    be defective) or any array of times.  cdf is called once, with the
+    sorted times as a 1-D array, and must return one value per time.
     """
     if isinstance(sample, HittingSample):
         if sample.n_censored:
@@ -243,7 +245,12 @@ def ks_statistic(sample, cdf):
     n = len(x)
     if n == 0:
         raise ValueError("sample: empty")
-    f_vals = np.asarray([float(cdf(t)) for t in x])
+    f_vals = np.asarray(cdf(x), dtype=float)
+    if f_vals.shape != x.shape:
+        raise ValueError(
+            f"cdf: returned shape {f_vals.shape} for {n} sample times; "
+            "it must return one value per time"
+        )
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f_vals)
     d_minus = np.max(f_vals - (i - 1) / n)

@@ -24,7 +24,6 @@ from .cmatrix import eval_psi_theta
 __all__ = [
     "DiscreteSpectrum",
     "RWSpectrum",
-    "eval_psi_recurrence",
     "psi_table",
     "finite_spectrum",
     "symmetric_rw_spectrum",
@@ -87,9 +86,10 @@ def psi_table(spec, theta, n_states=None):
     vector, so a table for all N atoms costs N vector steps rather than N^2
     scalar ones.  Each entry goes through exactly the floating-point
     operations of the scalar recurrence for its theta alone, in the same
-    order, so every row is bit-identical to that scalar run
-    (eval_psi_recurrence is the one-row case).  n_states (default N) stops
-    the walk early for callers that need only the first states.
+    order, so every row is bit-identical to that scalar run.  This is the
+    only evaluator of the recurrence; one theta is a one-element array.
+    n_states (default N) stops the walk early for callers that need only
+    the first states.
     """
     lam = spec.lam_array()
     mu = spec.mu_array()
@@ -108,11 +108,6 @@ def psi_table(spec, theta, n_states=None):
         out[:, i] = nxt
         prev, cur = cur, nxt
     return out
-
-
-def eval_psi_recurrence(spec, theta):
-    """Values psi_theta(1..N) for one theta: a one-row psi_table."""
-    return psi_table(spec, [float(theta)])[0]
 
 
 def _jacobi_diagonals(spec, pi):

@@ -35,15 +35,16 @@ def test_criterion_1_spectral_transition_vs_matrix_exponential():
         spec = random_chain(seed)
         ev = b.finite_evaluator(spec)
         n = spec.n_states
-        for t in (0.1, 1.0, 10.0):
+        ts = (0.1, 1.0, 10.0)
+        got = np.array(
+            [
+                [b.spectral_sum(ev, ts, i, ("state", j)) for j in range(1, n + 1)]
+                for i in range(1, n + 1)
+            ]
+        )
+        for k, t in enumerate(ts):
             want = uniformized_transition_matrix(spec, t)
-            got = np.array(
-                [
-                    [b.transition_probability(ev, t, i, j) for j in range(1, n + 1)]
-                    for i in range(1, n + 1)
-                ]
-            )
-            worst = max(worst, float(np.max(np.abs(got - want))))
+            worst = max(worst, float(np.max(np.abs(got[:, :, k] - want))))
     assert worst < 1e-10
     print(f"criterion 1 PASS: spectral vs matrix-exponential, max |diff| = {worst:.3g} (< 1e-10)")
 
@@ -85,13 +86,12 @@ def test_criterion_3_spectral_reproduction_of_hidden_distribution():
     assert worst_rec < 1e-9
 
     worst_link = 0.0
-    for t in np.linspace(0.1, 3.0, 20):
-        for j in range(1, 6):
-            lhs = b.apply_psi_dt_spectral(ev, nu, j, float(t))
-            rhs = math.fsum(
-                m * b.transition_probability(ev, float(t), i, j) for i, m in nu.items
-            )
-            worst_link = max(worst_link, abs(lhs - rhs))
+    ts = np.linspace(0.1, 3.0, 20)
+    for j in range(1, 6):
+        lhs = b.spectral_sum(ev, ts, nu, ("c_row", j))
+        terms = [m * b.spectral_sum(ev, ts, i, ("state", j)) for i, m in nu.items]
+        rhs = np.array([math.fsum(column) for column in zip(*terms)])
+        worst_link = max(worst_link, float(np.max(np.abs(lhs - rhs))))
     assert worst_link < 1e-10
     print(
         f"criterion 3 PASS: t=0 recovery max err = {worst_rec:.3g} (< 1e-9), "
@@ -105,7 +105,7 @@ def test_criterion_4_blind_numeric_reproduction():
         spec = random_chain(seed)
         ev = b.finite_evaluator(spec)
         nu = b.InitialDistribution({1: 0.3, 2: 0.5, 4: 0.2})
-        density = lambda t: b.mixture_density(ev, nu, t)
+        density = lambda t: b.spectral_sum(ev, t, nu)
         rep = b.recover_initial(ev, nu=nu, samples=density, j_max=4, mode="numeric")
         tv = 0.5 * sum(
             abs(r - x) for r, x in zip(rep.recovered, nu.as_vector(4))
@@ -135,10 +135,11 @@ def test_criterion_5_symmetric_rw_closed_forms():
     worst = 0.0
     for kappa in (1.0, 2.0):
         ev = b.rw_evaluator(kappa, n_nodes=256, n_states=32)
-        for t in (0.25, 1.0, 4.0):
-            got = b.hitting_density(ev, t, 1)
+        ts = (0.25, 1.0, 4.0)
+        got = b.spectral_sum(ev, ts, 1)
+        for t, f in zip(ts, got):
             want = rw_hitting_density_closed_form(kappa, t)
-            worst = max(worst, abs(got - want))
+            worst = max(worst, abs(f - want))
     assert worst < 1e-8
     print(
         f"criterion 5 PASS: recursive C == Chebyshev C exactly (i <= 12), "
@@ -172,9 +173,9 @@ def test_criterion_6_asymmetric_rw_via_h_transform():
     base_ev = b.finite_evaluator(ht.base, c_rows=8)
     tilted_ev = b.transformed_evaluator(base_ev, ht)
     direct_ev = b.finite_evaluator(direct_spec, c_rows=8)
-    worst_f = max(
-        abs(b.hitting_density(tilted_ev, t, 1) - b.hitting_density(direct_ev, t, 1))
-        for t in np.linspace(0.1, 5.0, 25)
+    ts = np.linspace(0.1, 5.0, 25)
+    worst_f = float(
+        np.max(np.abs(b.spectral_sum(tilted_ev, ts, 1) - b.spectral_sum(direct_ev, ts, 1)))
     )
     assert worst_f < 1e-8
     print(
@@ -208,16 +209,15 @@ def test_criterion_8_monte_carlo_concordance(two_state_chain):
 
     sample = b.empirical_hitting(two_state_chain, cfg)
     assert sample.n_censored == 0
-    ks = b.ks_statistic(sample, lambda t: b.hitting_cdf(ev, nu, t))
+    ks = b.ks_statistic(sample, lambda t: b.spectral_sum(ev, t, nu, transform="cdf"))
     crit = 1.6276 / math.sqrt(n)
     assert ks < crit
 
     t_values = (0.5, 1.0, 2.0)
     counts = b.empirical_occupancy(two_state_chain, cfg, t_values)
     worst_z = 0.0
-    for ti, t in enumerate(t_values):
-        for j in (1, 2):
-            p = b.transition_probability(ev, t, 1, j)
+    for j in (1, 2):
+        for ti, p in enumerate(b.spectral_sum(ev, t_values, 1, ("state", j))):
             se = math.sqrt(p * (1 - p) / n)
             worst_z = max(worst_z, abs(counts[ti, j] / n - p) / se)
     assert worst_z < 4.0
@@ -241,8 +241,7 @@ def test_criterion_9_derivative_bounds():
         alpha = b.derivative_bound_sequence(ev.c, 4)
         for k, bound in enumerate(alpha):
             peak = max(
-                abs(b.hitting_density_derivative(ev, t, i, k))
-                for t in grid
+                float(np.max(np.abs(b.spectral_sum(ev, grid, i, transform=k))))
                 for i in range(1, 11)
             )
             assert peak <= float(bound) * (1 + 1e-12)

@@ -143,8 +143,8 @@ class TestDensityCommand:
         assert len(data) == 7
         ev = b.finite_evaluator(b.symmetric_rw_spec(1, 12))
         nu = b.InitialDistribution({1: 0.5, 3: 0.5})
-        for t, f in data:
-            assert f == pytest.approx(b.mixture_density(ev, nu, t), rel=1e-15)
+        t, f = np.array(data).T
+        assert f == pytest.approx(b.spectral_sum(ev, t, nu), rel=1e-15)
 
     def test_rerun_is_byte_identical(self, tmp_path, monkeypatch):
         args = ["density", "--model", "symmetric_rw", "--kappa", "1", "--N", "10",
@@ -165,6 +165,16 @@ class TestDensityCommand:
         header, data = read_csv(tmp_path / "density.csv")
         assert data[0][0] > 0
 
+    @pytest.mark.parametrize("flag", ["--t-min", "--t-max"])
+    def test_nan_bound_exits_1(self, tmp_path, monkeypatch, capsys, flag):
+        args = ["density", "--model", "symmetric_rw", "--kappa", "1", "--N", "10",
+                "--t-min", "0.1", "--t-max", "1", "--t-count", "3"]
+        args[args.index(flag) + 1] = "nan"
+        assert run(args, tmp_path, monkeypatch) == 1
+        name = flag[2:].replace("-", "_")
+        assert f"grid: {name} must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "density.csv").exists()
+
 
 class TestTransitionCommand:
     def test_values_match_library(self, tmp_path, monkeypatch):
@@ -178,8 +188,8 @@ class TestTransitionCommand:
         header, data = read_csv(tmp_path / "transition.csv")
         assert header == ["t", "p"]
         ev = b.finite_evaluator(b.asymmetric_rw_spec(2, 1, 10))
-        for t, p in data:
-            assert p == pytest.approx(b.transition_probability(ev, t, 1, 3), rel=1e-13)
+        t, p = np.array(data).T
+        assert p == pytest.approx(b.spectral_sum(ev, t, 1, ("state", 3)), rel=1e-13)
 
 
 class TestReproduceCommand:
@@ -218,8 +228,8 @@ class TestReproduceCommand:
             )
         )
         lines = ["t,f"]
-        for t in ts:
-            lines.append(f"{float(t)!r},{float(b.mixture_density(ev, nu, t))!r}")
+        for t, f in zip(ts, b.spectral_sum(ev, ts, nu)):
+            lines.append(f"{float(t)!r},{float(f)!r}")
         (tmp_path / "samples.csv").write_text("\n".join(lines) + "\n")
         code = run(
             ["reproduce", "--model", "symmetric_rw", "--kappa", "1", "--N", "10",
@@ -305,6 +315,25 @@ class TestSimulateCommand:
         assert doc["n_censored"] > 0
         assert doc["ks_statistic"] is None
 
+    def test_ks_is_one_kernel_call(self, tmp_path, monkeypatch):
+        calls = []
+        real = b.cli.spectral_sum
+
+        def counted(ev, t, *args, **kwargs):
+            calls.append(len(t))
+            return real(ev, t, *args, **kwargs)
+
+        monkeypatch.setattr(b.cli, "spectral_sum", counted)
+        spec_path = tmp_path / "chain.json"
+        spec_path.write_text(json.dumps({"N": 2, "lambda": [1, 0], "mu": [1, 1]}))
+        code = run(
+            ["simulate", "--spec", str(spec_path), "--nu", "1:0.5,2:0.5", "--paths", "3000",
+             "--horizon", "80", "--seed", "3"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        assert calls == [3000]
+
     def test_deterministic_rerun(self, tmp_path, monkeypatch):
         spec_path = tmp_path / "chain.json"
         spec_path.write_text(json.dumps({"N": 2, "lambda": [1, 0], "mu": [1, 1]}))
@@ -330,6 +359,36 @@ class TestVerifyCommand:
         assert any("monte-carlo-ks" in ln for ln in lines)
         doc = json.loads((tmp_path / "verify.json").read_text())
         assert all(r["passed"] for r in doc["results"])
+
+    def test_battery_builds_each_quantity_once(self, tmp_path, monkeypatch, capsys):
+        # pi, s and the C rows come from the one evaluator, and the
+        # transformed chain from the transformed evaluator.
+        built = []
+        real = b.cli.finite_evaluator
+        monkeypatch.setattr(
+            b.cli, "finite_evaluator", lambda *a, **k: built.append(a) or real(*a, **k)
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a second time")
+
+        for name in ("build_speed_measure", "build_scale_function", "transform_rates"):
+            monkeypatch.setattr(b.cli, name, refuse)
+        code = run(
+            ["verify", "--model", "symmetric_rw", "--kappa", "1", "--N", "12"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        assert len(built) == 1
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        assert [r["name"] for r in doc["results"]] == [
+            "speed-measure-balance", "generator-factorization", "scale-harmonic",
+            "cmatrix-column-recursion", "spectrum-atoms-positive-ascending",
+            "eigenfunction-orthogonality", "density-total-mass", "hitting-cdf-limits",
+            "density-transition-link", "spectral-reproduction", "derivative-bounds",
+            "stieltjes-ratio", "htransform-cmatrix-commutation",
+            "htransform-density-conjugacy", "monte-carlo-ks", "simulation-determinism",
+        ]
 
     def test_battery_passes_on_random_chain(self, tmp_path, monkeypatch, capsys):
         doc = {

@@ -72,7 +72,7 @@ class TestFiniteEvaluator:
         want = scipy.linalg.expm(interior_rate_matrix(spec) * t)
         got = np.array(
             [
-                [b.transition_probability(ev, t, i, j) for j in range(1, 11)]
+                [b.spectral_sum(ev, (t,), i, ("state", j))[0] for j in range(1, 11)]
                 for i in range(1, 11)
             ]
         )
@@ -81,73 +81,76 @@ class TestFiniteEvaluator:
     def test_transition_at_zero_is_identity(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(54))
         for i in (1, 4, 10):
-            assert b.transition_probability(ev, 0.0, i, i) == pytest.approx(1.0, abs=1e-12)
-            assert abs(b.transition_probability(ev, 0.0, i, (i % 10) + 1)) < 1e-12
+            assert b.spectral_sum(ev, (0.0,), i, ("state", i))[0] == pytest.approx(1.0, abs=1e-12)
+            assert abs(b.spectral_sum(ev, (0.0,), i, ("state", (i % 10) + 1))[0]) < 1e-12
 
     def test_chapman_kolmogorov(self, chain_factory):
         spec = chain_factory(55)
         ev = b.finite_evaluator(spec)
         t, u = 0.4, 0.9
         n = spec.n_states
-        pt = np.array([[b.transition_probability(ev, t, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
-        pu = np.array([[b.transition_probability(ev, u, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
-        ptu = np.array([[b.transition_probability(ev, t + u, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
-        np.testing.assert_allclose(pt @ pu, ptu, rtol=0, atol=1e-12)
+        p = np.array(
+            [
+                [b.spectral_sum(ev, (t, u, t + u), i, ("state", j)) for j in range(1, n + 1)]
+                for i in range(1, n + 1)
+            ]
+        )
+        np.testing.assert_allclose(p[:, :, 0] @ p[:, :, 1], p[:, :, 2], rtol=0, atol=1e-12)
 
     def test_hitting_density_is_mu1_times_return(self, chain_factory):
         # f_i(t) = mu_1 P_t(i, 1): absorption happens from state 1 at rate mu_1.
         spec = chain_factory(56)
         ev = b.finite_evaluator(spec)
         mu1 = float(spec.mu[0])
-        for t in (0.05, 0.7, 3.0):
-            for i in (1, 3, 8):
-                assert b.hitting_density(ev, t, i) == pytest.approx(
-                    mu1 * b.transition_probability(ev, t, i, 1), rel=1e-12, abs=1e-15
-                )
+        ts = (0.05, 0.7, 3.0)
+        for i in (1, 3, 8):
+            assert b.spectral_sum(ev, ts, i) == pytest.approx(
+                mu1 * b.spectral_sum(ev, ts, i, ("state", 1)), rel=1e-12, abs=1e-15
+            )
 
     def test_density_integrates_to_one(self, chain_factory):
         spec = chain_factory(57)
         ev = b.finite_evaluator(spec)
-        mass, err = scipy.integrate.quad(lambda t: b.hitting_density(ev, t, 4), 0, np.inf)
+        mass, err = scipy.integrate.quad(lambda t: b.spectral_sum(ev, (t,), 4)[0], 0, np.inf)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_density_nonnegative_on_grid(self, chain_factory):
         # Densities that are mathematically ~0 (far states, tiny t) come out
         # as cancellation noise, so the floor is the summation noise scale.
         ev = b.finite_evaluator(chain_factory(58))
-        for t in b.time_grid(1e-4, 50.0, 60, log=True):
-            for i in (1, 5, 10):
-                assert b.hitting_density(ev, t, i) >= -1e-12
+        grid = b.time_grid(1e-4, 50.0, 60, log=True)
+        for i in (1, 5, 10):
+            assert np.all(b.spectral_sum(ev, grid, i) >= -1e-12)
 
     def test_derivative_matches_finite_difference(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(59))
         t, h, i = 1.2, 1e-5, 3
-        num = (b.hitting_density(ev, t + h, i) - b.hitting_density(ev, t - h, i)) / (2 * h)
-        assert b.hitting_density_derivative(ev, t, i, 1) == pytest.approx(num, rel=1e-8)
-        assert b.hitting_density_derivative(ev, t, i, 0) == b.hitting_density(ev, t, i)
+        below, above = b.spectral_sum(ev, (t - h, t + h), i)
+        num = (above - below) / (2 * h)
+        assert b.spectral_sum(ev, (t,), i, transform=1)[0] == pytest.approx(num, rel=1e-8)
 
     def test_derivative_rejects_negative_order(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(59))
         with pytest.raises(ValueError, match="order"):
-            b.hitting_density_derivative(ev, 1.0, 1, -1)
+            b.spectral_sum(ev, (1.0,), 1, transform=-1)
 
     def test_mixture_is_convex_combination(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(60))
         nu = b.InitialDistribution({2: 0.25, 5: 0.75})
-        for t in (0.2, 1.5):
-            want = 0.25 * b.hitting_density(ev, t, 2) + 0.75 * b.hitting_density(ev, t, 5)
-            assert b.mixture_density(ev, nu, t) == pytest.approx(want, rel=1e-14)
+        ts = (0.2, 1.5)
+        want = 0.25 * b.spectral_sum(ev, ts, 2) + 0.75 * b.spectral_sum(ev, ts, 5)
+        assert b.spectral_sum(ev, ts, nu) == pytest.approx(want, rel=1e-14)
 
     def test_state_and_time_validation(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(61))
         with pytest.raises(ValueError, match="outside 1..10"):
-            b.hitting_density(ev, 1.0, 11)
+            b.spectral_sum(ev, (1.0,), 11)
         with pytest.raises(ValueError, match="outside 1..10"):
-            b.transition_probability(ev, 1.0, 0, 1)
+            b.spectral_sum(ev, (1.0,), 0, ("state", 1))
         with pytest.raises(ValueError, match="t: must be nonnegative"):
-            b.hitting_density(ev, -0.1, 1)
+            b.spectral_sum(ev, (-0.1,), 1)
         with pytest.raises(ValueError, match="support reaches state"):
-            b.mixture_density(ev, b.InitialDistribution({11: 1.0}), 1.0)
+            b.spectral_sum(ev, (1.0,), b.InitialDistribution({11: 1.0}))
 
 
 class TestHittingCdf:
@@ -155,24 +158,25 @@ class TestHittingCdf:
         spec = chain_factory(62)
         ev = b.finite_evaluator(spec)
         nu = b.InitialDistribution({1: 0.5, 3: 0.5})
-        assert b.hitting_cdf(ev, nu, 0.0) == pytest.approx(0.0, abs=1e-13)
         horizon = 40.0 / float(min(ev.measure.theta))
-        assert b.hitting_cdf(ev, nu, horizon) == pytest.approx(1.0, abs=1e-9)
+        at_zero, at_horizon = b.spectral_sum(ev, (0.0, horizon), nu, transform="cdf")
+        assert at_zero == pytest.approx(0.0, abs=1e-13)
+        assert at_horizon == pytest.approx(1.0, abs=1e-9)
         grid = b.time_grid(0.01, horizon, 40, log=True)
-        vals = [b.hitting_cdf(ev, nu, t) for t in grid]
-        assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
+        vals = b.spectral_sum(ev, grid, nu, transform="cdf")
+        assert np.all(vals[:-1] <= vals[1:] + 1e-12)
 
     def test_cdf_is_integral_of_density(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(63))
         nu = b.InitialDistribution({2: 1.0})
         T = 1.7
-        mass, err = scipy.integrate.quad(lambda t: b.mixture_density(ev, nu, t), 0, T)
-        assert b.hitting_cdf(ev, nu, T) == pytest.approx(mass, abs=1e-10)
+        mass, err = scipy.integrate.quad(lambda t: b.spectral_sum(ev, (t,), nu)[0], 0, T)
+        assert b.spectral_sum(ev, (T,), nu, transform="cdf")[0] == pytest.approx(mass, abs=1e-10)
 
     def test_continuous_spectrum_refused(self):
         ev = b.rw_evaluator(1.0, n_nodes=64, n_states=16)
         with pytest.raises(ValueError, match="loses the 1/theta tail"):
-            b.hitting_cdf(ev, b.InitialDistribution({1: 1.0}), 1.0)
+            b.spectral_sum(ev, (1.0,), b.InitialDistribution({1: 1.0}), transform="cdf")
 
     @pytest.mark.parametrize(
         "spec",
@@ -184,7 +188,7 @@ class TestHittingCdf:
         # leading digits of every term at t = 1e-12.
         ev = b.finite_evaluator(spec)
         t = 1e-12
-        got = b.hitting_cdf(ev, b.InitialDistribution({1: 1.0}), t)
+        got = b.spectral_sum(ev, (t,), b.InitialDistribution({1: 1.0}), transform="cdf")[0]
         assert abs(got / (float(spec.mu[0]) * t) - 1.0) <= 1e-10
 
 
@@ -243,21 +247,24 @@ class TestSpectralSum:
         pieces = [b.spectral_sum(ev, p, start, target, transform) for p in np.split(grid, cuts)]
         assert np.array_equal(whole, np.concatenate(pieces))
 
-    def test_scalar_wrappers_are_one_kernel_call(self, chain_factory):
+    def test_one_point_calls_match_the_grid(self, chain_factory):
+        # What keeps KS statistics and recovered masses byte-stable when a
+        # caller passes its times together instead of one at a time.
         ev = b.finite_evaluator(chain_factory(72))
         nu = b.InitialDistribution({1: 0.25, 3: 0.5, 6: 0.25})
         grid = b.time_grid(0.0, 4.0, 41)
         cases = [
-            (lambda t: b.transition_probability(ev, t, 2, 5), (2, ("state", 5), 0)),
-            (lambda t: b.hitting_density(ev, t, 4), (4, "absorption", 0)),
-            (lambda t: b.hitting_density_derivative(ev, t, 4, 3), (4, "absorption", 3)),
-            (lambda t: b.mixture_density(ev, nu, t), (nu, "absorption", 0)),
-            (lambda t: b.hitting_cdf(ev, nu, t), (nu, "absorption", "cdf")),
-            (lambda t: b.apply_psi_dt_spectral(ev, nu, 3, t), (nu, ("c_row", 3), 0)),
+            (2, ("state", 5), 0),
+            (4, "absorption", 0),
+            (4, "absorption", 3),
+            (nu, "absorption", 0),
+            (nu, "absorption", "cdf"),
+            (nu, ("c_row", 3), 0),
         ]
-        for scalar, (start, target, transform) in cases:
+        for start, target, transform in cases:
             on_grid = b.spectral_sum(ev, grid, start, target, transform)
-            assert [scalar(t) for t in grid] == on_grid.tolist()
+            points = [b.spectral_sum(ev, (t,), start, target, transform)[0] for t in grid]
+            assert points == on_grid.tolist()
 
     def test_long_grid_memory_is_blocked(self):
         # 20 000 x 512 float64 would be 82 MB in one piece.
@@ -276,6 +283,10 @@ class TestSpectralSum:
         rw = b.rw_evaluator(1.0, n_nodes=64, n_states=8)
         with pytest.raises(ValueError, match="t: must be nonnegative, got -0.5"):
             b.spectral_sum(ev, [0.1, -0.5, 1.0], 1)
+        with pytest.raises(ValueError, match="t: must be nonnegative, got nan"):
+            b.spectral_sum(ev, [0.1, np.nan, 1.0], 1)
+        with pytest.raises(ValueError, match="t: must be nonnegative, got nan"):
+            b.spectral_sum(ev, [np.nan], b.InitialDistribution({1: 1.0}), transform="cdf")
         with pytest.raises(ValueError, match="one-dimensional"):
             b.spectral_sum(ev, [[0.1]], 1)
         with pytest.raises(ValueError, match="needs t > 0"):
@@ -289,6 +300,8 @@ class TestSpectralSum:
         with pytest.raises(ValueError, match="order: must be nonnegative"):
             b.spectral_sum(ev, [1.0], 1, transform=-1)
         assert b.spectral_sum(ev, [], 1).shape == (0,)
+        # +inf stays allowed: verify reads the total mass as the CDF there.
+        assert b.spectral_sum(ev, [np.inf], 1, transform="cdf")[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRWEvaluator:
@@ -302,20 +315,20 @@ class TestRWEvaluator:
     def test_density_matches_bessel_form(self, kappa, t):
         ev = b.rw_evaluator(kappa, n_nodes=256, n_states=32)
         want = rw_hitting_density_closed_form(kappa, t)
-        assert b.hitting_density(ev, t, 1) == pytest.approx(want, abs=1e-10)
+        assert b.spectral_sum(ev, (t,), 1)[0] == pytest.approx(want, abs=1e-10)
 
     def test_transition_matches_truncated_chain(self):
         # Quadrature transition vs a 200-state truncation, start and end low.
         ev = b.rw_evaluator(1.0, n_nodes=256, n_states=32)
         fin = b.finite_evaluator(b.symmetric_rw_spec(1, 200), c_rows=2)
-        got = b.transition_probability(ev, 1.0, 1, 1)
-        want = b.transition_probability(fin, 1.0, 1, 1)
+        got = b.spectral_sum(ev, (1.0,), 1, ("state", 1))[0]
+        want = b.spectral_sum(fin, (1.0,), 1, ("state", 1))[0]
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_rejects_t_zero(self):
         ev = b.rw_evaluator(1.0, n_nodes=64, n_states=8)
         with pytest.raises(ValueError, match="needs t > 0"):
-            b.hitting_density(ev, 0.0, 1)
+            b.spectral_sum(ev, (0.0,), 1)
 
     def test_node_count_must_exceed_states(self):
         with pytest.raises(ValueError, match="below n_nodes"):
@@ -340,3 +353,12 @@ class TestTimeGrid:
             b.time_grid(2.0, 1.0, 5)
         with pytest.raises(ValueError, match="log spacing needs t_min > 0"):
             b.time_grid(0.0, 1.0, 5, log=True)
+
+    @pytest.mark.parametrize(
+        "t_min, t_max, name",
+        [(np.nan, 1.0, "t_min"), (0.0, np.nan, "t_max"), (0.0, np.inf, "t_max"),
+         (-np.inf, 1.0, "t_min")],
+    )
+    def test_non_finite_bound_named(self, t_min, t_max, name):
+        with pytest.raises(ValueError, match=f"grid: {name} must be finite"):
+            b.time_grid(t_min, t_max, 3)

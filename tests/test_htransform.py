@@ -156,18 +156,16 @@ class TestDensityConjugacy:
         direct_spec, ht = b.asymmetric_rw(2, 1, 60)
         base_ev = b.finite_evaluator(ht.base, c_rows=6)
         direct_ev = b.finite_evaluator(direct_spec, c_rows=6)
-        for t in (0.1, 0.7, 3.0):
-            for x in (1, 2, 5):
-                f_base = b.hitting_density(base_ev, t, x)
-                want = b.hitting_density(direct_ev, t, x)
-                assert b.transform_density(f_base, ht, x, t) == pytest.approx(
-                    want, rel=1e-9
-                )
-            p_base = b.transition_probability(base_ev, t, 2, 4)
-            want = b.transition_probability(direct_ev, t, 2, 4)
-            assert b.transform_transition(p_base, ht, 2, 4, t) == pytest.approx(
-                want, rel=1e-9
-            )
+        ts = (0.1, 0.7, 3.0)
+        for x in (1, 2, 5):
+            f_base = b.spectral_sum(base_ev, ts, x)
+            want = b.spectral_sum(direct_ev, ts, x)
+            for t, f, w in zip(ts, f_base, want):
+                assert b.transform_density(f, ht, x, t) == pytest.approx(w, rel=1e-9)
+        p_base = b.spectral_sum(base_ev, ts, 2, ("state", 4))
+        want = b.spectral_sum(direct_ev, ts, 2, ("state", 4))
+        for t, p, w in zip(ts, p_base, want):
+            assert b.transform_transition(p, ht, 2, 4, t) == pytest.approx(w, rel=1e-9)
 
     def test_bessel_closed_form_through_tilting(self):
         # Tilted closed-form density for the (2, 1) walk from state 1.
@@ -180,7 +178,7 @@ class TestDensityConjugacy:
             want = b.transform_density(
                 rw_hitting_density_closed_form(kappa, t), ht, 1, t
             )
-            assert b.hitting_density(ev, t, 1) == pytest.approx(want, rel=1e-10)
+            assert b.spectral_sum(ev, (t,), 1)[0] == pytest.approx(want, rel=1e-10)
 
 
 class TestTransformedEvaluator:
@@ -190,14 +188,28 @@ class TestTransformedEvaluator:
         tilted_ev = b.transformed_evaluator(base_ev, ht)
         direct_ev = b.finite_evaluator(direct_spec, c_rows=8)
         assert not tilted_ev.is_continuous
-        for t in (0.2, 1.0, 4.0):
-            for i in (1, 3, 6):
-                assert b.hitting_density(tilted_ev, t, i) == pytest.approx(
-                    b.hitting_density(direct_ev, t, i), rel=1e-9
-                )
-        assert b.transition_probability(tilted_ev, 0.8, 2, 3) == pytest.approx(
-            b.transition_probability(direct_ev, 0.8, 2, 3), rel=1e-9
+        ts = (0.2, 1.0, 4.0)
+        for i in (1, 3, 6):
+            assert b.spectral_sum(tilted_ev, ts, i) == pytest.approx(
+                b.spectral_sum(direct_ev, ts, i), rel=1e-9
+            )
+        assert b.spectral_sum(tilted_ev, (0.8,), 2, ("state", 3))[0] == pytest.approx(
+            b.spectral_sum(direct_ev, (0.8,), 2, ("state", 3))[0], rel=1e-9
         )
+
+    def test_transformed_chain_built_once(self, monkeypatch):
+        # The transformed rates come with transform_cmatrix's result.
+        base, ht = exact_doubling_transform(12)
+        base_ev = b.finite_evaluator(base)
+        calls = []
+        real = b.htransform.transform_rates
+        monkeypatch.setattr(
+            b.htransform, "transform_rates", lambda *a: calls.append(a) or real(*a)
+        )
+        tilted_ev = b.transformed_evaluator(base_ev, ht)
+        assert len(calls) == 1
+        assert tilted_ev.spec == real(base, ht)
+        assert tilted_ev.c.spec is tilted_ev.spec
 
     def test_spectrum_shifts_by_gamma(self):
         base, ht = exact_doubling_transform(12)

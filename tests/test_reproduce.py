@@ -21,19 +21,18 @@ class TestSpectralRoute:
         spec = chain_factory(71)
         ev = b.finite_evaluator(spec)
         nu = b.InitialDistribution({1: 0.3, 2: 0.5, 4: 0.2})
-        for t in np.linspace(0.1, 3.0, 20):
-            for j in range(1, 6):
-                lhs = b.apply_psi_dt_spectral(ev, nu, j, float(t))
-                rhs = math.fsum(
-                    m * b.transition_probability(ev, float(t), i, j) for i, m in nu.items
-                )
-                assert lhs == pytest.approx(rhs, abs=1e-12)
+        ts = np.linspace(0.1, 3.0, 20)
+        for j in range(1, 6):
+            lhs = b.spectral_sum(ev, ts, nu, ("c_row", j))
+            terms = [m * b.spectral_sum(ev, ts, i, ("state", j)) for i, m in nu.items]
+            rhs = [math.fsum(column) for column in zip(*terms)]
+            assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_two_state_chain_exact(self, two_state_chain):
         ev = b.finite_evaluator(two_state_chain)
         nu = b.InitialDistribution({2: 1.0})
-        assert b.apply_psi_dt_spectral(ev, nu, 1, 1.0) == pytest.approx(
-            b.transition_probability(ev, 1.0, 2, 1), abs=1e-14
+        assert b.spectral_sum(ev, (1.0,), nu, ("c_row", 1))[0] == pytest.approx(
+            b.spectral_sum(ev, (1.0,), 2, ("state", 1))[0], abs=1e-14
         )
 
     def test_recovery_at_time_zero(self, chain_factory):
@@ -74,7 +73,7 @@ class TestSpectralRoute:
     def test_operator_needs_c_row(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(74), c_rows=3)
         with pytest.raises(ValueError, match="C-matrix rows up to 3"):
-            b.apply_psi_dt_spectral(ev, b.InitialDistribution({1: 1.0}), 4, 0.5)
+            b.spectral_sum(ev, (0.5,), b.InitialDistribution({1: 1.0}), ("c_row", 4))
 
 
 class TestNumericOperator:
@@ -84,7 +83,7 @@ class TestNumericOperator:
         spec = chain_factory(75)
         ev = b.finite_evaluator(spec)
         t_grid = np.linspace(0.3, 0.7, 41)
-        f = np.array([b.mixture_density(ev, b.InitialDistribution({1: 1.0}), t) for t in t_grid])
+        f = b.spectral_sum(ev, t_grid, b.InitialDistribution({1: 1.0}))
         coeffs = b.diff_operator_coeffs(ev.c, 1)
         app = b.apply_psi_dt_numeric((t_grid, f), coeffs, 0.5)
         assert app.value == pytest.approx(float(coeffs[0]) * f[15:26].mean(), rel=1e-13)
@@ -101,27 +100,27 @@ class TestNumericOperator:
         ev = b.finite_evaluator(spec)
         nu = b.InitialDistribution({1: 0.3, 2: 0.5, 4: 0.2})
         t_grid = np.linspace(0.3, 0.7, 41)
-        f = np.array([b.mixture_density(ev, nu, t) for t in t_grid])
+        f = b.spectral_sum(ev, t_grid, nu)
         coeffs = b.diff_operator_coeffs(ev.c, j)
         app = b.apply_psi_dt_numeric((t_grid, f), coeffs, 0.5)
-        want = b.apply_psi_dt_spectral(ev, nu, j, 0.5) / float(ev.pi[j - 1])
+        want = b.spectral_sum(ev, (0.5,), nu, ("c_row", j))[0] / float(ev.pi[j - 1])
         assert app.value == pytest.approx(want, abs=tol)
         assert app.condition < 1e8
 
     def test_accepts_n_by_2_array(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(77))
         t_grid = np.linspace(0.2, 0.8, 41)
-        f = [b.hitting_density(ev, t, 1) for t in t_grid]
+        f = b.spectral_sum(ev, t_grid, 1)
         data = np.column_stack([t_grid, f])
         coeffs = b.diff_operator_coeffs(ev.c, 2)
         a1 = b.apply_psi_dt_numeric(data, coeffs, 0.5)
-        a2 = b.apply_psi_dt_numeric((t_grid, np.array(f)), coeffs, 0.5)
+        a2 = b.apply_psi_dt_numeric((t_grid, f), coeffs, 0.5)
         assert a1.value == a2.value
 
     def test_window_must_bracket(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(77))
         t_grid = np.linspace(1.0, 2.0, 41)
-        f = np.array([b.hitting_density(ev, t, 1) for t in t_grid])
+        f = b.spectral_sum(ev, t_grid, 1)
         coeffs = b.diff_operator_coeffs(ev.c, 2)
         with pytest.raises(ValueError, match="does not bracket"):
             b.apply_psi_dt_numeric((t_grid, f), coeffs, 0.5)
@@ -129,7 +128,7 @@ class TestNumericOperator:
     def test_too_few_samples(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(77))
         t_grid = np.linspace(0.4, 0.6, 15)
-        f = np.array([b.hitting_density(ev, t, 1) for t in t_grid])
+        f = b.spectral_sum(ev, t_grid, 1)
         coeffs = b.diff_operator_coeffs(ev.c, 3)
         with pytest.raises(ValueError, match="need at least 31 points"):
             b.apply_psi_dt_numeric((t_grid, f), coeffs, 0.5)
@@ -143,7 +142,7 @@ class TestNumericOperator:
     def test_conditioning_flag(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(78))
         t_grid = np.linspace(0.3, 0.7, 41)
-        f = np.array([b.hitting_density(ev, t, 1) for t in t_grid])
+        f = b.spectral_sum(ev, t_grid, 1)
         coeffs = b.diff_operator_coeffs(ev.c, 3)
         app = b.apply_psi_dt_numeric((t_grid, f), coeffs, 0.5, cond_threshold=1.0)
         assert not app.reliable
@@ -155,7 +154,7 @@ class TestNumericRecovery:
         spec = chain_factory(79)
         ev = b.finite_evaluator(spec)
         nu = b.InitialDistribution({1: 1.0})
-        density = lambda t: b.mixture_density(ev, nu, t)
+        density = lambda t: b.spectral_sum(ev, t, nu)
         rep = b.recover_initial(ev, nu=nu, samples=density, j_max=1, mode="numeric")
         assert abs(rep.recovered[0] - 1.0) < 1e-3
         assert rep.reliable
@@ -166,7 +165,7 @@ class TestNumericRecovery:
         spec = chain_factory(seed)
         ev = b.finite_evaluator(spec)
         nu = b.InitialDistribution({1: 0.3, 2: 0.5, 4: 0.2})
-        density = lambda t: b.mixture_density(ev, nu, t)
+        density = lambda t: b.spectral_sum(ev, t, nu)
         rep = b.recover_initial(ev, nu=nu, samples=density, j_max=4, mode="numeric")
         assert rep.mode == "numeric"
         assert tv_distance(rep.recovered, nu, 4) < 1e-3
@@ -186,14 +185,14 @@ class TestNumericRecovery:
                 [np.linspace(t0 * 0.6, t0 * 1.4, 81), np.linspace(t0 * 0.3, t0 * 0.7, 81)]
             )
         )
-        f = np.array([b.mixture_density(ev, nu, t) for t in ts])
+        f = b.spectral_sum(ev, ts, nu)
         rep = b.recover_initial(ev, samples=(ts, f), j_max=3, mode="numeric", t0=t0)
         assert tv_distance(rep.recovered, nu, 3) < 1e-3
 
     def test_diagnostics_structure(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(80))
         nu = b.InitialDistribution({1: 1.0})
-        density = lambda t: b.mixture_density(ev, nu, t)
+        density = lambda t: b.spectral_sum(ev, t, nu)
         rep = b.recover_initial(ev, nu=nu, samples=density, j_max=2, mode="numeric")
         d = rep.diagnostics
         assert d["richardson_levels"] == 2
@@ -206,7 +205,7 @@ class TestNumericRecovery:
     def test_j_max_guard(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(80))
         nu = b.InitialDistribution({1: 1.0})
-        density = lambda t: b.mixture_density(ev, nu, t)
+        density = lambda t: b.spectral_sum(ev, t, nu)
         with pytest.raises(ValueError, match="noise-dominated"):
             b.recover_initial(ev, samples=density, j_max=7, mode="numeric")
         with pytest.warns(UserWarning, match="exceeds the reliable range"):
@@ -214,6 +213,26 @@ class TestNumericRecovery:
                 ev, nu=nu, samples=density, j_max=7, mode="numeric", force=True
             )
         assert len(rep.recovered) == 7
+
+    def test_sample_callable_gets_one_array_per_window(self, chain_factory):
+        ev = b.finite_evaluator(chain_factory(80))
+        nu = b.InitialDistribution({1: 0.5, 2: 0.5})
+        calls = []
+
+        def density(t):
+            calls.append(t)
+            return b.spectral_sum(ev, t, nu)
+
+        b.recover_initial(ev, samples=density, j_max=3, mode="numeric")
+        assert [c.shape for c in calls] == [(11,), (11,), (21,), (21,), (31,), (31,)]
+        assert all(isinstance(c, np.ndarray) for c in calls)
+
+    def test_sample_callable_shape_checked(self, chain_factory):
+        ev = b.finite_evaluator(chain_factory(80))
+        with pytest.raises(ValueError, match=r"returned shape \(\) for a window of 11 times"):
+            b.recover_initial(ev, samples=lambda t: 1.0, j_max=1, mode="numeric")
+        with pytest.raises(ValueError, match=r"returned shape \(10,\)"):
+            b.recover_initial(ev, samples=lambda t: np.ones(10), j_max=1, mode="numeric")
 
     def test_needs_samples(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(80))
@@ -258,8 +277,7 @@ class TestDerivativeBounds:
         grid = b.time_grid(0.01, 5.0, 60)
         for k, bound in enumerate(alpha):
             worst = max(
-                abs(b.hitting_density_derivative(ev, t, i, k))
-                for t in grid
+                np.max(np.abs(b.spectral_sum(ev, grid, i, transform=k)))
                 for i in range(1, 11)
             )
             assert worst <= float(bound) * (1 + 1e-12)

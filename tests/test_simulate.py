@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import bdhit as b
+from conftest import random_chain
 
 
 def exp_cdf(rate):
-    return lambda t: 1.0 - math.exp(-rate * t)
+    return lambda t: 1.0 - np.exp(-rate * t)
 
 
 class TestSimConfig:
@@ -133,7 +134,7 @@ class TestEmpiricalOccupancy:
         cfg = b.SimConfig(n, 50.0, 2024, nu)
         counts = b.empirical_occupancy(two_state_chain, cfg, [0.7])
         for j in (1, 2):
-            p = b.transition_probability(ev, 0.7, 1, j)
+            p = b.spectral_sum(ev, (0.7,), 1, ("state", j))[0]
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts[0, j] / n - p) < 4 * se
 
@@ -165,7 +166,7 @@ class TestEmpiricalTransition:
         assert 0 <= freq <= 1
         assert se == pytest.approx(math.sqrt(freq * (1 - freq) / 5000))
         ev = b.finite_evaluator(two_state_chain)
-        p = b.transition_probability(ev, 0.5, 1, 1)
+        p = b.spectral_sum(ev, (0.5,), 1, ("state", 1))[0]
         assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / 5000)
 
     def test_state_validation(self, two_state_chain):
@@ -194,6 +195,38 @@ class TestKSStatistic:
         sample = b.empirical_hitting(two_state_chain, cfg)
         with pytest.raises(ValueError, match="raise t_horizon"):
             b.ks_statistic(sample, lambda t: t)
+
+    def test_cdf_called_once_on_sorted_times(self):
+        calls = []
+
+        def cdf(t):
+            calls.append(np.array(t))
+            return t
+
+        b.ks_statistic([0.7, 0.1, 0.4], cdf)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], [0.1, 0.4, 0.7])
+
+    def test_refuses_wrong_length(self):
+        with pytest.raises(ValueError, match=r"cdf: returned shape \(2,\) for 3 sample times"):
+            b.ks_statistic([0.1, 0.2, 0.3], lambda t: t[:2])
+        with pytest.raises(ValueError, match=r"cdf: returned shape \(\) for 3 sample times"):
+            b.ks_statistic([0.1, 0.2, 0.3], lambda t: 0.5)
+
+    def test_one_call_matches_point_by_point(self):
+        # Guards simulate_summary.json: the statistic from one CDF call over
+        # the sorted sample is the statistic from one-point kernel calls.
+        spec = random_chain(1201)
+        nu = b.InitialDistribution({1: 0.3, 4: 0.5, 7: 0.2})
+        ev = b.finite_evaluator(spec)
+        cfg = b.SimConfig(10_000, 80.0 / float(ev.measure.theta[0]), 5, nu)
+        sample = b.empirical_hitting(spec, cfg)
+        one_call = b.ks_statistic(sample, lambda t: b.spectral_sum(ev, t, nu, transform="cdf"))
+        by_point = b.ks_statistic(
+            sample,
+            lambda t: [b.spectral_sum(ev, (x,), nu, transform="cdf")[0] for x in t],
+        )
+        assert one_call == by_point
 
     def test_refuses_empty_sample(self):
         sample = b.HittingSample(

@@ -23,8 +23,8 @@ class TestPsiRecurrence:
     def test_matches_polynomial_evaluation_exactly(self, rational_chain):
         pi, s = measures(rational_chain)
         c = b.build_c_matrix(rational_chain, pi, s, 4)
-        for theta in (-0.7, 0.0, 1.3):
-            psi = b.eval_psi_recurrence(rational_chain, theta)
+        thetas = (-0.7, 0.0, 1.3)
+        for theta, psi in zip(thetas, b.psi_table(rational_chain, thetas)):
             for i in range(1, 5):
                 assert psi[i - 1] == pytest.approx(
                     float(b.eval_psi_theta(c, i, theta)), rel=1e-12, abs=1e-15
@@ -33,7 +33,7 @@ class TestPsiRecurrence:
     def test_eigen_equation(self, chain_factory):
         spec = chain_factory(31)
         theta = -1.1
-        psi = b.eval_psi_recurrence(spec, theta)
+        psi = b.psi_table(spec, [theta])[0]
         qpsi = b.apply_Q(spec, [0.0, *psi])
         for i in range(spec.n_states - 1):
             assert qpsi[i] == pytest.approx(theta * psi[i], rel=1e-10, abs=1e-12)
@@ -71,7 +71,7 @@ class TestPsiTable:
         for k, th in enumerate(m.theta):
             want = scalar_psi(spec, float(-th))
             assert np.array_equal(table[k], want)
-            assert np.array_equal(b.eval_psi_recurrence(spec, -th), want)
+            assert np.array_equal(b.psi_table(spec, [-th])[0], want)
         assert np.array_equal(m.psi, table)
 
     def test_prefix_of_states(self, chain_factory):
@@ -152,8 +152,9 @@ class TestFiniteSpectrum:
         pi, s = measures(spec)
         c = b.build_c_matrix(spec, pi, s, spec.n_states)
         m = b.finite_spectrum(spec, pi, c)
+        table = b.psi_table(spec, -m.theta)
         for i in range(1, spec.n_states + 1):
-            psi_i = np.array([b.eval_psi_recurrence(spec, -t)[i - 1] for t in m.theta])
+            psi_i = table[:, i - 1]
             total = math.fsum(m.weights * psi_i / m.theta)
             assert total == pytest.approx(1.0, abs=1e-11)
 
@@ -237,9 +238,7 @@ class TestRWSpectrum:
         spec = b.symmetric_rw_spec(kappa, 24)
         for i in (1, 2, 5):
             got = b.rw_psi_values(m, i)
-            want = np.array(
-                [b.eval_psi_recurrence(spec, -t)[i - 1] for t in m.theta]
-            )
+            want = b.psi_table(spec, -m.theta)[:, i - 1]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_validation(self):
