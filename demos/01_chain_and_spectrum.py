@@ -20,9 +20,10 @@ print(f"chain with {spec.n_states} interior states")
 print(f"  lambda = {spec.lam}")
 print(f"  mu     = {spec.mu}")
 
-# Speed measure (pi_1 = 1) and scale function (s(0) = 0, harmonic inside).
-pi = b.build_speed_measure(spec)
-s = b.build_scale_function(spec, pi)
+# Speed measure (pi_1 = 1) and scale function (s(0) = 0, harmonic inside):
+# the C-matrix below carries both, built from the rates together with it.
+c = b.build_c_matrix(spec, spec.n_states)
+pi, s = c.pi, c.s
 print("\nspeed measure pi_i :", np.round(pi.array(), 4))
 print("scale function s(i):", np.round([s[i] for i in range(7)], 4))
 
@@ -32,20 +33,19 @@ print("max |Q s| over interior states:", max(abs(v) for v in qs[:-1]))
 
 # C-matrix: column j solves Q^j C_j = 0 with Q^(j-1) C_j = s.  Its rows are
 # the theta-expansion coefficients of the Dirichlet eigenfunctions.
-c = b.build_c_matrix(spec, pi, s, spec.n_states)
 print("\nC-matrix (rows 0..3):")
 for i in range(4):
     print(" ", np.round([float(c.value(i, j)) for j in range(1, 4)], 4))
-print("column recursion defect:", b.verify_columns(spec, c))
+print("column recursion defect:", b.verify_columns(c))
 
 # The discrete spectral measure: atoms are the decay rates of the chain.
-m = b.finite_spectrum(spec, pi, c)
+m = b.finite_spectrum(c)
 print("\nspectral atoms theta_k :", np.round(m.theta, 4))
 print("spectral weights w_k   :", np.round(m.weights, 4))
 
 # The eigenfunctions are orthogonal under (w, pi); defects are float noise.
 worst = max(
-    abs(b.orthogonality_defect(m, c, pi, i, j))
+    abs(b.orthogonality_defect(m, c, i, j))
     for i in range(1, 7)
     for j in range(i, 7)
 )

@@ -19,10 +19,7 @@ kappa = 1
 
 # C-matrix rows from the generic recursion vs the Chebyshev-coefficient
 # closed form: identical Fractions, not merely close.
-spec = b.symmetric_rw_spec(kappa, 14)
-pi = b.build_speed_measure(spec)
-s = b.build_scale_function(spec, pi)
-c = b.build_c_matrix(spec, pi, s, 12)
+c = b.build_c_matrix(b.symmetric_rw_spec(kappa, 14), 12)
 print("recursion rows == Chebyshev closed form:", c.rows == rw_cmatrix_closed_form(kappa, 12))
 print("row 4 of C:", [str(v) for v in c.rows[4][1:]])
 
@@ -38,7 +35,7 @@ for t, got in zip(ts, b.spectral_sum(ev, ts, 1)):
 # The quadrature is also an orthogonality statement about sin(i u).
 m = b.symmetric_rw_spectrum(float(kappa), 16)
 worst = max(
-    abs(b.orthogonality_defect(m, None, None, i, j)) for i in range(1, 7) for j in range(i, 7)
+    abs(b.orthogonality_defect(m, None, i, j)) for i in range(1, 7) for j in range(i, 7)
 )
 print("\n16-node quadrature orthogonality defect:", worst)
 
@@ -47,11 +44,9 @@ print("\n16-node quadrature orthogonality defect:", worst)
 # + 4 kappa theta)) with error alpha_+^(-2i); at i = 200 it is exact to
 # machine precision.
 big = b.symmetric_rw_spec(kappa, 210)
-pi_b = b.build_speed_measure(big)
-s_b = b.build_scale_function(big, pi_b)
 print("\ntheta   ratio at depth 200      closed form")
 for theta in (0.5, 1.0, 4.0):
-    numeric, closed = b.stieltjes_check(big, pi_b, s_b, theta, 200)
+    numeric, closed = b.stieltjes_check(big, theta, 200)
     print(f"{theta:4.1f}   {numeric:.15f}   {closed:.15f}")
 
 # Truncating the infinite lattice at N converges fast in the bulk: the

@@ -19,20 +19,15 @@ import bdhit as b
 n = 16
 base = b.symmetric_rw_spec(1, n)
 ht = b.HTransform(Fraction(1, 2), tuple(Fraction(2) ** i for i in range(n + 1)), base)
-tilted = b.transform_rates(base, ht)
+tilted = b.transform_rates(ht)
 print("doubling tilt of the unit symmetric walk:")
 print("  lambda' =", str(tilted.lam[0]), " mu' =", str(tilted.mu[0]))
 
 # Tilting commutes with the C-matrix construction, exactly in rationals:
 # transform the base C-matrix, or build the C-matrix of the tilted chain
 # directly -- same Fractions.
-pi = b.build_speed_measure(base)
-s = b.build_scale_function(base, pi)
-c = b.build_c_matrix(base, pi, s, 10)
-via_tilt = b.transform_cmatrix(c, ht)
-pi2 = b.build_speed_measure(tilted)
-s2 = b.build_scale_function(tilted, pi2)
-direct = b.build_c_matrix(tilted, pi2, s2, 10)
+via_tilt = b.transform_cmatrix(b.build_c_matrix(base, 10), ht)
+direct = b.build_c_matrix(tilted, 10)
 print("  transform(C_base) == C_tilted (exact):", via_tilt.rows == direct.rows)
 
 # --- The general drifted walk lambda = 2, mu = 1 via tilting. ----------
@@ -44,7 +39,7 @@ print(f"  gamma = {float(ht2.gamma):.12f} (spectral gap = (sqrt(lam) - sqrt(mu))
 alpha_plus, alpha_minus = b.rw_alphas(np.sqrt(lam * mu), float(ht2.gamma))
 print(f"  alpha_+ = {alpha_plus:.12f}, alpha_- = {alpha_minus:.12f}, product = {alpha_plus * alpha_minus:.1f}")
 
-drifted = b.transform_rates(ht2.base, ht2)
+drifted = b.transform_rates(ht2)
 rate_err = max(
     max(abs(float(a) - float(c_)) for a, c_ in zip(drifted.lam[:-1], direct_spec.lam[:-1])),
     max(abs(float(a) - float(c_)) for a, c_ in zip(drifted.mu, direct_spec.mu)),

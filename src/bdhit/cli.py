@@ -37,14 +37,11 @@ from .htransform import (
     rw_gamma_eigenfunctions,
     transform_cmatrix,
     transform_density,
-    transform_rates,
     transformed_evaluator,
 )
 from .model import (
     apply_DpiDs,
     apply_Q,
-    build_scale_function,
-    build_speed_measure,
     load_spec,
     symmetric_rw_spec,
     asymmetric_rw_spec,
@@ -235,9 +232,7 @@ def _cmd_cmatrix(args, parser):
     spec = _resolve_spec(args, parser)
     out = _out_dir(args)
     rows = args.rows if args.rows is not None else min(spec.n_states, 16)
-    pi = build_speed_measure(spec)
-    s = build_scale_function(spec, pi)
-    c = build_c_matrix(spec, pi, s, rows)
+    c = build_c_matrix(spec, rows)
     csv_path = _write_cmatrix_csv(os.path.join(out, "cmatrix.csv"), c)
     cfg = {"spec": _spec_config(spec), "rows": c.max_index, "rational": c.rational}
     _write_manifest(out, "cmatrix", cfg, [csv_path], started)
@@ -259,10 +254,7 @@ def _cmd_spectrum(args, parser):
         }
     else:
         spec = _resolve_spec(args, parser)
-        pi = build_speed_measure(spec)
-        s = build_scale_function(spec, pi)
-        c = build_c_matrix(spec, pi, s, min(spec.n_states, 10), rational=False)
-        measure = finite_spectrum(spec, pi, c)
+        measure = finite_spectrum(build_c_matrix(spec, min(spec.n_states, 10), rational=False))
         cfg = {"spec": _spec_config(spec), "continuous": False}
     csv_path = os.path.join(out, "spectrum.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -408,7 +400,6 @@ def _cmd_htransform(args, parser):
         if args.target_lambda is None or args.target_mu is None or args.n_states is None:
             parser.error("target form needs --target-lambda, --target-mu and --N")
         spec2, ht = asymmetric_rw(args.target_lambda, args.target_mu, args.n_states)
-        base = ht.base
         cfg = {
             "target_lambda": args.target_lambda,
             "target_mu": args.target_mu,
@@ -422,8 +413,7 @@ def _cmd_htransform(args, parser):
             parser.error("--gamma needs --model symmetric_rw --kappa K --N n")
         plus, minus = rw_gamma_eigenfunctions(args.kappa, args.gamma, args.n_states)
         ht = minus if args.branch == "minus" else plus
-        base = ht.base
-        spec2 = transform_rates(base, ht)
+        spec2 = None  # the transformed chain, which transform_cmatrix builds
         cfg = {
             "model": "symmetric_rw",
             "kappa": args.kappa,
@@ -431,13 +421,10 @@ def _cmd_htransform(args, parser):
             "gamma": args.gamma,
             "branch": args.branch,
         }
-    pi = build_speed_measure(base)
-    s = build_scale_function(base, pi)
-    rows = args.rows if args.rows is not None else min(base.n_states, 12)
-    c = build_c_matrix(base, pi, s, rows)
-    c2 = transform_cmatrix(c, ht)
+    rows = args.rows if args.rows is not None else min(ht.n_states, 12)
+    c2 = transform_cmatrix(build_c_matrix(ht.base, rows), ht)
     spec_path = os.path.join(out, "htransform_spec.json")
-    doc = spec2.to_dict()
+    doc = (c2.spec if spec2 is None else spec2).to_dict()
     doc["gamma"] = _jsonable(ht.gamma)
     doc["k_values"] = _jsonable(list(ht.k_values))
     _write_json(spec_path, doc)
@@ -538,7 +525,7 @@ def _verify_battery(spec):
     sc = float(np.max(mu * np.abs(s.array()).max() + 1.0))
     yield "scale-harmonic", d <= 1e-10 * sc, f"max |Qs| {d:g} on 1..{n - 1}"
 
-    d = verify_columns(spec, c)
+    d = verify_columns(c)
     sc = float(max(abs(float(v)) for row in c.rows for v in row)) + 1.0
     yield "cmatrix-column-recursion", d <= 1e-10 * sc, f"defect {d:g}"
 
@@ -548,7 +535,7 @@ def _verify_battery(spec):
 
     m = min(rows, 6)
     d = max(
-        orthogonality_defect(measure, c, pi, i, j)
+        orthogonality_defect(measure, c, i, j)
         for i in range(1, m + 1)
         for j in range(i, m + 1)
     )
@@ -567,8 +554,9 @@ def _verify_battery(spec):
     yield "hitting-cdf-limits", ok, f"F(0) {cdf_vals[0]:g}, F(T) {cdf_vals[-1]:.9f}"
 
     ts = (0.3, 1.0, 2.5)
+    mu1 = float(spec.mu[0])
     d = max(
-        np.max(np.abs(spectral_sum(ev, ts, i) - ev.mu1 * spectral_sum(ev, ts, i, ("state", 1))))
+        np.max(np.abs(spectral_sum(ev, ts, i) - mu1 * spectral_sum(ev, ts, i, ("state", 1))))
         for i in range(1, min(3, n) + 1)
     )
     yield "density-transition-link", d <= 1e-12, f"max diff {d:g}"
@@ -590,7 +578,7 @@ def _verify_battery(spec):
 
     if _is_constant_symmetric(spec):
         kappa = float(spec.mu[0])
-        ratios = [stieltjes_check(spec, pi, s, th, max(n, 200)) for th in (0.5, 1.0, 4.0)]
+        ratios = [stieltjes_check(spec, th, max(n, 200)) for th in (0.5, 1.0, 4.0)]
         d = max(abs(numeric - closed) for numeric, closed in ratios)
         yield "stieltjes-ratio", d <= 1e-6, f"max diff {d:g}"
 
@@ -598,7 +586,7 @@ def _verify_battery(spec):
         plus, _ = rw_gamma_eigenfunctions(spec.mu[0], gamma, n)
         ev2 = transformed_evaluator(ev, plus)
         c2 = ev2.c
-        c2_direct = build_c_matrix(c2.spec, c2.pi, c2.s, c.max_index, rational=False)
+        c2_direct = build_c_matrix(c2.spec, c.max_index, rational=False)
         d = 0.0
         for i in range(c.max_index + 1):
             for j in range(i + 1):

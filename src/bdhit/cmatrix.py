@@ -21,7 +21,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ProcessSpec, ScaleFunction, SpeedMeasure
+from .model import (
+    ProcessSpec,
+    ScaleFunction,
+    SpeedMeasure,
+    build_scale_function,
+    build_speed_measure,
+)
 
 __all__ = [
     "CMatrix",
@@ -38,8 +44,9 @@ class CMatrix:
 
     ``rows[i]`` holds (C(i,0), ..., C(i,i)); entries above the diagonal
     are identically zero and are not stored.  The originating chain and
-    its speed/scale coordinates ride along so downstream consumers can
-    validate index ranges and normalizations.
+    its speed measure and scale function ride along: they are the one
+    copy of each that downstream consumers (spectra, orthogonality and
+    column checks, evaluators) read, so none of them takes its own.
     """
 
     rows: tuple
@@ -47,6 +54,15 @@ class CMatrix:
     spec: ProcessSpec = field(repr=False)
     pi: SpeedMeasure = field(repr=False)
     s: ScaleFunction = field(repr=False)
+
+    @classmethod
+    def from_rows(cls, rows, rational, spec):
+        """C-matrix of these rows for spec, with spec's speed measure and scale function.
+
+        The one place a C-matrix's pi and s are built.
+        """
+        pi = build_speed_measure(spec)
+        return cls(rows, rational, spec, pi, build_scale_function(spec, pi))
 
     @property
     def max_index(self):
@@ -69,14 +85,15 @@ class CMatrix:
         return out
 
 
-def build_c_matrix(spec, pi, s, max_index, rational=None):
-    """Build rows 0..max_index of the C-matrix by the forward recursion.
+def build_c_matrix(spec, max_index, rational=None):
+    """Build rows 0..max_index of the C-matrix of spec by the forward recursion.
 
     C(i+1, j) = (C(i, j-1) - mu_i C(i-1, j) + (lambda_i + mu_i) C(i, j)) / lambda_i
 
     seeded by C(1,1) = s(1) = 1/mu_1, with ghost zeros in column 0 and row
     0.  The j = 1 case of the same recursion regenerates the scale
-    function, so one loop fills every column.
+    function, so one loop fills every column.  The result carries spec's
+    speed measure and scale function (CMatrix.from_rows).
 
     Parameters
     ----------
@@ -122,7 +139,7 @@ def build_c_matrix(spec, pi, s, max_index, rational=None):
             num = at(cur, j - 1) - mu[i - 1] * at(prev, j) + (lam[i - 1] + mu[i - 1]) * at(cur, j)
             new.append(num / lam[i - 1])
         rows.append(tuple(new))
-    return CMatrix(tuple(rows), rational, spec, pi, s)
+    return CMatrix.from_rows(tuple(rows), rational, spec)
 
 
 def eval_psi_theta(c, i, theta):
@@ -149,8 +166,8 @@ def diff_operator_coeffs(c, j):
     return tuple(c.rows[j][1 : j + 1])
 
 
-def verify_columns(spec, c):
-    """Max defect of Q C_j = C_{j-1} over all checkable entries.
+def verify_columns(c):
+    """Max defect of Q C_j = C_{j-1} over all checkable entries, Q from c.spec.
 
     The check runs on interior states 1..max_index-1, where applying Q to
     a stored column never reaches past the last built row.  Exact zero in
@@ -159,6 +176,7 @@ def verify_columns(spec, c):
     m = c.max_index
     if m < 2:
         return 0.0
+    spec = c.spec
     worst = 0.0
     for j in range(1, m + 1):
         col = [c.value(i, j) for i in range(m + 1)]

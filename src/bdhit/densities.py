@@ -19,20 +19,15 @@ same t inside a long array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cmatrix import CMatrix, build_c_matrix, diff_operator_coeffs
-from .model import (
-    ProcessSpec,
-    build_scale_function,
-    build_speed_measure,
-    symmetric_rw_spec,
-)
+from .model import symmetric_rw_spec
 from .spectral import (
-    DiscreteSpectrum,
     RWSpectrum,
     finite_spectrum,
     rw_psi_values,
@@ -109,22 +104,30 @@ class InitialDistribution:
 
 @dataclass(frozen=True)
 class DensityEvaluator:
-    """Precomputed spectral data: measure, eigenfunction table, speed, C rows.
+    """Precomputed spectral data: measure, eigenfunction table, C-matrix.
 
-    psi has one row per spectral atom and one column per interior state;
-    pi is the speed measure over the same states.  For a finite chain psi
-    is the one table finite_spectrum built (vectorized across the atoms)
-    and computed the weights from, never a second copy.  c carries the
-    rows of the C-matrix so the differential-operator coefficients are at
-    hand.
+    psi has one row per spectral atom and one column per interior state.
+    For a finite chain psi is the one table finite_spectrum built
+    (vectorized across the atoms) and computed the weights from, so
+    measure.psi is psi, never a second copy.  c carries the rows of the
+    C-matrix, so the differential-operator coefficients are at hand, and
+    is the one holder of the chain (spec) and its speed measure (pi, as
+    floats over the same states as psi).
     """
 
     measure: object
     psi: np.ndarray
-    pi: np.ndarray
-    mu1: float
-    spec: ProcessSpec = field(repr=False)
     c: CMatrix = field(repr=False)
+
+    @property
+    def spec(self):
+        return self.c.spec
+
+    @functools.cached_property
+    def pi(self):
+        out = self.c.pi.array()
+        out.flags.writeable = False
+        return out
 
     @property
     def n_states(self):
@@ -143,21 +146,12 @@ def finite_evaluator(spec, c_rows=None):
     Rational C entries are kept when the rates are exact and the matrix is
     small enough for the integer sizes to stay sane.
     """
-    pi_sm = build_speed_measure(spec)
-    s = build_scale_function(spec, pi_sm)
     n = spec.n_states
     rows = min(n, 16) if c_rows is None else min(int(c_rows), n)
     rational = spec.is_rational and rows <= 24
-    c = build_c_matrix(spec, pi_sm, s, rows, rational=rational)
-    measure = finite_spectrum(spec, pi_sm, c)
-    return DensityEvaluator(
-        measure=measure,
-        psi=measure.psi,
-        pi=pi_sm.array(),
-        mu1=float(spec.mu[0]),
-        spec=spec,
-        c=c,
-    )
+    c = build_c_matrix(spec, rows, rational=rational)
+    measure = finite_spectrum(c)
+    return DensityEvaluator(measure, measure.psi, c)
 
 
 def rw_evaluator(kappa, n_nodes=128, n_states=64):
@@ -176,19 +170,8 @@ def rw_evaluator(kappa, n_nodes=128, n_states=64):
         )
     measure = symmetric_rw_spectrum(kappa, n_nodes)
     psi = np.vstack([rw_psi_values(measure, i) for i in range(1, n_states + 1)]).T
-    cspec = symmetric_rw_spec(kappa, n_states)
-    pi_sm = build_speed_measure(cspec)
-    s = build_scale_function(cspec, pi_sm)
-    rows = min(n_states, 16)
-    c = build_c_matrix(cspec, pi_sm, s, rows, rational=cspec.is_rational)
-    return DensityEvaluator(
-        measure=measure,
-        psi=psi,
-        pi=np.ones(n_states),
-        mu1=float(kappa),
-        spec=cspec,
-        c=c,
-    )
+    c = build_c_matrix(symmetric_rw_spec(kappa, n_states), min(n_states, 16))
+    return DensityEvaluator(measure, psi, c)
 
 
 def _check_state(ev, i, name="state"):

@@ -20,15 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cmatrix import CMatrix, build_c_matrix
+from .cmatrix import CMatrix
 from .densities import DensityEvaluator
-from .model import (
-    ProcessSpec,
-    asymmetric_rw_spec,
-    build_scale_function,
-    build_speed_measure,
-    symmetric_rw_spec,
-)
+from .model import ProcessSpec, asymmetric_rw_spec, symmetric_rw_spec
 from .spectral import DiscreteSpectrum
 
 __all__ = [
@@ -131,14 +125,13 @@ def rw_gamma_eigenfunctions(kappa, gamma, n_states):
     return HTransform(gamma, k_plus, base), HTransform(gamma, k_minus, base)
 
 
-def transform_rates(base, ht):
-    """Rates of the transformed chain; exact when k and the base are exact.
+def transform_rates(ht):
+    """Rates of ht.base transformed by ht; exact when k and the base are exact.
 
     The top birth rate stays zero: the truncation boundary survives the
     transform untouched.
     """
-    if ht.base != base:
-        raise ValueError("ht: eigenfunction belongs to a different base chain")
+    base = ht.base
     n = base.n_states
     k = ht.k_values
     lam = base.lam
@@ -162,7 +155,8 @@ def transform_cmatrix(c, ht):
 
     The k(1)^2 factor renormalizes from the base chain's unit speed at
     state 1 to the transformed chain's, so this matrix is entrywise equal
-    to build_c_matrix applied to transform_rates(base, ht).
+    to build_c_matrix applied to transform_rates(ht).  The transformed
+    chain, its speed measure and its scale function ride along on it.
     """
     if c.spec != ht.base:
         raise ValueError("ht: eigenfunction belongs to a different base chain")
@@ -191,12 +185,7 @@ def transform_cmatrix(c, ht):
                 power *= gamma
             row.append(k1sq * acc / k[i])
         rows.append(tuple(row))
-    spec2 = transform_rates(ht.base, ht)
-    pi2 = build_speed_measure(spec2)
-    s2 = build_scale_function(spec2, pi2)
-    return CMatrix(
-        rows=tuple(rows), rational=rational, spec=spec2, pi=pi2, s=s2
-    )
+    return CMatrix.from_rows(tuple(rows), rational, transform_rates(ht))
 
 
 def transform_density(f_base, ht, x, t):
@@ -238,31 +227,21 @@ def asymmetric_rw(lam, mu, n_states):
 def transformed_evaluator(ev, ht):
     """Density evaluator for the transformed chain from the base one.
 
-    Atoms shift by gamma; eigenfunctions, weights and speed measure are
-    rescaled so the result uses the same unit-speed-at-1 convention as an
-    evaluator built directly from the transformed rates:
+    Atoms shift by gamma and eigenfunctions and weights are rescaled, so
+    the result uses the same unit-speed-at-1 convention as an evaluator
+    built directly from the transformed rates:
 
-        theta' = theta + gamma,  w' = w / k(1)^2,
-        psi' = k(1)^2 psi / k,   pi' = pi (k / k(1))^2.
+        theta' = theta + gamma,  w' = w / k(1)^2,  psi' = k(1)^2 psi / k.
+
+    The chain and its speed measure come with transform_cmatrix's result.
     """
     if not isinstance(ev.measure, DiscreteSpectrum):
         raise ValueError("transformed_evaluator: needs a finite-chain evaluator")
-    if ev.spec != ht.base:
-        raise ValueError("ht: eigenfunction belongs to a different base chain")
+    c2 = transform_cmatrix(ev.c, ht)  # refuses an ht of another base chain
     k = ht.k_array()
     k1 = k[1]
-    interior = k[1 : ev.n_states + 1]
+    psi = ev.psi * (k1**2 / k[1 : ev.n_states + 1])[None, :]
     measure = DiscreteSpectrum(
-        ev.measure.theta + float(ht.gamma), ev.measure.weights / k1**2
+        ev.measure.theta + float(ht.gamma), ev.measure.weights / k1**2, psi
     )
-    psi = ev.psi * (k1**2 / interior)[None, :]
-    pi = ev.pi * (interior / k1) ** 2
-    c2 = transform_cmatrix(ev.c, ht)
-    return DensityEvaluator(
-        measure=measure,
-        psi=psi,
-        pi=pi,
-        mu1=float(c2.spec.mu[0]),
-        spec=c2.spec,
-        c=c2,
-    )
+    return DensityEvaluator(measure, psi, c2)

@@ -110,8 +110,8 @@ def psi_table(spec, theta, n_states=None):
     return out
 
 
-def _jacobi_diagonals(spec, pi):
-    """Symmetrized tridiagonal of the interior generator; asserted entrywise.
+def _check_balance(spec, pi):
+    """Refuse float weights pi that do not symmetrize the interior generator.
 
     Conjugating Q by diag(sqrt(pi)) must give a symmetric matrix with
     off-diagonal sqrt(lambda_i mu_{i+1}); any mismatch means pi does not
@@ -123,20 +123,18 @@ def _jacobi_diagonals(spec, pi):
     """
     lam = spec.lam_array()
     mu = spec.mu_array()
-    d = -(lam + mu)
     e = np.sqrt(lam[:-1] * mu[1:])
-    root = np.sqrt(pi.array())
+    root = np.sqrt(pi)
     upper = root[:-1] * lam[:-1] / root[1:]
     lower = root[1:] * mu[1:] / root[:-1]
     defect = max(
         np.max(np.abs(upper - e), initial=0.0), np.max(np.abs(lower - e), initial=0.0)
     )
-    scale = max(np.max(np.abs(d)), np.max(e, initial=0.0))
+    scale = max(np.max(lam + mu), np.max(e, initial=0.0))
     if defect > 1e-10 * scale:
         raise ValueError(
             f"pi: does not symmetrize the generator (entrywise defect {defect:g})"
         )
-    return d, e
 
 
 @functools.cache
@@ -191,8 +189,8 @@ def _bidiagonal_singular_values(diag, sup):
     return d
 
 
-def finite_spectrum(spec, pi, c=None):
-    """Discrete spectral measure of a finite chain.
+def finite_spectrum(c):
+    """Discrete spectral measure of the finite chain c.spec.
 
     theta_k are the negated eigenvalues of the interior generator.  Its
     Jacobi symmetrization T factors as -T = B B^T, with B upper bidiagonal
@@ -208,13 +206,15 @@ def finite_spectrum(spec, pi, c=None):
     with psi normalized by psi(1) = 1/mu_1 = C(1,1), which removes any
     eigenvector-scaling ambiguity.  The table psi_{-theta_k}(i) is built
     once, by one psi_table walk vectorized across the atoms, and returned
-    on the spectrum (measure.psi) for evaluators to reuse.  The balance
-    check that pi symmetrizes the rates is O(N).  When a C-matrix is
-    supplied, the recurrence values are cross-checked against Horner
-    evaluation of its rows on a low state (the two must agree: same
-    polynomials).
+    on the spectrum (measure.psi) for evaluators to reuse.  The speed
+    measure is c.pi, converted to floats once; the O(N) balance check
+    refuses one that does not symmetrize the rates.  The recurrence values
+    are cross-checked against Horner evaluation of the rows of c on a low
+    state (the two must agree: same polynomials).
     """
-    _jacobi_diagonals(spec, pi)
+    spec = c.spec
+    pia = c.pi.array()
+    _check_balance(spec, pia)
     lam = spec.lam_array()
     sigma = _bidiagonal_singular_values(np.sqrt(spec.mu_array()), -np.sqrt(lam[:-1]))
     theta = np.sort(sigma * sigma)
@@ -222,19 +222,17 @@ def finite_spectrum(spec, pi, c=None):
         raise ValueError(
             f"internal error: nonpositive spectral atom {theta[0]!r} for an absorbed chain"
         )
-    pia = pi.array()
     psi = psi_table(spec, -theta)
     weights = 1.0 / np.einsum("ki,i,ki->k", psi, pia, psi)
-    if c is not None and c.max_index >= 1:
-        i_chk = min(c.max_index, spec.n_states, 10)
-        for k in (0, len(theta) - 1):
-            horner = float(eval_psi_theta(c, i_chk, -theta[k]))
-            rec = psi[k, i_chk - 1]
-            if abs(horner - rec) > 1e-7 * max(1.0, abs(rec)):
-                raise ValueError(
-                    "internal error: C-matrix row and recurrence disagree "
-                    f"at state {i_chk} (|{horner:g} - {rec:g}|)"
-                )
+    i_chk = min(c.max_index, 10)
+    for k in (0, len(theta) - 1):
+        horner = float(eval_psi_theta(c, i_chk, -theta[k]))
+        rec = psi[k, i_chk - 1]
+        if abs(horner - rec) > 1e-7 * max(1.0, abs(rec)):
+            raise ValueError(
+                "internal error: C-matrix row and recurrence disagree "
+                f"at state {i_chk} (|{horner:g} - {rec:g}|)"
+            )
     return DiscreteSpectrum(theta, weights, psi)
 
 
@@ -265,7 +263,7 @@ def rw_psi_values(measure, i):
     return np.sin(i * measure.nodes_u) / (measure.kappa * np.sin(measure.nodes_u))
 
 
-def orthogonality_defect(measure, c, pi, i, j):
+def orthogonality_defect(measure, c, i, j):
     """| integral of psi(i) psi(j) d rho  -  delta_ij / pi_j |.
 
     For a discrete measure the eigenfunctions are the polynomials whose
@@ -273,8 +271,9 @@ def orthogonality_defect(measure, c, pi, i, j):
     recurrence, walked only up to state max(i, j) (Horner summation of the
     rows cancels catastrophically for states around 10; the
     row-vs-recurrence agreement is enforced separately in finite_spectrum
-    and verify_columns).  For the walk's quadrature the closed form is
-    used and pi_j = 1.
+    and verify_columns); c supplies the chain and its speed measure.  For
+    the walk's quadrature the closed form is used, pi_j = 1 and c is not
+    read.
     """
     if isinstance(measure, RWSpectrum):
         vi = rw_psi_values(measure, i)
@@ -287,12 +286,12 @@ def orthogonality_defect(measure, c, pi, i, j):
         table = psi_table(spec, -measure.theta, max(i, j))
         vi = table[:, i - 1]
         vj = table[:, j - 1]
-        target = 1.0 / float(pi[j]) if i == j else 0.0
+        target = 1.0 / float(c.pi[j]) if i == j else 0.0
     acc = math.fsum(measure.weights * vi * vj)
     return abs(acc - target)
 
 
-def stieltjes_check(spec, pi, s, theta, i_max):
+def stieltjes_check(spec, theta, i_max):
     """Ratio of Neumann to Dirichlet forward differences vs its closed form.
 
     For the constant-rate pattern (lambda_i = mu_i = kappa) the two
@@ -302,7 +301,8 @@ def stieltjes_check(spec, pi, s, theta, i_max):
         phi+(i) / psi+(i)  ->  2 kappa theta / (theta + sqrt(theta^2 + 4 kappa theta))
 
     as i grows.  Both solutions blow up geometrically, so the recurrence
-    renormalizes as it goes; the ratio is scale-invariant.  Returns
+    renormalizes as it goes; the ratio is scale-invariant.  Only the rates
+    of spec are read, to confirm the pattern and take kappa.  Returns
     (numeric_ratio_at_i_max, closed_form).
     """
     if theta <= 0:

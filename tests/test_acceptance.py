@@ -22,13 +22,6 @@ CHAIN_SEEDS = (1001, 1002, 1003, 1004, 1005)
 BLIND_SEEDS = (2101, 2102, 2103, 2104, 2105)
 
 
-def built(spec):
-    pi = b.build_speed_measure(spec)
-    s = b.build_scale_function(spec, pi)
-    c = b.build_c_matrix(spec, pi, s, spec.n_states)
-    return pi, s, c
-
-
 def test_criterion_1_spectral_transition_vs_matrix_exponential():
     worst = 0.0
     for seed in CHAIN_SEEDS:
@@ -53,17 +46,17 @@ def test_criterion_2_orthogonality_finite_and_quadrature():
     worst_fin = 0.0
     for seed in CHAIN_SEEDS:
         spec = random_chain(seed)
-        pi, s, c = built(spec)
-        m = b.finite_spectrum(spec, pi, c)
+        c = b.build_c_matrix(spec, spec.n_states)
+        m = b.finite_spectrum(c)
         worst_fin = max(
-            abs(b.orthogonality_defect(m, c, pi, i, j))
+            abs(b.orthogonality_defect(m, c, i, j))
             for i in range(1, 11)
             for j in range(i, 11)
         )
         assert worst_fin < 1e-10
     m = b.symmetric_rw_spectrum(1.0, 16)
     worst_rw = max(
-        abs(b.orthogonality_defect(m, None, None, i, j))
+        abs(b.orthogonality_defect(m, None, i, j))
         for i in range(1, 7)
         for j in range(i, 7)
     )
@@ -127,9 +120,7 @@ def test_criterion_4_blind_numeric_reproduction():
 def test_criterion_5_symmetric_rw_closed_forms():
     for kappa in (1, 2):
         spec = b.symmetric_rw_spec(kappa, 14)
-        pi = b.build_speed_measure(spec)
-        s = b.build_scale_function(spec, pi)
-        c = b.build_c_matrix(spec, pi, s, 12, rational=True)
+        c = b.build_c_matrix(spec, 12, rational=True)
         assert c.rows == rw_cmatrix_closed_form(kappa, 12)  # exact equality
 
     worst = 0.0
@@ -149,20 +140,15 @@ def test_criterion_5_symmetric_rw_closed_forms():
 
 def test_criterion_6_asymmetric_rw_via_h_transform():
     direct_spec, ht = b.asymmetric_rw(2, 1, 200)
-    tilted_spec = b.transform_rates(ht.base, ht)
+    tilted_spec = b.transform_rates(ht)
     worst_rates = max(
         float(np.max(np.abs(tilted_spec.lam_array() - direct_spec.lam_array()))),
         float(np.max(np.abs(tilted_spec.mu_array() - direct_spec.mu_array()))),
     )
     assert worst_rates < 1e-12
 
-    pi_b = b.build_speed_measure(ht.base)
-    s_b = b.build_scale_function(ht.base, pi_b)
-    c_base = b.build_c_matrix(ht.base, pi_b, s_b, 8)
-    c_tilted = b.transform_cmatrix(c_base, ht)
-    pi_d = b.build_speed_measure(direct_spec)
-    s_d = b.build_scale_function(direct_spec, pi_d)
-    c_direct = b.build_c_matrix(direct_spec, pi_d, s_d, 8)
+    c_tilted = b.transform_cmatrix(b.build_c_matrix(ht.base, 8), ht)
+    c_direct = b.build_c_matrix(direct_spec, 8)
     worst_c = max(
         abs(c_tilted.value(i, j) - c_direct.value(i, j)) / abs(c_direct.value(i, j))
         for i in range(1, 9)
@@ -186,11 +172,9 @@ def test_criterion_6_asymmetric_rw_via_h_transform():
 
 def test_criterion_7_stieltjes_ratio_identity():
     spec = b.symmetric_rw_spec(1, 210)
-    pi = b.build_speed_measure(spec)
-    s = b.build_scale_function(spec, pi)
     worst = 0.0
     for theta in (0.5, 1.0, 4.0):
-        numeric, closed = b.stieltjes_check(spec, pi, s, theta, 200)
+        numeric, closed = b.stieltjes_check(spec, theta, 200)
         want = 2 * theta / (theta + math.sqrt(theta**2 + 4 * theta))
         assert closed == want
         worst = max(worst, abs(numeric - closed))

@@ -72,10 +72,7 @@ class TestCMatrixCommand:
         assert rows[0] == ["row", "col", "value"]
         from fractions import Fraction
 
-        spec = b.symmetric_rw_spec(1, 8)
-        pi = b.build_speed_measure(spec)
-        s = b.build_scale_function(spec, pi)
-        c = b.build_c_matrix(spec, pi, s, 5)
+        c = b.build_c_matrix(b.symmetric_rw_spec(1, 8), 5)
         for r, col, val in rows[1:]:
             assert Fraction(val) == c.value(int(r), int(col))
 
@@ -101,8 +98,7 @@ class TestSpectrumCommand:
         assert code == 0
         header, data = read_csv(tmp_path / "spectrum.csv")
         assert header == ["theta", "weight"]
-        spec = b.symmetric_rw_spec(1, 10)
-        m = b.finite_spectrum(spec, b.build_speed_measure(spec))
+        m = b.finite_spectrum(b.build_c_matrix(b.symmetric_rw_spec(1, 10), 10, rational=False))
         np.testing.assert_allclose([r[0] for r in data], m.theta, rtol=1e-15)
         np.testing.assert_allclose([r[1] for r in data], m.weights, rtol=1e-15)
 
@@ -280,6 +276,23 @@ class TestHTransformCommand:
         assert doc["lambda"][:3] == [2, 2, 2]
         assert doc["mu"][:3] == [1, 1, 1]
 
+    def test_gamma_form_transforms_the_rates_once(self, tmp_path, monkeypatch):
+        # the written chain is the one transform_cmatrix built
+        calls = []
+        real = b.htransform.transform_rates
+        monkeypatch.setattr(
+            b.htransform, "transform_rates", lambda ht: calls.append(ht) or real(ht)
+        )
+        code = run(
+            ["htransform", "--model", "symmetric_rw", "--kappa", "1", "--N", "12",
+             "--gamma", "1/2"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        assert len(calls) == 1
+        doc = json.loads((tmp_path / "htransform_spec.json").read_text())
+        assert b.spec_from_dict(doc) == real(calls[0])
+
 
 class TestSimulateCommand:
     def test_summary_and_samples(self, tmp_path, monkeypatch):
@@ -362,24 +375,27 @@ class TestVerifyCommand:
 
     def test_battery_builds_each_quantity_once(self, tmp_path, monkeypatch, capsys):
         # pi, s and the C rows come from the one evaluator, and the
-        # transformed chain from the transformed evaluator.
+        # transformed chain from the transformed evaluator: cli builds
+        # none of them itself.
+        for name in ("build_speed_measure", "build_scale_function", "transform_rates"):
+            assert not hasattr(b.cli, name)
         built = []
         real = b.cli.finite_evaluator
         monkeypatch.setattr(
             b.cli, "finite_evaluator", lambda *a, **k: built.append(a) or real(*a, **k)
         )
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("built a second time")
-
-        for name in ("build_speed_measure", "build_scale_function", "transform_rates"):
-            monkeypatch.setattr(b.cli, name, refuse)
+        tilted = []
+        real_rates = b.htransform.transform_rates
+        monkeypatch.setattr(
+            b.htransform, "transform_rates", lambda ht: tilted.append(ht) or real_rates(ht)
+        )
         code = run(
             ["verify", "--model", "symmetric_rw", "--kappa", "1", "--N", "12"],
             tmp_path, monkeypatch,
         )
         assert code == 0
         assert len(built) == 1
+        assert len(tilted) == 1
         doc = json.loads((tmp_path / "verify.json").read_text())
         assert [r["name"] for r in doc["results"]] == [
             "speed-measure-balance", "generator-factorization", "scale-harmonic",

@@ -10,9 +10,7 @@ from bdhit.oracles import rw_cmatrix_closed_form
 
 
 def build(spec, max_index=None, rational=None):
-    pi = b.build_speed_measure(spec)
-    s = b.build_scale_function(spec, pi)
-    return b.build_c_matrix(spec, pi, s, max_index or spec.n_states, rational=rational)
+    return b.build_c_matrix(spec, max_index or spec.n_states, rational=rational)
 
 
 class TestConstruction:
@@ -30,11 +28,21 @@ class TestConstruction:
 
     def test_first_column_is_scale(self, rational_chain):
         # theta = 0 eigenfunction is the scale function, so C(i, 1) = s(i).
-        pi = b.build_speed_measure(rational_chain)
-        s = b.build_scale_function(rational_chain, pi)
-        c = b.build_c_matrix(rational_chain, pi, s, 4)
+        c = b.build_c_matrix(rational_chain, 4)
         for i in range(5):
-            assert c.value(i, 1) == s[i]
+            assert c.value(i, 1) == c.s[i]
+
+    def test_carries_the_chains_speed_measure_and_scale(self, rational_chain, chain_factory):
+        # build_c_matrix is the one holder of pi and s: the same values the
+        # model builders give, exact Fractions for exact rates and the same
+        # bits for float rates.
+        for spec in (rational_chain, chain_factory(24)):
+            c = b.build_c_matrix(spec, 3)
+            pi = b.build_speed_measure(spec)
+            assert c.spec is spec
+            assert c.pi == pi
+            assert c.s == b.build_scale_function(spec, pi)
+            assert all(isinstance(v, Fraction) == spec.is_rational for v in c.pi.pi)
 
     def test_strictly_lower_triangular_structure(self, chain_factory):
         c = build(chain_factory(3))
@@ -58,17 +66,13 @@ class TestConstruction:
             build(chain_factory(5), rational=True)
 
     def test_max_index_validation(self, two_state_chain):
-        pi = b.build_speed_measure(two_state_chain)
-        s = b.build_scale_function(two_state_chain, pi)
         with pytest.raises(ValueError, match="max_index"):
-            b.build_c_matrix(two_state_chain, pi, s, 0)
+            b.build_c_matrix(two_state_chain, 0)
 
     def test_rows_beyond_chain_warn_and_truncate(self, two_state_chain):
         # The recursion needs lambda_i > 0, so rows stop at the top state.
-        pi = b.build_speed_measure(two_state_chain)
-        s = b.build_scale_function(two_state_chain, pi)
         with pytest.warns(UserWarning, match="not constructible"):
-            c = b.build_c_matrix(two_state_chain, pi, s, 4)
+            c = b.build_c_matrix(two_state_chain, 4)
         assert c.max_index == 2
 
 
@@ -87,20 +91,18 @@ class TestColumnIdentity:
         for seed in (21, 22, 23):
             spec = chain_factory(seed)
             c = build(spec)
-            assert b.verify_columns(spec, c) < 1e-12
+            assert b.verify_columns(c) < 1e-12
 
     def test_columns_exact_rational(self, rational_chain):
         c = build(rational_chain)
-        assert b.verify_columns(rational_chain, c) == 0
+        assert b.verify_columns(c) == 0
 
 
 class TestPolynomialEvaluation:
     def test_theta_zero_gives_scale(self, rational_chain):
         c = build(rational_chain)
-        pi = b.build_speed_measure(rational_chain)
-        s = b.build_scale_function(rational_chain, pi)
         for i in range(1, 5):
-            assert b.eval_psi_theta(c, i, 0) == s[i]
+            assert b.eval_psi_theta(c, i, 0) == c.s[i]
 
     def test_eigen_equation_exact(self, rational_chain):
         # Q psi_theta = theta psi_theta, checked in exact arithmetic.

@@ -88,20 +88,15 @@ class TestGammaEigenfunctions:
 class TestTransformRates:
     def test_exact_doubling_rates(self):
         base, ht = exact_doubling_transform(8)
-        spec2 = b.transform_rates(base, ht)
+        spec2 = b.transform_rates(ht)
         assert spec2.lam[:-1] == (Fraction(2),) * 7
         assert spec2.lam[-1] == 0
         assert spec2.mu == (Fraction(1, 2),) * 8
 
-    def test_wrong_base_rejected(self, two_state_chain):
-        base, ht = exact_doubling_transform(8)
-        with pytest.raises(ValueError, match="different base chain"):
-            b.transform_rates(two_state_chain, ht)
-
     def test_float_tilting_matches_direct_asymmetric(self):
         # Tilt the symmetric sqrt(2)-walk up to the (2, 1) walk.
         direct, ht = b.asymmetric_rw(2, 1, 40)
-        tilted = b.transform_rates(ht.base, ht)
+        tilted = b.transform_rates(ht)
         np.testing.assert_allclose(tilted.lam_array(), direct.lam_array(), rtol=1e-12)
         np.testing.assert_allclose(tilted.mu_array(), direct.mu_array(), rtol=1e-12)
 
@@ -109,14 +104,14 @@ class TestTransformRates:
         direct, ht = b.asymmetric_rw(1, 2, 20)
         k = ht.k_array()
         assert np.all(np.diff(k) < 0)  # drift-down tilting decays
-        tilted = b.transform_rates(ht.base, ht)
+        tilted = b.transform_rates(ht)
         np.testing.assert_allclose(tilted.mu_array(), direct.mu_array(), rtol=1e-12)
 
     def test_equal_rates_identity(self):
         direct, ht = b.asymmetric_rw(1.5, 1.5, 10)
         assert ht.gamma == 0
         assert ht.k_values == (1,) * 11
-        assert b.transform_rates(ht.base, ht) == direct
+        assert b.transform_rates(ht) == direct
 
 
 class TestTransformCMatrix:
@@ -124,28 +119,17 @@ class TestTransformCMatrix:
         # Transforming C rows commutes with rebuilding them from the
         # transformed rates, here in exact arithmetic.
         base, ht = exact_doubling_transform(16)
-        pi = b.build_speed_measure(base)
-        s = b.build_scale_function(base, pi)
-        c = b.build_c_matrix(base, pi, s, 10)
-        c2 = b.transform_cmatrix(c, ht)
+        c2 = b.transform_cmatrix(b.build_c_matrix(base, 10), ht)
         assert c2.rational
 
-        spec2 = b.transform_rates(base, ht)
-        pi2 = b.build_speed_measure(spec2)
-        s2 = b.build_scale_function(spec2, pi2)
-        direct = b.build_c_matrix(spec2, pi2, s2, 10)
+        direct = b.build_c_matrix(b.transform_rates(ht), 10)
         assert c2.rows == direct.rows
+        assert (c2.spec, c2.pi, c2.s) == (direct.spec, direct.pi, direct.s)
 
     def test_float_commutation(self):
         direct_spec, ht = b.asymmetric_rw(2, 1, 30)
-        pi = b.build_speed_measure(ht.base)
-        s = b.build_scale_function(ht.base, pi)
-        c = b.build_c_matrix(ht.base, pi, s, 8)
-        c2 = b.transform_cmatrix(c, ht)
-
-        pi2 = b.build_speed_measure(direct_spec)
-        s2 = b.build_scale_function(direct_spec, pi2)
-        direct = b.build_c_matrix(direct_spec, pi2, s2, 8)
+        c2 = b.transform_cmatrix(b.build_c_matrix(ht.base, 8), ht)
+        direct = b.build_c_matrix(direct_spec, 8)
         for i in range(1, 9):
             for j in range(1, i + 1):
                 assert c2.value(i, j) == pytest.approx(direct.value(i, j), rel=1e-10)
@@ -204,12 +188,21 @@ class TestTransformedEvaluator:
         calls = []
         real = b.htransform.transform_rates
         monkeypatch.setattr(
-            b.htransform, "transform_rates", lambda *a: calls.append(a) or real(*a)
+            b.htransform, "transform_rates", lambda ht: calls.append(ht) or real(ht)
         )
         tilted_ev = b.transformed_evaluator(base_ev, ht)
         assert len(calls) == 1
-        assert tilted_ev.spec == real(base, ht)
+        assert tilted_ev.spec == real(ht)
         assert tilted_ev.c.spec is tilted_ev.spec
+
+    def test_one_holder_per_quantity(self):
+        # pi is the transformed chain's own speed measure, read from c, and
+        # the measure carries the same psi table as the evaluator.
+        plus, _ = b.rw_gamma_eigenfunctions(1.5, 0.3, 200)
+        ev2 = b.transformed_evaluator(b.finite_evaluator(plus.base), plus)
+        assert np.array_equal(ev2.pi, b.build_speed_measure(ev2.spec).array())
+        assert ev2.pi is ev2.pi  # converted once
+        assert ev2.measure.psi is ev2.psi
 
     def test_spectrum_shifts_by_gamma(self):
         base, ht = exact_doubling_transform(12)

@@ -1,0 +1,49 @@
+"""Every name a bdhit module imports is read somewhere in that module.
+
+An AST scan stands in for a linter: a module that imports a name and
+never reads it fails here.  __init__.py is exempt (its imports are the
+package's re-exports), and so are `from __future__` imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bdhit"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_an_unused_name():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, numpy as np\n"
+        "from .model import ProcessSpec, load_spec\n"
+        "def f(x: ProcessSpec):\n"
+        "    return np.sum(x)\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (3, "load_spec")]

@@ -264,9 +264,7 @@ class TestDerivativeBounds:
         assert alpha == (Fraction(1), Fraction(3), Fraction(16))
 
     def test_alpha_zero_is_mu1(self, rational_chain):
-        pi = b.build_speed_measure(rational_chain)
-        s = b.build_scale_function(rational_chain, pi)
-        c = b.build_c_matrix(rational_chain, pi, s, 4)
+        c = b.build_c_matrix(rational_chain, 4)
         alpha = b.derivative_bound_sequence(c, 0)
         assert alpha == (Fraction(1),)  # mu_1 = 1 for this chain
 

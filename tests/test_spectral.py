@@ -1,5 +1,6 @@
 """Eigenfunctions, spectral measures, orthogonality, Stieltjes ratio."""
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -13,16 +14,14 @@ from bdhit.oracles import interior_rate_matrix
 from conftest import random_chain
 
 
-def measures(spec):
-    pi = b.build_speed_measure(spec)
-    s = b.build_scale_function(spec, pi)
-    return pi, s
+def spectrum(spec):
+    """finite_spectrum over float C rows up to min(N, 10), as `bdhit spectrum` builds them."""
+    return b.finite_spectrum(b.build_c_matrix(spec, min(spec.n_states, 10), rational=False))
 
 
 class TestPsiRecurrence:
     def test_matches_polynomial_evaluation_exactly(self, rational_chain):
-        pi, s = measures(rational_chain)
-        c = b.build_c_matrix(rational_chain, pi, s, 4)
+        c = b.build_c_matrix(rational_chain, 4)
         thetas = (-0.7, 0.0, 1.3)
         for theta, psi in zip(thetas, b.psi_table(rational_chain, thetas)):
             for i in range(1, 5):
@@ -64,8 +63,7 @@ class TestPsiTable:
         ids=["walk-200", "drift-2-1-60", "random-20"],
     )
     def test_rows_bit_identical_to_scalar_recurrence(self, spec):
-        pi, _ = measures(spec)
-        m = b.finite_spectrum(spec, pi)
+        m = spectrum(spec)
         table = b.psi_table(spec, -m.theta)
         assert table.shape == (m.n_atoms, spec.n_states)
         for k, th in enumerate(m.theta):
@@ -94,13 +92,13 @@ class TestPsiTable:
 class TestBalanceCheck:
     @pytest.mark.parametrize("index", [0, 7, 19])
     def test_one_weight_off_by_a_millionth_rejected(self, index):
-        spec = random_chain(62, n=20)
-        pi, _ = measures(spec)
-        b.finite_spectrum(spec, pi)
-        weights = list(pi.pi)
+        c = b.build_c_matrix(random_chain(62, n=20), 10)
+        b.finite_spectrum(c)
+        weights = list(c.pi.pi)
         weights[index] *= 1 + 1e-6
+        wrong = dataclasses.replace(c, pi=b.SpeedMeasure(tuple(weights)))
         with pytest.raises(ValueError, match="does not symmetrize"):
-            b.finite_spectrum(spec, b.SpeedMeasure(tuple(weights)))
+            b.finite_spectrum(wrong)
 
     def test_no_dense_matrix_on_main_path(self, monkeypatch):
         def refuse(spec):
@@ -116,42 +114,51 @@ class TestBalanceCheck:
         assert ev.psi.shape == (500, 500)
 
 
+class TestCRowCrossCheck:
+    @pytest.mark.parametrize("n_states,max_index", [(20, 16), (6, 6)])
+    def test_one_wrong_entry_refused(self, n_states, max_index):
+        # finite_spectrum evaluates row min(max_index, 10) by Horner and
+        # compares it with the recurrence at the smallest and largest atom.
+        c = b.build_c_matrix(random_chain(63, n=n_states), max_index)
+        b.finite_spectrum(c)
+        i = min(max_index, 10)
+        row = list(c.rows[i])
+        row[1] *= 2  # C(i, 1) = s(i), the leading term near theta = 0
+        rows = (*c.rows[:i], tuple(row), *c.rows[i + 1 :])
+        with pytest.raises(ValueError, match="C-matrix row and recurrence disagree"):
+            b.finite_spectrum(dataclasses.replace(c, rows=rows))
+
+
 class TestFiniteSpectrum:
     def test_atoms_match_dense_eigenvalues(self, chain_factory):
         spec = chain_factory(37)
-        pi, _ = measures(spec)
-        m = b.finite_spectrum(spec, pi)
+        m = spectrum(spec)
         dense = np.sort(-np.real(scipy.linalg.eigvals(interior_rate_matrix(spec))))
         np.testing.assert_allclose(m.theta, dense, rtol=1e-10)
 
     def test_atoms_positive_ascending(self, chain_factory):
-        m = b.finite_spectrum(chain_factory(38), measures(chain_factory(38))[0])
+        m = spectrum(chain_factory(38))
         assert m.theta[0] > 0
         assert np.all(np.diff(m.theta) > 0)
         assert np.all(m.weights > 0)
         assert m.n_atoms == 10
 
     def test_two_state_chain_closed_form(self, two_state_chain):
-        pi, _ = measures(two_state_chain)
-        m = b.finite_spectrum(two_state_chain, pi)
+        m = spectrum(two_state_chain)
         r5 = math.sqrt(5.0)
         np.testing.assert_allclose(m.theta, [(3 - r5) / 2, (3 + r5) / 2], rtol=1e-14)
         np.testing.assert_allclose(m.weights, [(5 - r5) / 10, (5 + r5) / 10], rtol=1e-13)
 
     def test_single_state_weight_is_mu_squared(self):
         # One interior state, death rate mu: atom at mu with weight mu^2.
-        spec = b.ProcessSpec((0,), (3,))
-        pi, _ = measures(spec)
-        m = b.finite_spectrum(spec, pi)
+        m = spectrum(b.ProcessSpec((0,), (3,)))
         np.testing.assert_allclose(m.theta, [3.0])
         np.testing.assert_allclose(m.weights, [9.0])
 
     def test_total_mass_identity(self, chain_factory):
         # sum_k w_k psi_k(i) / theta_k = 1 for every interior i.
         spec = chain_factory(39)
-        pi, s = measures(spec)
-        c = b.build_c_matrix(spec, pi, s, spec.n_states)
-        m = b.finite_spectrum(spec, pi, c)
+        m = b.finite_spectrum(b.build_c_matrix(spec, spec.n_states))
         table = b.psi_table(spec, -m.theta)
         for i in range(1, spec.n_states + 1):
             psi_i = table[:, i - 1]
@@ -159,10 +166,10 @@ class TestFiniteSpectrum:
             assert total == pytest.approx(1.0, abs=1e-11)
 
     def test_wrong_speed_measure_rejected(self, chain_factory):
-        spec = chain_factory(40)
-        wrong_pi, _ = measures(chain_factory(41))
+        c = b.build_c_matrix(chain_factory(40), 10)
+        wrong = dataclasses.replace(c, pi=b.build_speed_measure(chain_factory(41)))
         with pytest.raises(ValueError, match="does not symmetrize"):
-            b.finite_spectrum(spec, wrong_pi)
+            b.finite_spectrum(wrong)
 
 
 class TestSmallAtoms:
@@ -172,8 +179,7 @@ class TestSmallAtoms:
     def test_atoms_and_mass_against_mpmath(self, n_states):
         mpmath = pytest.importorskip("mpmath")
         spec, _ = b.asymmetric_rw(2, 1, n_states)
-        pi, _ = measures(spec)
-        m = b.finite_spectrum(spec, pi)
+        m = spectrum(spec)
         lam = spec.lam_array()
         mu = spec.mu_array()
         with mpmath.workdps(50):
@@ -192,12 +198,10 @@ class TestSmallAtoms:
 
 class TestOrthogonality:
     def test_finite_chain_defect(self, chain_factory):
-        spec = chain_factory(43)
-        pi, s = measures(spec)
-        c = b.build_c_matrix(spec, pi, s, spec.n_states)
-        m = b.finite_spectrum(spec, pi, c)
+        c = b.build_c_matrix(chain_factory(43), 10)
+        m = b.finite_spectrum(c)
         worst = max(
-            abs(b.orthogonality_defect(m, c, pi, i, j))
+            abs(b.orthogonality_defect(m, c, i, j))
             for i in range(1, 11)
             for j in range(i, 11)
         )
@@ -206,7 +210,7 @@ class TestOrthogonality:
     def test_rw_quadrature_defect(self):
         m = b.symmetric_rw_spectrum(1.0, 16)
         worst = max(
-            abs(b.orthogonality_defect(m, None, None, i, j))
+            abs(b.orthogonality_defect(m, None, i, j))
             for i in range(1, 7)
             for j in range(i, 7)
         )
@@ -215,7 +219,7 @@ class TestOrthogonality:
     def test_rw_quadrature_exact_up_to_node_count(self):
         # Midpoint rule integrates sin(iu) sin(ju) exactly while i + j < 2n.
         m = b.symmetric_rw_spectrum(2.0, 8)
-        assert abs(b.orthogonality_defect(m, None, None, 7, 7)) < 1e-12
+        assert abs(b.orthogonality_defect(m, None, 7, 7)) < 1e-12
 
 
 class TestRWSpectrum:
@@ -256,31 +260,24 @@ class TestStieltjesRatio:
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 4.0])
     def test_ratio_converges_to_closed_form(self, theta):
-        spec = b.symmetric_rw_spec(1, 220)
-        pi, s = measures(spec)
-        numeric, closed = b.stieltjes_check(spec, pi, s, theta, 200)
+        numeric, closed = b.stieltjes_check(b.symmetric_rw_spec(1, 220), theta, 200)
         assert closed == pytest.approx(self.CLOSED[theta], rel=1e-12)
         assert abs(numeric - closed) < 1e-6
 
     def test_renormalization_survives_deep_recursion(self):
         # Dirichlet/Neumann solutions grow like alpha_+^i; without joint
         # rescaling the ratio would overflow long before i = 4000.
-        spec = b.symmetric_rw_spec(1, 4010)
-        pi, s = measures(spec)
-        numeric, closed = b.stieltjes_check(spec, pi, s, 4.0, 4000)
+        numeric, closed = b.stieltjes_check(b.symmetric_rw_spec(1, 4010), 4.0, 4000)
         assert math.isfinite(numeric)
         assert numeric == pytest.approx(closed, rel=1e-12)
 
     def test_requires_constant_symmetric_pattern(self, chain_factory):
-        spec = chain_factory(47)
-        pi, s = measures(spec)
         with pytest.raises(ValueError, match="constant-rate symmetric"):
-            b.stieltjes_check(spec, pi, s, 1.0, 50)
+            b.stieltjes_check(chain_factory(47), 1.0, 50)
 
     def test_parameter_validation(self):
         spec = b.symmetric_rw_spec(1, 20)
-        pi, s = measures(spec)
         with pytest.raises(ValueError, match="theta"):
-            b.stieltjes_check(spec, pi, s, 0.0, 10)
+            b.stieltjes_check(spec, 0.0, 10)
         with pytest.raises(ValueError, match="i_max"):
-            b.stieltjes_check(spec, pi, s, 1.0, 0)
+            b.stieltjes_check(spec, 1.0, 0)
