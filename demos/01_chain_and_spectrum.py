@@ -1,8 +1,9 @@
 """A finite birth-and-death chain and its spectral decomposition.
 
 Builds the basic objects for a small chain: speed measure, scale function,
-the C-matrix of generalized zero-eigenfunctions, and the discrete spectral
-measure that diagonalizes everything downstream.
+the C-matrix of generalized zero-eigenfunctions, and the chain's spectral
+representation (atoms, weights, eigenfunction table) that diagonalizes
+everything downstream.
 
 Run:  python3 demos/01_chain_and_spectrum.py
 """
@@ -38,14 +39,15 @@ for i in range(4):
     print(" ", np.round([float(c.value(i, j)) for j in range(1, 4)], 4))
 print("column recursion defect:", b.verify_columns(c))
 
-# The discrete spectral measure: atoms are the decay rates of the chain.
+# The spectral representation: atoms are the decay rates of the chain; the
+# weights come from the eigenfunction table psi_k(i) it also holds.
 m = b.finite_spectrum(c)
 print("\nspectral atoms theta_k :", np.round(m.theta, 4))
 print("spectral weights w_k   :", np.round(m.weights, 4))
 
 # The eigenfunctions are orthogonal under (w, pi); defects are float noise.
 worst = max(
-    abs(b.orthogonality_defect(m, c, i, j))
+    abs(b.orthogonality_defect(m, i, j))
     for i in range(1, 7)
     for j in range(i, 7)
 )
@@ -53,6 +55,6 @@ print("worst orthogonality defect:", worst)
 
 # Every row of C evaluated at -theta_k reproduces the eigenfunction values,
 # and the total-mass identity sum_k w_k psi_k(i) / theta_k = 1 holds.
-psi1 = b.psi_table(spec, -m.theta)[:, 0]
+psi1 = m.psi[:, 0]
 total = float(np.sum(m.weights * psi1 / m.theta))
 print("total-mass identity at i = 1:", total)

@@ -46,7 +46,7 @@ for t, f, F in zip(grid, density, cdf):
     print(f"{t:5.2f}   {f:.8f}   {F:.8f}")
 
 # The CDF climbs to 1: all mass is eventually absorbed on a finite chain.
-horizon = 50.0 / float(min(ev.measure.theta))
+horizon = 50.0 / float(min(ev.theta))
 print("F_nu at 50 mean lifetimes:", b.spectral_sum(ev, (horizon,), nu, transform="cdf")[0])
 
 # Derivatives of the density come termwise from the atoms.

@@ -33,10 +33,8 @@ for t, got in zip(ts, b.spectral_sum(ev, ts, 1)):
     print(f"{t:5.2f}   {got:.12f}   {want:.12f}")
 
 # The quadrature is also an orthogonality statement about sin(i u).
-m = b.symmetric_rw_spectrum(float(kappa), 16)
-worst = max(
-    abs(b.orthogonality_defect(m, None, i, j)) for i in range(1, 7) for j in range(i, 7)
-)
+m = b.rw_evaluator(float(kappa), n_nodes=16, n_states=6)
+worst = max(abs(b.orthogonality_defect(m, i, j)) for i in range(1, 7) for j in range(i, 7))
 print("\n16-node quadrature orthogonality defect:", worst)
 
 # Deep-lattice ratio identity: the ratio of the Neumann to the Dirichlet

@@ -67,5 +67,5 @@ worst = max(
     for j in (1, 2, 5)
 )
 print(f"\n  transformed evaluator vs direct, worst |dP|: {worst:.3e}")
-print(f"  smallest atom shift: {ev_tilt.measure.theta[0] - ev_base.measure.theta[0]:.12f}"
+print(f"  smallest atom shift: {ev_tilt.theta[0] - ev_base.theta[0]:.12f}"
       f"  (= gamma = {float(ht2.gamma):.12f})")

@@ -210,10 +210,6 @@ def emit_plot_data(series, path, header=("x", "y")):
     return path
 
 
-def _spec_config(spec):
-    return spec.to_dict()
-
-
 def _write_cmatrix_csv(path, c):
     """Rows 0..max_index of a C-matrix as (row, col, value) lines."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -234,7 +230,7 @@ def _cmd_cmatrix(args, parser):
     rows = args.rows if args.rows is not None else min(spec.n_states, 16)
     c = build_c_matrix(spec, rows)
     csv_path = _write_cmatrix_csv(os.path.join(out, "cmatrix.csv"), c)
-    cfg = {"spec": _spec_config(spec), "rows": c.max_index, "rational": c.rational}
+    cfg = {"spec": spec.to_dict(), "rows": c.max_index, "rational": c.rational}
     _write_manifest(out, "cmatrix", cfg, [csv_path], started)
     return 0
 
@@ -255,7 +251,7 @@ def _cmd_spectrum(args, parser):
     else:
         spec = _resolve_spec(args, parser)
         measure = finite_spectrum(build_c_matrix(spec, min(spec.n_states, 10), rational=False))
-        cfg = {"spec": _spec_config(spec), "continuous": False}
+        cfg = {"spec": spec.to_dict(), "continuous": False}
     csv_path = os.path.join(out, "spectrum.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("theta,weight\n")
@@ -284,7 +280,7 @@ def _cmd_density(args, parser):
     else:
         spec = _resolve_spec(args, parser)
         ev = finite_evaluator(spec)
-        cfg_spec = _spec_config(spec)
+        cfg_spec = spec.to_dict()
     grid = _grid_from_args(args, args.continuous)
     nu = _parse_nu(args.nu) if args.nu else None
     values = spectral_sum(ev, grid, args.state if nu is None else nu)
@@ -315,7 +311,7 @@ def _cmd_transition(args, parser):
     csv_path = os.path.join(out, "transition.csv")
     emit_plot_data(np.column_stack((grid, values)), csv_path, header=("t", "p"))
     cfg = {
-        "spec": _spec_config(spec),
+        "spec": spec.to_dict(),
         "from": args.from_state,
         "to": args.to_state,
         "grid": {
@@ -378,7 +374,7 @@ def _cmd_reproduce(args, parser):
             err = "" if report.abs_error is None else _fmt(report.abs_error[idx])
             fh.write(f"{j},{_fmt(report.recovered[idx])},{ref},{err}\n")
     cfg = {
-        "spec": _spec_config(spec),
+        "spec": spec.to_dict(),
         "mode": mode,
         "j_max": args.j_max,
         "t0": args.t0,
@@ -396,7 +392,8 @@ def _cmd_reproduce(args, parser):
 def _cmd_htransform(args, parser):
     started = time.monotonic()
     out = _out_dir(args)
-    if args.target_lambda is not None or args.target_mu is not None:
+    target_form = args.target_lambda is not None or args.target_mu is not None
+    if target_form:
         if args.target_lambda is None or args.target_mu is None or args.n_states is None:
             parser.error("target form needs --target-lambda, --target-mu and --N")
         spec2, ht = asymmetric_rw(args.target_lambda, args.target_mu, args.n_states)
@@ -413,7 +410,6 @@ def _cmd_htransform(args, parser):
             parser.error("--gamma needs --model symmetric_rw --kappa K --N n")
         plus, minus = rw_gamma_eigenfunctions(args.kappa, args.gamma, args.n_states)
         ht = minus if args.branch == "minus" else plus
-        spec2 = None  # the transformed chain, which transform_cmatrix builds
         cfg = {
             "model": "symmetric_rw",
             "kappa": args.kappa,
@@ -422,9 +418,13 @@ def _cmd_htransform(args, parser):
             "branch": args.branch,
         }
     rows = args.rows if args.rows is not None else min(ht.n_states, 12)
-    c2 = transform_cmatrix(build_c_matrix(ht.base, rows), ht)
+    if target_form:
+        # the target chain's own rows, exact when its rates are
+        c2 = build_c_matrix(spec2, rows)
+    else:
+        c2 = transform_cmatrix(build_c_matrix(ht.base, rows), ht)
     spec_path = os.path.join(out, "htransform_spec.json")
-    doc = (c2.spec if spec2 is None else spec2).to_dict()
+    doc = c2.spec.to_dict()
     doc["gamma"] = _jsonable(ht.gamma)
     doc["k_values"] = _jsonable(list(ht.k_values))
     _write_json(spec_path, doc)
@@ -447,14 +447,9 @@ def _cmd_simulate(args, parser):
         fh.write("t_hit\n")
         for t in sample.times:
             fh.write(f"{_fmt(t)}\n")
-    critical = _KS_CRIT_1PCT / math.sqrt(config.n_paths)
-    if sample.n_censored:
-        ks = None
-        passed = False
-    else:
-        ev = finite_evaluator(spec)
-        ks = ks_statistic(sample, lambda t: spectral_sum(ev, t, nu, transform="cdf"))
-        passed = ks < critical
+    ev = None if sample.n_censored else finite_evaluator(spec)
+    ks, critical = _ks_gate(ev, sample, nu)
+    passed = ks is not None and ks < critical
     summary = {
         "n_paths": config.n_paths,
         "n_absorbed": int(len(sample.times)),
@@ -467,7 +462,7 @@ def _cmd_simulate(args, parser):
     summary_path = os.path.join(out, "simulate_summary.json")
     _write_json(summary_path, summary)
     cfg = {
-        "spec": _spec_config(spec),
+        "spec": spec.to_dict(),
         "paths": args.paths,
         "horizon": args.horizon,
         "seed": args.seed,
@@ -482,6 +477,19 @@ def _cmd_simulate(args, parser):
         )
         return 2
     return 0 if passed else 2
+
+
+def _ks_gate(ev, sample, nu):
+    """(D, critical) for the KS test of sample against ev's hitting CDF from nu.
+
+    D comes from one spectral_sum call over every sample time; it is None,
+    and ev is not read, when paths were censored.  critical is the
+    asymptotic 1% point for the sample size.
+    """
+    critical = _KS_CRIT_1PCT / math.sqrt(sample.n_paths)
+    if sample.n_censored:
+        return None, critical
+    return ks_statistic(sample, lambda t: spectral_sum(ev, t, nu, transform="cdf")), critical
 
 
 # ------------------------------------------------------------------- verify
@@ -529,13 +537,12 @@ def _verify_battery(spec):
     sc = float(max(abs(float(v)) for row in c.rows for v in row)) + 1.0
     yield "cmatrix-column-recursion", d <= 1e-10 * sc, f"defect {d:g}"
 
-    measure = ev.measure
-    ok = bool(np.all(np.diff(measure.theta) > 0) and measure.theta[0] > 0)
-    yield "spectrum-atoms-positive-ascending", ok, f"theta[0] {measure.theta[0]:g}"
+    ok = bool(np.all(np.diff(ev.theta) > 0) and ev.theta[0] > 0)
+    yield "spectrum-atoms-positive-ascending", ok, f"theta[0] {ev.theta[0]:g}"
 
     m = min(rows, 6)
     d = max(
-        orthogonality_defect(measure, c, i, j)
+        orthogonality_defect(ev, i, j)
         for i in range(1, m + 1)
         for j in range(i, m + 1)
     )
@@ -545,7 +552,7 @@ def _verify_battery(spec):
     d = max(abs(spectral_sum(ev, (np.inf,), i, transform="cdf")[0] - 1.0) for i in range(1, n + 1))
     yield "density-total-mass", d <= 1e-9, f"max defect {d:g}"
 
-    theta_min = float(measure.theta[0])
+    theta_min = float(ev.theta[0])
     nu = InitialDistribution({1: 1.0})
     t_big = 40.0 / theta_min
     cdf_vals = spectral_sum(ev, np.linspace(0.0, t_big, 20), nu, transform="cdf")
@@ -607,8 +614,7 @@ def _verify_battery(spec):
     if sample.n_censored:
         yield "monte-carlo-ks", False, f"{sample.n_censored} paths censored"
     else:
-        ks = ks_statistic(sample, lambda t: spectral_sum(ev, t, nu, transform="cdf"))
-        crit = _KS_CRIT_1PCT / math.sqrt(config.n_paths)
+        ks, crit = _ks_gate(ev, sample, nu)
         yield "monte-carlo-ks", ks < crit, f"D {ks:.5f} vs critical {crit:.5f}"
 
     traj_a, hit_a = sample_path(spec, 1, 99, horizon)
@@ -628,8 +634,8 @@ def _cmd_verify(args, parser):
             line += f" ({detail})"
         print(line)
     json_path = os.path.join(out, "verify.json")
-    _write_json(json_path, {"spec": _spec_config(spec), "results": results})
-    _write_manifest(out, "verify", {"spec": _spec_config(spec)}, [json_path], started)
+    _write_json(json_path, {"spec": spec.to_dict(), "results": results})
+    _write_manifest(out, "verify", {"spec": spec.to_dict()}, [json_path], started)
     return 0 if all(r["passed"] for r in results) else 2
 
 

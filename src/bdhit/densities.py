@@ -1,13 +1,15 @@
 """Hitting-time densities and transition probabilities via spectral sums.
 
-Everything here reduces to sums over a spectral measure (discrete atoms for
-a finite chain, quadrature nodes for the symmetric walk):
+Everything here reduces to sums over the spectral representation a
+DensityEvaluator holds (discrete atoms for a finite chain, quadrature
+nodes for the symmetric walk):
 
     transition:   P_i[X_t = j]   = pi_j sum_k w_k exp(-theta_k t) psi_k(i) psi_k(j)
     hitting:      f_i(t)         =      sum_k w_k exp(-theta_k t) psi_k(i)
     hitting cdf:  P_i[T_0 <= t]  =      sum_k w_k psi_k(i) (1 - exp(-theta_k t)) / theta_k
 
-with psi_k(1) = 1/mu_1, so f_i(t) = mu_1 P_i[X_t = 1].  One kernel,
+with psi_k(1) = 1/mu_1, so f_i(t) = mu_1 P_i[X_t = 1].  finite_evaluator
+and rw_evaluator build the evaluator for the two cases.  One kernel,
 spectral_sum, evaluates them all over an array of t, and it is the only
 evaluator: callers with several times pass them together.  It forms the
 coefficient vector once, takes exp(-theta t) (expm1 for the CDF) over
@@ -19,16 +21,14 @@ same t inside a long array.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import CMatrix, build_c_matrix, diff_operator_coeffs
+from .cmatrix import build_c_matrix, diff_operator_coeffs
 from .model import symmetric_rw_spec
 from .spectral import (
-    RWSpectrum,
+    DensityEvaluator,
     finite_spectrum,
     rw_psi_values,
     symmetric_rw_spectrum,
@@ -36,7 +36,6 @@ from .spectral import (
 
 __all__ = [
     "InitialDistribution",
-    "DensityEvaluator",
     "finite_evaluator",
     "rw_evaluator",
     "spectral_sum",
@@ -102,44 +101,8 @@ class InitialDistribution:
         return f"InitialDistribution({{{body}}})"
 
 
-@dataclass(frozen=True)
-class DensityEvaluator:
-    """Precomputed spectral data: measure, eigenfunction table, C-matrix.
-
-    psi has one row per spectral atom and one column per interior state.
-    For a finite chain psi is the one table finite_spectrum built
-    (vectorized across the atoms) and computed the weights from, so
-    measure.psi is psi, never a second copy.  c carries the rows of the
-    C-matrix, so the differential-operator coefficients are at hand, and
-    is the one holder of the chain (spec) and its speed measure (pi, as
-    floats over the same states as psi).
-    """
-
-    measure: object
-    psi: np.ndarray
-    c: CMatrix = field(repr=False)
-
-    @property
-    def spec(self):
-        return self.c.spec
-
-    @functools.cached_property
-    def pi(self):
-        out = self.c.pi.array()
-        out.flags.writeable = False
-        return out
-
-    @property
-    def n_states(self):
-        return self.psi.shape[1]
-
-    @property
-    def is_continuous(self):
-        return isinstance(self.measure, RWSpectrum)
-
-
 def finite_evaluator(spec, c_rows=None):
-    """Full spectral setup for a finite chain.
+    """Full spectral setup for a finite chain: finite_spectrum of its C-matrix.
 
     c_rows caps how many C-matrix rows are kept (default min(N, 16); the
     rows are only needed up to the largest state one differentiates at).
@@ -149,9 +112,7 @@ def finite_evaluator(spec, c_rows=None):
     n = spec.n_states
     rows = min(n, 16) if c_rows is None else min(int(c_rows), n)
     rational = spec.is_rational and rows <= 24
-    c = build_c_matrix(spec, rows, rational=rational)
-    measure = finite_spectrum(c)
-    return DensityEvaluator(measure, measure.psi, c)
+    return finite_spectrum(build_c_matrix(spec, rows, rational=rational))
 
 
 def rw_evaluator(kappa, n_nodes=128, n_states=64):
@@ -168,10 +129,10 @@ def rw_evaluator(kappa, n_nodes=128, n_states=64):
             f"n_states: must stay below n_nodes for the quadrature to be exact "
             f"({n_states} >= {n_nodes})"
         )
-    measure = symmetric_rw_spectrum(kappa, n_nodes)
-    psi = np.vstack([rw_psi_values(measure, i) for i in range(1, n_states + 1)]).T
+    q = symmetric_rw_spectrum(kappa, n_nodes)
+    psi = np.vstack([rw_psi_values(q, i) for i in range(1, n_states + 1)]).T
     c = build_c_matrix(symmetric_rw_spec(kappa, n_states), min(n_states, 16))
-    return DensityEvaluator(measure, psi, c)
+    return DensityEvaluator(q.theta, q.weights, psi, c, is_continuous=True)
 
 
 def _check_state(ev, i, name="state"):
@@ -196,8 +157,7 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
     nonnegative (NaN is refused); t = inf is allowed, where the CDF
     is the total mass.
     """
-    m = ev.measure
-    neg_theta = -m.theta
+    neg_theta = -ev.theta
     if isinstance(start, InitialDistribution):
         if start.max_state > ev.n_states:
             raise ValueError(
@@ -207,10 +167,10 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
         coef = mass * ev.psi[:, i - 1]
         for i, mass in rest:
             coef += mass * ev.psi[:, i - 1]
-        coef *= m.weights
+        coef *= ev.weights
     else:
         _check_state(ev, start)
-        coef = m.weights * ev.psi[:, start - 1]
+        coef = ev.weights * ev.psi[:, start - 1]
     if target != "absorption":
         kind, j = target
         if kind == "state":

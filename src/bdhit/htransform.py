@@ -21,9 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .cmatrix import CMatrix
-from .densities import DensityEvaluator
 from .model import ProcessSpec, asymmetric_rw_spec, symmetric_rw_spec
-from .spectral import DiscreteSpectrum
+from .spectral import DensityEvaluator
 
 __all__ = [
     "HTransform",
@@ -235,13 +234,10 @@ def transformed_evaluator(ev, ht):
 
     The chain and its speed measure come with transform_cmatrix's result.
     """
-    if not isinstance(ev.measure, DiscreteSpectrum):
+    if ev.is_continuous:
         raise ValueError("transformed_evaluator: needs a finite-chain evaluator")
     c2 = transform_cmatrix(ev.c, ht)  # refuses an ht of another base chain
     k = ht.k_array()
     k1 = k[1]
     psi = ev.psi * (k1**2 / k[1 : ev.n_states + 1])[None, :]
-    measure = DiscreteSpectrum(
-        ev.measure.theta + float(ht.gamma), ev.measure.weights / k1**2, psi
-    )
-    return DensityEvaluator(measure, psi, c2)
+    return DensityEvaluator(ev.theta + float(ht.gamma), ev.weights / k1**2, psi, c2)

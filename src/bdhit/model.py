@@ -15,6 +15,7 @@ float rate switches the chain to 64-bit float mode.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -143,7 +144,8 @@ class SpeedMeasure:
     pi: tuple
 
     def array(self):
-        """The weights as floats.
+        """The weights as floats, converted once: every call returns the
+        same read-only array.
 
         Raises
         ------
@@ -151,6 +153,10 @@ class SpeedMeasure:
             If an exact (rational) weight is too large for a float; the
             message names the first such index.
         """
+        return self._floats
+
+    @functools.cached_property
+    def _floats(self):
         out = np.empty(len(self.pi))
         for i, p in enumerate(self.pi):
             try:
@@ -161,6 +167,7 @@ class SpeedMeasure:
                     "the floating-point routes need every pi_i below 1.8e308 "
                     "(use fewer states)"
                 ) from None
+        out.flags.writeable = False
         return out
 
     def __getitem__(self, i):

@@ -1,12 +1,16 @@
-"""Spectral measures for absorbed birth-and-death chains.
+"""Spectral representations of absorbed birth-and-death chains.
 
-Finite chains get an exact discrete spectrum from the bidiagonal factor
-of the negated symmetrized generator, whose singular values square to
-the atoms with high relative accuracy, however small; the constant-rate
-symmetric walk gets its closed-form continuous spectral density together
-with a trigonometric quadrature rule that is exact on the eigenfunction
-products it is used for.  A Stieltjes-ratio identity for the same walk
-serves as an independent cross-check of the whole spectral setup.
+A chain's spectral representation is one DensityEvaluator: atoms theta_k,
+weights w_k, the eigenfunction table psi_k(i) and the C-matrix, which
+carries the chain and its speed measure.  Finite chains get it from
+finite_spectrum: an exact discrete spectrum from the bidiagonal factor of
+the negated symmetrized generator, whose singular values square to the
+atoms with high relative accuracy, however small.  The constant-rate
+symmetric walk has a closed-form continuous spectral density, discretized
+by a trigonometric quadrature rule (RWSpectrum) that is exact on the
+eigenfunction products it is used for.  A Stieltjes-ratio identity for the
+same walk serves as an independent cross-check of the whole spectral
+setup.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cython_lapack
 
-from .cmatrix import eval_psi_theta
+from .cmatrix import CMatrix, eval_psi_theta
 
 __all__ = [
-    "DiscreteSpectrum",
+    "DensityEvaluator",
     "RWSpectrum",
     "psi_table",
     "finite_spectrum",
@@ -34,18 +38,38 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DiscreteSpectrum:
-    """Atoms (theta_k, w_k) of a finite chain, theta ascending and positive.
+class DensityEvaluator:
+    """A chain's one spectral representation: atoms, weights, psi, C-matrix.
 
-    psi is the eigenfunction table psi_{-theta_k}(i) (one row per atom, one
-    column per interior state) that finite_spectrum computed the weights
-    from, so evaluators reuse it instead of building it again; None when
-    the atoms were assembled some other way.
+    theta and weights are the atoms theta_k and weights w_k of the
+    spectral measure: the exact discrete spectrum of a finite chain
+    (theta ascending and positive), or the symmetric walk's quadrature
+    nodes when is_continuous.  psi has one row per atom and one column per
+    interior state, psi_k(i) = psi_{-theta_k}(i); for a finite chain it is
+    the table finite_spectrum computed the weights from, for the walk its
+    closed form.  c carries the rows of the C-matrix, so the
+    differential-operator coefficients are at hand, and is the one holder
+    of the chain (spec) and its speed measure (pi, as floats over the same
+    states as psi).
     """
 
     theta: np.ndarray
     weights: np.ndarray
-    psi: np.ndarray | None = field(default=None, repr=False, compare=False)
+    psi: np.ndarray = field(repr=False)
+    c: CMatrix = field(repr=False)
+    is_continuous: bool = False
+
+    @property
+    def spec(self):
+        return self.c.spec
+
+    @property
+    def pi(self):
+        return self.c.pi.array()
+
+    @property
+    def n_states(self):
+        return self.psi.shape[1]
 
     @property
     def n_atoms(self):
@@ -59,7 +83,8 @@ class RWSpectrum:
     The density is sqrt(theta (4 kappa - theta)) / (2 pi) on (0, 4 kappa).
     Under theta = 2 kappa (1 - cos u) it becomes (2 kappa^2 / pi) sin^2 u
     on (0, pi), where the midpoint rule in u integrates the eigenfunction
-    products sin(iu) sin(ju) exactly for i, j <= n_nodes - 1.
+    products sin(iu) sin(ju) exactly for i, j <= n_nodes - 1.  rw_evaluator
+    turns the rule into the walk's DensityEvaluator.
     """
 
     kappa: float
@@ -190,7 +215,7 @@ def _bidiagonal_singular_values(diag, sup):
 
 
 def finite_spectrum(c):
-    """Discrete spectral measure of the finite chain c.spec.
+    """Spectral representation (a DensityEvaluator) of the finite chain c.spec.
 
     theta_k are the negated eigenvalues of the interior generator.  Its
     Jacobi symmetrization T factors as -T = B B^T, with B upper bidiagonal
@@ -205,11 +230,11 @@ def finite_spectrum(c):
 
     with psi normalized by psi(1) = 1/mu_1 = C(1,1), which removes any
     eigenvector-scaling ambiguity.  The table psi_{-theta_k}(i) is built
-    once, by one psi_table walk vectorized across the atoms, and returned
-    on the spectrum (measure.psi) for evaluators to reuse.  The speed
-    measure is c.pi, converted to floats once; the O(N) balance check
-    refuses one that does not symmetrize the rates.  The recurrence values
-    are cross-checked against Horner evaluation of the rows of c on a low
+    once, by one psi_table walk vectorized across the atoms, and kept on
+    the result as its psi, next to c.  The speed measure is c.pi.array(),
+    the one float copy of c.pi; the O(N) balance check refuses one that
+    does not symmetrize the rates.  The recurrence values are
+    cross-checked against Horner evaluation of the rows of c on a low
     state (the two must agree: same polynomials).
     """
     spec = c.spec
@@ -233,7 +258,7 @@ def finite_spectrum(c):
                 "internal error: C-matrix row and recurrence disagree "
                 f"at state {i_chk} (|{horner:g} - {rec:g}|)"
             )
-    return DiscreteSpectrum(theta, weights, psi)
+    return DensityEvaluator(theta, weights, psi, c)
 
 
 def symmetric_rw_spectrum(kappa, n_nodes):
@@ -263,31 +288,21 @@ def rw_psi_values(measure, i):
     return np.sin(i * measure.nodes_u) / (measure.kappa * np.sin(measure.nodes_u))
 
 
-def orthogonality_defect(measure, c, i, j):
-    """| integral of psi(i) psi(j) d rho  -  delta_ij / pi_j |.
+def orthogonality_defect(ev, i, j):
+    """| sum_k w_k psi_k(i) psi_k(j)  -  delta_ij / pi_j |, from ev alone.
 
-    For a discrete measure the eigenfunctions are the polynomials whose
-    coefficients sit in the C-matrix rows, evaluated through the
-    recurrence, walked only up to state max(i, j) (Horner summation of the
-    rows cancels catastrophically for states around 10; the
-    row-vs-recurrence agreement is enforced separately in finite_spectrum
-    and verify_columns); c supplies the chain and its speed measure.  For
-    the walk's quadrature the closed form is used, pi_j = 1 and c is not
-    read.
+    Reads the evaluator's own eigenfunction table and speed measure, so
+    nothing is rebuilt: for a finite chain the recurrence table the
+    weights came from (Horner summation of the C-matrix rows cancels
+    catastrophically for states around 10; the row-vs-recurrence
+    agreement is enforced separately in finite_spectrum and
+    verify_columns), for the walk the closed form on the quadrature
+    nodes, where pi_j = 1.
     """
-    if isinstance(measure, RWSpectrum):
-        vi = rw_psi_values(measure, i)
-        vj = vi if j == i else rw_psi_values(measure, j)
-        target = 1.0 if i == j else 0.0
-    else:
-        spec = c.spec
-        if not (1 <= i <= spec.n_states and 1 <= j <= spec.n_states):
-            raise ValueError(f"states ({i},{j}): outside 1..{spec.n_states}")
-        table = psi_table(spec, -measure.theta, max(i, j))
-        vi = table[:, i - 1]
-        vj = table[:, j - 1]
-        target = 1.0 / float(c.pi[j]) if i == j else 0.0
-    acc = math.fsum(measure.weights * vi * vj)
+    if not (1 <= i <= ev.n_states and 1 <= j <= ev.n_states):
+        raise ValueError(f"states ({i},{j}): outside 1..{ev.n_states}")
+    acc = math.fsum(ev.weights * ev.psi[:, i - 1] * ev.psi[:, j - 1])
+    target = 1.0 / float(ev.pi[j - 1]) if i == j else 0.0
     return abs(acc - target)
 
 

@@ -49,14 +49,14 @@ def test_criterion_2_orthogonality_finite_and_quadrature():
         c = b.build_c_matrix(spec, spec.n_states)
         m = b.finite_spectrum(c)
         worst_fin = max(
-            abs(b.orthogonality_defect(m, c, i, j))
+            abs(b.orthogonality_defect(m, i, j))
             for i in range(1, 11)
             for j in range(i, 11)
         )
         assert worst_fin < 1e-10
-    m = b.symmetric_rw_spectrum(1.0, 16)
+    m = b.rw_evaluator(1.0, n_nodes=16, n_states=6)
     worst_rw = max(
-        abs(b.orthogonality_defect(m, None, i, j))
+        abs(b.orthogonality_defect(m, i, j))
         for i in range(1, 7)
         for j in range(i, 7)
     )

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,6 +276,22 @@ class TestHTransformCommand:
         assert doc["gamma"] == pytest.approx(3 - 2 * math.sqrt(2.0), rel=1e-12)
         assert doc["lambda"][:3] == [2, 2, 2]
         assert doc["mu"][:3] == [1, 1, 1]
+
+    def test_target_form_writes_the_exact_chain(self, tmp_path, monkeypatch):
+        # the C rows belong to the chain in the spec file, exact rates included
+        code = run(
+            ["htransform", "--target-lambda", "5/4", "--target-mu", "1", "--N", "10",
+             "--rows", "6"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "htransform_spec.json").read_text())
+        c = b.build_c_matrix(b.spec_from_dict(doc), 6)
+        with open(tmp_path / "htransform_cmatrix.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(int(i), int(j), Fraction(v)) for i, j, v in rows] == [
+            (i, j, c.rows[i][j]) for i in range(7) for j in range(i + 1)
+        ]
 
     def test_gamma_form_transforms_the_rates_once(self, tmp_path, monkeypatch):
         # the written chain is the one transform_cmatrix built

@@ -60,10 +60,14 @@ class TestFiniteEvaluator:
     def test_psi_is_the_table_the_weights_came_from(self, chain_factory):
         spec = chain_factory(52)
         ev = b.finite_evaluator(spec)
-        assert ev.psi is ev.measure.psi
-        assert np.array_equal(ev.psi, b.psi_table(spec, -ev.measure.theta))
+        assert np.array_equal(ev.psi, b.psi_table(spec, -ev.theta))
         weights = 1.0 / np.einsum("ki,i,ki->k", ev.psi, ev.pi, ev.psi)
-        assert np.array_equal(ev.measure.weights, weights)
+        assert np.array_equal(ev.weights, weights)
+
+    def test_pi_is_the_speed_measures_one_float_copy(self, chain_factory):
+        ev = b.finite_evaluator(chain_factory(52))
+        assert ev.pi is ev.c.pi.array()
+        assert not ev.pi.flags.writeable
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_transition_matches_expm(self, chain_factory, t):
@@ -158,7 +162,7 @@ class TestHittingCdf:
         spec = chain_factory(62)
         ev = b.finite_evaluator(spec)
         nu = b.InitialDistribution({1: 0.5, 3: 0.5})
-        horizon = 40.0 / float(min(ev.measure.theta))
+        horizon = 40.0 / float(min(ev.theta))
         at_zero, at_horizon = b.spectral_sum(ev, (0.0, horizon), nu, transform="cdf")
         assert at_zero == pytest.approx(0.0, abs=1e-13)
         assert at_horizon == pytest.approx(1.0, abs=1e-9)
@@ -211,12 +215,11 @@ class TestSpectralSum:
         spec = b.symmetric_rw_spec(1, 200) if chain == "walk-200" else chain_factory(71, n=20)
         ev = b.finite_evaluator(spec)
         ts = np.array([0.01, 0.1, 1.0])
-        m = ev.measure
         mpf = mpmath.mpf
         with mpmath.workdps(50):
             for i, j in pairs:
                 got = b.spectral_sum(ev, ts, i, ("state", j))
-                terms = list(zip(m.weights, m.theta, ev.psi[:, i - 1], ev.psi[:, j - 1]))
+                terms = list(zip(ev.weights, ev.theta, ev.psi[:, i - 1], ev.psi[:, j - 1]))
                 for t, p in zip(ts, got):
                     want = mpf(ev.pi[j - 1]) * mpmath.fsum(
                         mpf(w) * mpmath.exp(-mpf(th) * mpf(t)) * mpf(a) * mpf(c)

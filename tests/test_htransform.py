@@ -196,20 +196,18 @@ class TestTransformedEvaluator:
         assert tilted_ev.c.spec is tilted_ev.spec
 
     def test_one_holder_per_quantity(self):
-        # pi is the transformed chain's own speed measure, read from c, and
-        # the measure carries the same psi table as the evaluator.
+        # pi is the transformed chain's own speed measure, read from c.
         plus, _ = b.rw_gamma_eigenfunctions(1.5, 0.3, 200)
         ev2 = b.transformed_evaluator(b.finite_evaluator(plus.base), plus)
         assert np.array_equal(ev2.pi, b.build_speed_measure(ev2.spec).array())
         assert ev2.pi is ev2.pi  # converted once
-        assert ev2.measure.psi is ev2.psi
 
     def test_spectrum_shifts_by_gamma(self):
         base, ht = exact_doubling_transform(12)
         base_ev = b.finite_evaluator(base)
         tilted_ev = b.transformed_evaluator(base_ev, ht)
         np.testing.assert_allclose(
-            tilted_ev.measure.theta, base_ev.measure.theta + 0.5, rtol=1e-14
+            tilted_ev.theta, base_ev.theta + 0.5, rtol=1e-14
         )
 
     def test_recovery_through_tilted_evaluator(self):

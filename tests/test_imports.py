@@ -1,4 +1,5 @@
-"""Every name a bdhit module imports is read somewhere in that module.
+"""Every name a bdhit module imports is read somewhere in that module,
+and the package exports each module's public names once.
 
 An AST scan stands in for a linter: a module that imports a name and
 never reads it fails here.  __init__.py is exempt (its imports are the
@@ -6,6 +7,7 @@ package's re-exports), and so are `from __future__` imports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,19 @@ def test_scan_flags_an_unused_name():
         "    return np.sum(x)\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "load_spec")]
+
+
+def test_package_exports_every_module_name_once():
+    # oracles stays out of the package namespace: only `bdhit.oracles` is bound
+    import bdhit
+
+    exported = {"__version__"}
+    for path in MODULES:
+        module = importlib.import_module(f"bdhit.{path.stem}")
+        if path.stem == "oracles" or not hasattr(module, "__all__"):
+            continue
+        for name in module.__all__:
+            assert getattr(bdhit, name) is getattr(module, name), (path.stem, name)
+        exported.update(module.__all__)
+    assert len(bdhit.__all__) == len(set(bdhit.__all__))
+    assert set(bdhit.__all__) == exported

@@ -219,7 +219,7 @@ class TestKSStatistic:
         spec = random_chain(1201)
         nu = b.InitialDistribution({1: 0.3, 4: 0.5, 7: 0.2})
         ev = b.finite_evaluator(spec)
-        cfg = b.SimConfig(10_000, 80.0 / float(ev.measure.theta[0]), 5, nu)
+        cfg = b.SimConfig(10_000, 80.0 / float(ev.theta[0]), 5, nu)
         sample = b.empirical_hitting(spec, cfg)
         one_call = b.ks_statistic(sample, lambda t: b.spectral_sum(ev, t, nu, transform="cdf"))
         by_point = b.ks_statistic(

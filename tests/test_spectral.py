@@ -143,6 +143,10 @@ class TestFiniteSpectrum:
         assert np.all(m.weights > 0)
         assert m.n_atoms == 10
 
+    def test_holds_the_c_matrix_it_was_built_from(self, chain_factory):
+        c = b.build_c_matrix(chain_factory(38), 10)
+        assert b.finite_spectrum(c).c is c
+
     def test_two_state_chain_closed_form(self, two_state_chain):
         m = spectrum(two_state_chain)
         r5 = math.sqrt(5.0)
@@ -201,16 +205,25 @@ class TestOrthogonality:
         c = b.build_c_matrix(chain_factory(43), 10)
         m = b.finite_spectrum(c)
         worst = max(
-            abs(b.orthogonality_defect(m, c, i, j))
+            abs(b.orthogonality_defect(m, i, j))
             for i in range(1, 11)
             for j in range(i, 11)
         )
         assert worst < 1e-10
 
+    def test_defect_reads_the_evaluators_own_table(self, chain_factory, monkeypatch):
+        ev = b.finite_spectrum(b.build_c_matrix(chain_factory(43), 10))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("orthogonality_defect rebuilt the psi table")
+
+        monkeypatch.setattr(b.spectral, "psi_table", refuse)
+        assert b.orthogonality_defect(ev, 3, 5) < 1e-10
+
     def test_rw_quadrature_defect(self):
-        m = b.symmetric_rw_spectrum(1.0, 16)
+        m = b.rw_evaluator(1.0, n_nodes=16, n_states=6)
         worst = max(
-            abs(b.orthogonality_defect(m, None, i, j))
+            abs(b.orthogonality_defect(m, i, j))
             for i in range(1, 7)
             for j in range(i, 7)
         )
@@ -218,8 +231,8 @@ class TestOrthogonality:
 
     def test_rw_quadrature_exact_up_to_node_count(self):
         # Midpoint rule integrates sin(iu) sin(ju) exactly while i + j < 2n.
-        m = b.symmetric_rw_spectrum(2.0, 8)
-        assert abs(b.orthogonality_defect(m, None, 7, 7)) < 1e-12
+        m = b.rw_evaluator(2.0, n_nodes=8, n_states=7)
+        assert abs(b.orthogonality_defect(m, 7, 7)) < 1e-12
 
 
 class TestRWSpectrum:
