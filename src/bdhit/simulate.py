@@ -1,18 +1,29 @@
 """Monte Carlo paths of the absorbed chain, as an independent oracle.
 
-Each path owns a counter-based RNG stream keyed by (seed, path index), so
-results are bit-identical regardless of evaluation order or batching.
-Holding times are exponential at rate lambda_i + mu_i; the jump goes up
-with probability lambda_i / (lambda_i + mu_i).  Absorption times feed a
-Kolmogorov-Smirnov comparison against the spectral CDF, and checkpointed
-occupancy counts give empirical transition probabilities.  The KS test
-evaluates its CDF once, over the whole sorted sample.
+Every random number is a pure function of (seed, path, draw block):
+Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11), written as numpy integer arithmetic, with the seed as its key
+and (block, path) as its counter.  Each 64-bit word gives one 53-bit
+uniform u.  Block 0 of a path gives its start state (its first uniform);
+block b >= 1 gives steps 2b - 2 and 2b - 1, two uniforms each.  A step
+from state i holds for -log1p(-u) / (lambda_i + mu_i) and then jumps up
+with probability lambda_i / (lambda_i + mu_i).
+
+So one walker advances every live path together as numpy arrays, and a
+path's trajectory does not depend on how many paths run beside it or how
+they are batched.  It keeps at most _LIVE paths live, starting the next
+paths as others are absorbed or censored, and draws at most _CAP uniforms
+at a time: its work arrays stay a few MB whatever the number of paths.
+Absorption times feed a Kolmogorov-Smirnov comparison against the
+spectral CDF (evaluated once, over the whole sorted sample), and
+checkpointed occupancy counts give empirical transition probabilities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,13 +33,33 @@ __all__ = [
     "SimConfig",
     "HittingSample",
     "sample_path",
+    "expected_jumps",
     "empirical_hitting",
     "empirical_occupancy",
     "empirical_transition",
     "ks_statistic",
 ]
 
-_CHUNK = 32
+_CAP = 2**15  # uniforms drawn per block: bounds every work array
+_LIVE = _CAP // 16  # paths walked at once: 8 steps each per block
+_MAX_STEPS = 64  # steps per block once only a few paths are left
+
+# Philox4x64 round multipliers and key increments, for the words (x0, x2)
+# that each round multiplies and the key words (k0, k1)
+_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+_MULT_LO, _MULT_HI = _MULT & _LO32, _MULT >> _HALF
+
+
+def _check_seed(seed):
+    if (
+        not isinstance(seed, (int, np.integer))
+        or isinstance(seed, bool)
+        or not 0 <= seed < 2**64
+    ):
+        raise ValueError(f"seed: must be an integer in [0, 2^64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -45,12 +76,7 @@ class SimConfig:
             raise ValueError(f"n_paths: must be a positive integer, got {self.n_paths!r}")
         if not self.t_horizon > 0:
             raise ValueError(f"t_horizon: must be positive, got {self.t_horizon!r}")
-        if (
-            not isinstance(self.seed, (int, np.integer))
-            or isinstance(self.seed, bool)
-            or not 0 <= self.seed < 2**64
-        ):
-            raise ValueError(f"seed: must be an integer in [0, 2^64), got {self.seed!r}")
+        _check_seed(self.seed)
         if not isinstance(self.initial, InitialDistribution):
             raise ValueError("initial: must be an InitialDistribution")
 
@@ -65,85 +91,140 @@ class HittingSample:
     n_paths: int
 
 
-def _path_rng(seed, index):
-    """Stream for path `index`: Philox keyed by the (seed, index) pair."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(index)))
+def _philox4x64(counter, key):
+    """Philox4x64-10 output words for 256-bit counters under a 128-bit key.
 
-
-def _draw_start(nu, rng):
-    u = rng.random()
-    acc = 0.0
-    state = nu.items[-1][0]
-    for s, m in nu.items:
-        acc += m
-        if u < acc:
-            state = s
-            break
-    return state
-
-
-def _walk(lam, mu, start, rng, horizon, checkpoints=(), record=None):
-    """Advance one path to absorption or the horizon.
-
-    checkpoints must be ascending and within [0, horizon]; the returned
-    list has the state occupied at each checkpoint (0 once absorbed).
-    Returns (absorption time or None if censored, checkpoint states).
+    counter is four broadcastable arrays of uint64 words, the lowest word
+    first, and key a pair of integers in [0, 2^64).  Each round multiplies
+    the words x0 and x2, so they are kept stacked, as are x1 and x3; the
+    result is that pair of arrays, ((x0, x2), (x1, x3)).  For each counter
+    c, (x0, x1, x2, x3) are the words np.random.Philox(key=key, counter=c - 1)
+    .random_raw(4) gives (numpy steps its counter before each draw).
     """
-    ncp = len(checkpoints)
-    out = [0] * ncp
-    ci = 0
-    state = int(start)
-    t = 0.0
-    if record is not None and state != 0:
-        record.append((0.0, state))
-    if state == 0:
-        return 0.0, out
-    exps = None
-    unis = None
-    pos = _CHUNK
+    x0, x1, x2, x3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in counter))
+    shape = (2,) + x0.shape
+    mul = np.stack((x0, x2)).reshape(2, -1)
+    xor = np.stack((x1, x3)).reshape(2, -1)
+    key = np.array([[int(k)] for k in key], dtype=np.uint64)
+    lo, hi, t, u = (np.empty_like(mul) for _ in range(4))
+    for _ in range(10):
+        # 128-bit products M * x from 32-bit halves, in place
+        np.bitwise_and(mul, _LO32, out=lo)
+        np.right_shift(mul, _HALF, out=hi)
+        np.multiply(mul, _MULT, out=mul)  # low words
+        np.multiply(lo, _MULT_LO, out=t)
+        t >>= _HALF
+        np.multiply(lo, _MULT_HI, out=u)
+        u += t
+        np.bitwise_and(u, _LO32, out=t)
+        np.multiply(hi, _MULT_LO, out=lo)
+        lo += t
+        u >>= _HALF
+        lo >>= _HALF
+        hi *= _MULT_HI
+        hi += u
+        hi += lo  # high words
+        # (x0, x1, x2, x3) <- (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0))
+        high = hi[::-1]
+        high ^= xor
+        high ^= key
+        hi, mul, xor = xor, high, mul[::-1]
+        key = key + _WEYL
+    return mul.reshape(shape), xor.reshape(shape)
+
+
+def _uniform(words):
+    """53-bit uniforms on [0, 1): the top 53 bits of each 64-bit word."""
+    return np.multiply(words >> np.uint64(11), 2.0**-53)
+
+
+def _walk(spec, nu, seed, n_paths, horizon):
+    """Walk paths 0..n_paths-1 of `seed`, started from nu, to absorption or the horizon.
+
+    Yields one (times, states, done) triple per block of steps, over the
+    paths live in that block: times[k] and states[k] (k = 0..steps) hold
+    each path's clock and state after k of the block's steps, and done
+    marks the paths that finish in the block.  An absorbed path keeps
+    state 0 and its absorption time.  A path censored in the block walks
+    on to the block's end; its steps past the horizon are not part of its
+    trajectory.
+    """
+    n = spec.n_states
+    lam, mu = spec.lam_array(), spec.mu_array()
+    rate = np.concatenate(([np.inf], lam + mu))  # state 0 holds for no time
+    p_up = np.concatenate(([0.0], lam / (lam + mu)))
+    # the state after a step from s: nxt[2 s] down, nxt[2 s + 1] up; 0 stays
+    nxt = np.repeat(np.arange(n + 1), 2) + np.tile([-1, 1], n + 1)
+    nxt[:2] = 0
+    starts = np.array(nu.states)
+    acc = np.cumsum([m for _, m in nu.items])
+    key = (int(seed), 0)
+    path = taken = np.empty(0, dtype=np.uint64)
+    t = np.empty(0)
+    s = np.empty(0, dtype=np.intp)
+    started = blocks = 0
     while True:
-        rate = lam[state - 1] + mu[state - 1]
-        if pos >= _CHUNK:
-            exps = rng.exponential(size=_CHUNK)
-            unis = rng.random(size=_CHUNK)
-            pos = 0
-        t_next = t + exps[pos] / rate
-        up = unis[pos] * rate < lam[state - 1]
-        pos += 1
-        while ci < ncp and checkpoints[ci] < t_next:
-            out[ci] = state
-            ci += 1
-        if t_next > horizon:
-            return None, out
-        state = state + 1 if up else state - 1
-        t = t_next
-        if record is not None:
-            record.append((t, state))
-        if state == 0:
-            # absorbed: any remaining checkpoints see state 0
-            return t, out
+        fresh = min(_LIVE - path.size, n_paths - started)
+        if fresh > 0:
+            new = np.arange(started, started + fresh, dtype=np.uint64)
+            started += fresh
+            pick = 0
+            if starts.size > 1:
+                u = _uniform(_philox4x64((0, new, 0, 0), key)[0][0])
+                pick = np.minimum(np.searchsorted(acc, u, side="right"), starts.size - 1)
+            path = np.concatenate((path, new))
+            taken = np.concatenate((taken, np.zeros(fresh, dtype=np.uint64)))
+            t = np.concatenate((t, np.zeros(fresh)))
+            s = np.concatenate((s, np.broadcast_to(starts[pick], fresh)))
+        if not path.size:
+            return
+        # 8 steps a block while the live set is full, more as it drains; a
+        # walk's first blocks stay short, so a short path costs little
+        steps = min(_MAX_STEPS, _CAP // (2 * path.size), 8 << blocks) & ~1
+        blocks += 1
+        block = taken // 2 + np.arange(1, steps // 2 + 1, dtype=np.uint64)[:, None]
+        # words x0 and x2 of block b time steps 2b - 2 and 2b - 1, x1 and x3
+        # pick their directions: step k reads [k % 2, k // 2] of each
+        hold, turn = (_uniform(w) for w in _philox4x64((block, path, 0, 0), key))
+        hold = -np.log1p(-hold)
+        times = np.empty((steps + 1, path.size))
+        states = np.empty((steps + 1, path.size), dtype=np.intp)
+        times[0], states[0] = t, s
+        for k in range(steps):
+            np.add(times[k], hold[k % 2, k // 2] / rate.take(states[k]), out=times[k + 1])
+            up = turn[k % 2, k // 2] < p_up.take(states[k])
+            np.take(nxt, 2 * states[k] + up, out=states[k + 1])
+        t, s = times[-1], states[-1]
+        done = (s == 0) | (t > horizon)
+        yield times, states, done
+        keep = ~done
+        path, taken, t, s = path[keep], taken[keep] + steps, t[keep], s[keep]
 
 
-def sample_path(spec, start, rng_state, t_horizon):
+def sample_path(spec, start, seed, t_horizon):
     """One trajectory from `start`: (jump list [(time, state)...], absorption time).
 
-    rng_state is a numpy Generator, or an integer seed (then the path-0
-    stream for that seed is used).  The jump list starts with (0.0, start)
-    and the absorption time is None when the path outlives t_horizon.
+    The path is path 0 of the integer seed's streams.  The jump list
+    starts with (0.0, start) and the absorption time is None when the path
+    outlives t_horizon.
     """
     n = spec.n_states
     if not 0 <= start <= n:
         raise ValueError(f"start: state must lie in 0..{n}, got {start}")
     if not t_horizon > 0:
         raise ValueError(f"t_horizon: must be positive, got {t_horizon!r}")
-    if isinstance(rng_state, np.random.Generator):
-        rng = rng_state
-    else:
-        rng = _path_rng(int(rng_state), 0)
-    lam = tuple(float(x) for x in spec.lam)
-    mu = tuple(float(x) for x in spec.mu)
-    traj = []
-    absorbed, _ = _walk(lam, mu, start, rng, float(t_horizon), record=traj)
+    _check_seed(seed)
+    if start == 0:
+        return [], 0.0
+    horizon = float(t_horizon)
+    blocks = list(_walk(spec, InitialDistribution({start: 1.0}), seed, 1, horizon))
+    t = np.concatenate([times[1:, 0] for times, _, _ in blocks])
+    s = np.concatenate([states[1:, 0] for _, states, _ in blocks])
+    end = int(np.argmax((s == 0) | (t > horizon)))
+    absorbed = None if t[end] > horizon else float(t[end])
+    jumps = end if absorbed is None else end + 1
+    traj = [(0.0, int(start))]
+    traj += [(float(a), int(b)) for a, b in zip(t[:jumps], s[:jumps])]
     return traj, absorbed
 
 
@@ -155,6 +236,26 @@ def _check_support(spec, nu):
         )
 
 
+def expected_jumps(spec, nu):
+    """Expected number of jumps before absorption, from the initial law nu.
+
+    Solves J_i = 1 + p_i J_{i+1} + q_i J_{i-1}, J_0 = 0, with p_i and q_i
+    the up and down jump probabilities, in one O(N) backward sweep over
+    the increments d_i = J_i - J_{i-1}: d_i = 1 + (lambda_i / mu_i)(1 +
+    d_{i+1}) from d_N = 1 (lambda_N = 0).  Every term is positive, so
+    nothing cancels; a count beyond the float range comes out inf.
+    """
+    _check_support(spec, nu)
+    lam = spec.lam_array().tolist()
+    mu = spec.mu_array().tolist()
+    d = [0.0] * spec.n_states
+    above = 0.0
+    for i in range(spec.n_states - 1, -1, -1):
+        above = d[i] = 1.0 + lam[i] / mu[i] * (1.0 + above)
+    jumps = list(accumulate(d))
+    return sum(m * jumps[i - 1] for i, m in nu.items)
+
+
 def empirical_hitting(spec, config):
     """Absorption times of config.n_paths independent paths.
 
@@ -162,22 +263,16 @@ def empirical_hitting(spec, config):
     of its own stream, then walks to absorption or the horizon.
     """
     _check_support(spec, config.initial)
-    lam = tuple(float(x) for x in spec.lam)
-    mu = tuple(float(x) for x in spec.mu)
     horizon = float(config.t_horizon)
     times = []
     censored = 0
-    for p in range(config.n_paths):
-        rng = _path_rng(config.seed, p)
-        start = _draw_start(config.initial, rng)
-        absorbed, _ = _walk(lam, mu, start, rng, horizon)
-        if absorbed is None:
-            censored += 1
-        else:
-            times.append(absorbed)
-    times = np.sort(np.asarray(times, dtype=float))
+    for walked, _, done in _walk(spec, config.initial, config.seed, config.n_paths, horizon):
+        t = walked[-1, done]
+        over = t > horizon
+        censored += int(np.count_nonzero(over))
+        times.append(t[~over])
     return HittingSample(
-        times=times,
+        times=np.sort(np.concatenate(times)),
         n_censored=censored,
         horizon=horizon,
         n_paths=config.n_paths,
@@ -203,16 +298,15 @@ def empirical_occupancy(spec, config, t_values):
         )
     if t_values and t_values[0] < 0:
         raise ValueError(f"t_values: checkpoint {t_values[0]} is negative")
-    lam = tuple(float(x) for x in spec.lam)
-    mu = tuple(float(x) for x in spec.mu)
+    n = spec.n_states
+    counts = np.zeros((len(t_values), n + 1), dtype=np.int64)
     horizon = float(config.t_horizon)
-    counts = np.zeros((len(t_values), spec.n_states + 1), dtype=np.int64)
-    for p in range(config.n_paths):
-        rng = _path_rng(config.seed, p)
-        start = _draw_start(config.initial, rng)
-        _, states = _walk(lam, mu, start, rng, horizon, checkpoints=t_values)
-        for ci, st in enumerate(states):
-            counts[ci, st] += 1
+    for times, states, _ in _walk(spec, config.initial, config.seed, config.n_paths, horizon):
+        # a path sits in states[k] over [times[k], times[k + 1])
+        for c, tc in enumerate(t_values):
+            inside = (times[:-1] <= tc) & (tc < times[1:])
+            counts[c] += np.bincount(states[:-1][inside], minlength=n + 1)
+    counts[:, 0] = config.n_paths - counts[:, 1:].sum(axis=1)
     return counts
 
 

@@ -97,7 +97,7 @@ class RWSpectrum:
         return len(self.theta)
 
 
-def psi_table(spec, theta, n_states=None):
+def psi_table(spec, theta):
     """Values psi_theta(1..n) for every theta in a 1-D array, one row each.
 
     The defining three-term recurrence (the C-matrix row polynomials
@@ -113,14 +113,10 @@ def psi_table(spec, theta, n_states=None):
     operations of the scalar recurrence for its theta alone, in the same
     order, so every row is bit-identical to that scalar run.  This is the
     only evaluator of the recurrence; one theta is a one-element array.
-    n_states (default N) stops the walk early for callers that need only
-    the first states.
     """
     lam = spec.lam_array()
     mu = spec.mu_array()
-    n = spec.n_states if n_states is None else int(n_states)
-    if not 1 <= n <= spec.n_states:
-        raise ValueError(f"n_states {n}: outside 1..{spec.n_states}")
+    n = spec.n_states
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         raise ValueError(f"theta: must be one-dimensional, got shape {theta.shape}")

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -364,6 +365,32 @@ class TestSimulateCommand:
         assert code == 0
         assert calls == [3000]
 
+    def test_refuses_run_over_jump_budget(self, tmp_path, monkeypatch, capsys):
+        # From state 1 the (2, 1) walk with N = 40 makes about 2.2e12 jumps
+        # before absorption; a horizon that does not censor it is refused.
+        code = run(
+            ["simulate", "--model", "asymmetric_rw", "--lambda", "2", "--mu", "1",
+             "--N", "40", "--horizon", "1e15"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "10000 paths x 2.2e+12 expected jumps each" in err
+        assert "over the budget" in err
+        assert not (tmp_path / "simulate_samples.csv").exists()
+
+    def test_short_horizon_bounds_the_work(self, tmp_path, monkeypatch):
+        # The same chain with a horizon of 20 makes at most 60 jumps per path
+        # on average: it runs, and censors.
+        code = run(
+            ["simulate", "--model", "asymmetric_rw", "--lambda", "2", "--mu", "1",
+             "--N", "40", "--horizon", "20", "--paths", "500"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 2
+        doc = json.loads((tmp_path / "simulate_summary.json").read_text())
+        assert doc["n_censored"] > 0
+
     def test_deterministic_rerun(self, tmp_path, monkeypatch):
         spec_path = tmp_path / "chain.json"
         spec_path.write_text(json.dumps({"N": 2, "lambda": [1, 0], "mu": [1, 1]}))
@@ -422,6 +449,24 @@ class TestVerifyCommand:
             "stieltjes-ratio", "htransform-cmatrix-commutation",
             "htransform-density-conjugacy", "monte-carlo-ks", "simulation-determinism",
         ]
+
+    def test_drifted_walk_skips_simulation_it_cannot_finish(self, tmp_path, monkeypatch, capsys):
+        # Its horizon 80 / theta_min is about 1.8e14: the simulations would
+        # not end, so they are skipped with the expected jump count.
+        started = time.monotonic()
+        code = run(
+            ["verify", "--model", "asymmetric_rw", "--lambda", "2", "--mu", "1", "--N", "40"],
+            tmp_path, monkeypatch,
+        )
+        assert time.monotonic() - started < 10.0
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "SKIP monte-carlo-ks (2000 paths x 2.2e+12 expected jumps each" in out
+        assert "SKIP simulation-determinism (1 paths x 2.2e+12 expected jumps each" in out
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        skipped = [r["name"] for r in doc["results"] if r["passed"] is None]
+        assert skipped == ["monte-carlo-ks", "simulation-determinism"]
+        assert all(r["passed"] for r in doc["results"] if r["name"] not in skipped)
 
     def test_battery_passes_on_random_chain(self, tmp_path, monkeypatch, capsys):
         doc = {

@@ -13,6 +13,53 @@ def exp_cdf(rate):
     return lambda t: 1.0 - np.exp(-rate * t)
 
 
+def reference_walk(spec, nu, seed, path, horizon, checkpoints=()):
+    """One path by a scalar loop on numpy's own Philox, per the stream layout.
+
+    Block b of the path is counter (b, path) under key seed; word 0 of
+    block 0 picks the start; block b >= 1 gives steps 2b - 2 (words 0, 1)
+    and 2b - 1 (words 2, 3): a holding-time uniform, then a direction one.
+    Returns (absorption time or None, checkpoint states, jump list).
+    """
+    lam, mu = spec.lam_array(), spec.mu_array()
+
+    def words(block):
+        counter = ((path << 64) + block - 1) % 2**256
+        return np.random.Philox(key=seed, counter=counter).random_raw(4)
+
+    def uniform(word):
+        return (int(word) >> 11) * 2.0**-53
+
+    x = uniform(words(0)[0])
+    acc = 0.0
+    state = nu.items[-1][0]
+    for s, m in nu.items:
+        acc += m
+        if x < acc:
+            state = s
+            break
+    t, step, ci = 0.0, 0, 0
+    out = [0] * len(checkpoints)
+    jumps = [(0.0, state)]
+    while True:
+        w = words(1 + step // 2)
+        k = 2 * (step % 2)
+        hold = -np.log1p(-np.array([uniform(w[k])]))[0]
+        rate = lam[state - 1] + mu[state - 1]
+        t_next = t + hold / rate
+        while ci < len(checkpoints) and checkpoints[ci] < t_next:
+            out[ci] = state
+            ci += 1
+        if t_next > horizon:
+            return None, out, jumps
+        state += 1 if uniform(w[k + 1]) < lam[state - 1] / rate else -1
+        t = t_next
+        step += 1
+        jumps.append((t, state))
+        if state == 0:
+            return t, out, jumps
+
+
 class TestSimConfig:
     def test_validation(self):
         nu = b.InitialDistribution({1: 1.0})
@@ -54,19 +101,21 @@ class TestSamplePath:
         traj, absorbed = b.sample_path(two_state_chain, 2, 11, 1e-6)
         assert absorbed is None
 
-    def test_long_path_crosses_chunk_boundary(self):
-        # A 40-state unit-rate walk makes far more than 32 jumps per path,
-        # exercising the buffered draw refill.
+    def test_long_path_crosses_block_boundary(self):
+        # A 40-state unit-rate walk makes far more jumps than the longest
+        # block of steps drawn at once, so the path spans several blocks.
         spec = b.symmetric_rw_spec(1, 40)
         traj, absorbed = b.sample_path(spec, 20, 5, 1e6)
         assert absorbed is not None
-        assert len(traj) > 32
+        assert len(traj) - 1 > b.simulate._MAX_STEPS
 
     def test_validation(self, two_state_chain):
         with pytest.raises(ValueError, match="start"):
             b.sample_path(two_state_chain, 5, 1, 1.0)
         with pytest.raises(ValueError, match="t_horizon"):
             b.sample_path(two_state_chain, 1, 1, 0.0)
+        with pytest.raises(ValueError, match="seed"):
+            b.sample_path(two_state_chain, 1, np.random.default_rng(1), 1.0)
 
 
 class TestEmpiricalHitting:
@@ -108,14 +157,114 @@ class TestFirstJumpSplit:
         spec = b.ProcessSpec((2.0, 0.0), (1.0, 1.0))
         ups = 0
         n = 4000
-        for idx in range(n):
-            traj, _ = b.sample_path(
-                spec, 1, np.random.Generator(np.random.Philox(key=(17 << 64) + idx)), 1e9
-            )
+        for seed in range(n):
+            traj, _ = b.sample_path(spec, 1, seed, 1e9)
             ups += traj[1][1] == 2
         p_hat = ups / n
         se = math.sqrt((2 / 3) * (1 / 3) / n)
         assert abs(p_hat - 2 / 3) < 4 * se
+
+
+class TestStreams:
+    def test_philox_matches_numpy_raw_words(self):
+        # Each counter's four words are numpy's Philox output for the same
+        # key, one counter step earlier (numpy steps its counter first).
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            key = [int(k) for k in rng.integers(0, 2**64, 2, dtype=np.uint64)]
+            ctr = [int(c) for c in rng.integers(0, 2**64, 4, dtype=np.uint64)]
+            value = sum(c << (64 * i) for i, c in enumerate(ctr))
+            raw = np.random.Philox(
+                key=key[0] + (key[1] << 64), counter=(value - 1) % 2**256
+            ).random_raw(4)
+            (x0, x2), (x1, x3) = b.simulate._philox4x64([[c] for c in ctr], key)
+            assert [int(w[0]) for w in (x0, x1, x2, x3)] == [int(w) for w in raw]
+
+    def test_philox_known_answer(self):
+        # Random123's known answer for Philox4x64-10, zero key and counter.
+        (x0, x2), (x1, x3) = b.simulate._philox4x64([[0]] * 4, (0, 0))
+        assert [int(w[0]) for w in (x0, x1, x2, x3)] == [
+            0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B,
+        ]
+
+    def test_walker_follows_the_stream_layout(self):
+        # The batched walker against a scalar loop over numpy's Philox:
+        # the same absorption times, censoring and checkpoint states.
+        spec = random_chain(76, n=6)
+        nu = b.InitialDistribution({1: 0.25, 3: 0.5, 6: 0.25})
+        cfg = b.SimConfig(200, 6.0, 2**63 + 5, nu)
+        cps = [0.0, 0.4, 2.5, 6.0]
+        ref = [reference_walk(spec, nu, cfg.seed, p, 6.0, cps) for p in range(200)]
+        sample = b.empirical_hitting(spec, cfg)
+        hits = sorted(hit for hit, _, _ in ref if hit is not None)
+        assert 0 < sample.n_censored < 200
+        assert sample.n_censored == 200 - len(hits)
+        np.testing.assert_array_equal(sample.times, hits)
+        counts = np.zeros((len(cps), spec.n_states + 1), dtype=np.int64)
+        for _, states, _ in ref:
+            for c, st in enumerate(states):
+                counts[c, st] += 1
+        np.testing.assert_array_equal(b.empirical_occupancy(spec, cfg, cps), counts)
+        one = b.InitialDistribution({4: 1.0})
+        for seed in (0, 3, 2**64 - 1):
+            hit, _, jumps = reference_walk(spec, one, seed, 0, 50.0)
+            assert b.sample_path(spec, 4, seed, 50.0) == (jumps, hit)
+
+    def test_paths_do_not_depend_on_batching(self):
+        # A path's stream is a function of (seed, path, step) alone: the
+        # first 500 paths of a 2000-path run are the 500-path run.
+        spec = random_chain(77, n=8)
+        nu = b.InitialDistribution({1: 0.5, 3: 0.5})
+        small = b.empirical_hitting(spec, b.SimConfig(500, 1e4, 8, nu)).times
+        large = b.empirical_hitting(spec, b.SimConfig(2000, 1e4, 8, nu)).times
+        assert len(small) == 500 and len(large) == 2000
+        assert np.all(np.isin(small, large))
+
+    def test_live_set_size_does_not_change_results(self, monkeypatch):
+        spec = random_chain(78, n=6)
+        nu = b.InitialDistribution({2: 1.0})
+        cfg = b.SimConfig(300, 1e4, 21, nu)
+        wide = b.empirical_hitting(spec, cfg).times
+        counts = b.empirical_occupancy(spec, cfg, [0.5, 2.0])
+        monkeypatch.setattr(b.simulate, "_LIVE", 7)
+        monkeypatch.setattr(b.simulate, "_CAP", 64)
+        np.testing.assert_array_equal(b.empirical_hitting(spec, cfg).times, wide)
+        np.testing.assert_array_equal(b.empirical_occupancy(spec, cfg, [0.5, 2.0]), counts)
+
+
+class TestExpectedJumps:
+    def test_matches_dense_solve(self):
+        spec = random_chain(79, n=12)
+        lam, mu = spec.lam_array(), spec.mu_array()
+        n = spec.n_states
+        # (I - P) J = 1 over the interior states of the jump chain
+        a = np.eye(n)
+        for i in range(n):
+            rate = lam[i] + mu[i]
+            if i + 1 < n:
+                a[i, i + 1] -= lam[i] / rate
+            if i > 0:
+                a[i, i - 1] -= mu[i] / rate
+        want = np.linalg.solve(a, np.ones(n))
+        for i in range(1, n + 1):
+            got = b.expected_jumps(spec, b.InitialDistribution({i: 1.0}))
+            assert got == pytest.approx(want[i - 1], rel=1e-12)
+        nu = b.InitialDistribution({2: 0.25, 9: 0.75})
+        assert b.expected_jumps(spec, nu) == pytest.approx(0.25 * want[1] + 0.75 * want[8])
+
+    def test_symmetric_walk_closed_form(self):
+        # From 1, with reflection at N: 2N - 1 jumps on average.
+        for n in (1, 5, 40):
+            spec = b.symmetric_rw_spec(1, n)
+            assert b.expected_jumps(spec, b.InitialDistribution({1: 1.0})) == 2 * n - 1
+
+    def test_drifted_walk_overflows_to_inf(self):
+        spec = b.asymmetric_rw(2, 1, 1100)[0]
+        assert b.expected_jumps(spec, b.InitialDistribution({1: 1.0})) == math.inf
+
+    def test_support_validation(self, two_state_chain):
+        with pytest.raises(ValueError, match="support reaches state 5"):
+            b.expected_jumps(two_state_chain, b.InitialDistribution({5: 1.0}))
 
 
 class TestEmpiricalOccupancy:

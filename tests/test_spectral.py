@@ -72,19 +72,8 @@ class TestPsiTable:
             assert np.array_equal(b.psi_table(spec, [-th])[0], want)
         assert np.array_equal(m.psi, table)
 
-    def test_prefix_of_states(self, chain_factory):
-        spec = chain_factory(60)
-        theta = np.array([-2.5, -0.3, 0.0, 1.7])
-        full = b.psi_table(spec, theta)
-        for n in (1, 4, spec.n_states):
-            assert np.array_equal(b.psi_table(spec, theta, n), full[:, :n])
-
     def test_validation(self, chain_factory):
         spec = chain_factory(61)
-        with pytest.raises(ValueError, match="n_states"):
-            b.psi_table(spec, [1.0], 0)
-        with pytest.raises(ValueError, match="n_states"):
-            b.psi_table(spec, [1.0], spec.n_states + 1)
         with pytest.raises(ValueError, match="one-dimensional"):
             b.psi_table(spec, [[1.0]])
 
