@@ -334,15 +334,40 @@ def _cmd_transition(args, parser):
     return 0
 
 
+def _is_numbers(line):
+    """True when every comma-separated field parses as a float ("nan" and "1e-3" do)."""
+    try:
+        for field in line.split(","):
+            float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_samples_csv(path):
+    """(t, f) rows of a samples file, under an optional header line.
+
+    A file with no rows, or with a value that is not finite, is refused
+    here: a NaN or inf sample would reach the fit and come back as a
+    result flagged ill-conditioned, which names the wrong cause.
+    """
     if not os.path.exists(path):
         raise ValueError(f"samples file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    skip = 1 if any(ch.isalpha() for ch in first) else 0
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        lines = fh.read().splitlines()
+    skip = 1 if lines and not _is_numbers(lines[0]) else 0
+    body = [line for line in lines[skip:] if line.split("#", 1)[0].strip()]
+    if not body:
+        raise ValueError(f"samples: no rows in {path}")
+    data = np.loadtxt(body, delimiter=",", ndmin=2)
     if data.shape[1] != 2:
         raise ValueError(f"samples: expected two columns (t, f), got {data.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        t, f = data[bad[0]].tolist()
+        raise ValueError(
+            f"samples: data row {bad[0] + 1} of {path} is not finite (t={t!r}, f={f!r})"
+        )
     return data
 
 
@@ -687,83 +712,98 @@ def _cmd_verify(args, parser):
 # --------------------------------------------------------------------- main
 
 
-def _build_parser():
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_GRID_ARGS = (
+    _arg("--t-min", type=float, default=0.01),
+    _arg("--t-max", type=float, default=5.0),
+    _arg("--t-count", type=int, default=200),
+    _arg("--log-grid", action="store_true"),
+)
+
+# name, help, arguments after the model flags, handler: the one description
+# of each subcommand
+_COMMANDS = (
+    ("cmatrix", "emit C-matrix rows as CSV", (
+        _arg("--rows", type=int, help="last row to build (default min(N, 16))"),
+    ), _cmd_cmatrix),
+    ("spectrum", "emit spectral atoms or quadrature nodes", (
+        _arg("--continuous", action="store_true", help="walk quadrature instead of atoms"),
+        _arg("--nodes", type=int, default=128, help="quadrature node count"),
+    ), _cmd_spectrum),
+    ("density", "absorption density over a time grid", (
+        *_GRID_ARGS,
+        _arg("--state", type=int, default=1, help="start state"),
+        _arg("--nu", help="initial distribution state:mass,..."),
+        _arg("--continuous", action="store_true"),
+        _arg("--nodes", type=int, default=128),
+    ), _cmd_density),
+    ("transition", "transition probability over a time grid", (
+        *_GRID_ARGS,
+        _arg("--from", dest="from_state", type=int, required=True),
+        _arg("--to", dest="to_state", type=int, required=True),
+    ), _cmd_transition),
+    ("reproduce", "recover the initial distribution", (
+        _arg("--nu", help="initial distribution state:mass,..."),
+        _arg("--samples", help="CSV of (t, f) samples for blind numeric mode"),
+        _arg("--mode", choices=("spectral", "numeric"), default="spectral"),
+        _arg("--j-max", type=int, default=4),
+        _arg("--t0", type=float, default=0.005),
+        _arg("--window-factor", type=float, default=0.4),
+        _arg("--force", action="store_true", help="allow j_max beyond 6"),
+    ), _cmd_reproduce),
+    ("htransform", "transform rates and C-matrix by an eigenfunction", (
+        _arg("--gamma", type=_parse_rate, help="eigenvalue shift"),
+        _arg("--branch", choices=("plus", "minus"), default="plus"),
+        _arg("--target-lambda", type=_parse_rate, help="target birth rate"),
+        _arg("--target-mu", type=_parse_rate, help="target death rate"),
+        _arg("--rows", type=int, help="C-matrix rows (default min(N, 12))"),
+    ), _cmd_htransform),
+    ("simulate", "Monte Carlo absorption times plus KS summary", (
+        _arg("--nu", default="1:1"),
+        _arg("--paths", type=int, default=10000),
+        _arg("--horizon", type=float, default=200.0),
+        _arg("--seed", type=int, default=0),
+    ), _cmd_simulate),
+    ("verify", "run the cross-module property checks", (), _cmd_verify),
+)
+
+
+def _build_parser(argv):
+    """The bdhit parser, with only the subparser that argv[0] names.
+
+    Every add_argument costs a HelpFormatter, so a job pays for one
+    subcommand, not eight.  When argv[0] names no subcommand (no command,
+    an option such as -h or --version, an unknown name) all eight are
+    built, so help and the invalid-choice error list them.  A command after
+    an option is never valid, so argv[0] is the only place to look.  The
+    usage line lists all eight names either way.
+    """
+    named = [cmd for cmd in _COMMANDS if argv and cmd[0] == argv[0]]
     parser = _Parser(
         prog="bdhit",
         description="Initial-distribution recovery for absorbed birth-and-death chains",
     )
     parser.add_argument("--version", action="version", version=f"bdhit {__version__}")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("cmatrix", help="emit C-matrix rows as CSV")
-    _add_model_flags(p)
-    p.add_argument("--rows", type=int, help="last row to build (default min(N, 16))")
-    p.set_defaults(func=_cmd_cmatrix)
-
-    p = sub.add_parser("spectrum", help="emit spectral atoms or quadrature nodes")
-    _add_model_flags(p)
-    p.add_argument("--continuous", action="store_true", help="walk quadrature instead of atoms")
-    p.add_argument("--nodes", type=int, default=128, help="quadrature node count")
-    p.set_defaults(func=_cmd_spectrum)
-
-    for name, help_text in (
-        ("density", "absorption density over a time grid"),
-        ("transition", "transition probability over a time grid"),
-    ):
+    # with one subparser the metavar keeps all eight names in the usage line;
+    # with all eight there is none, so the invalid-choice error names "command"
+    metavar = "{%s}" % ",".join(cmd[0] for cmd in _COMMANDS) if named else None
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser, metavar=metavar)
+    for name, help_text, arguments, func in named or _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         _add_model_flags(p)
-        p.add_argument("--t-min", type=float, default=0.01)
-        p.add_argument("--t-max", type=float, default=5.0)
-        p.add_argument("--t-count", type=int, default=200)
-        p.add_argument("--log-grid", action="store_true")
-        if name == "density":
-            p.add_argument("--state", type=int, default=1, help="start state")
-            p.add_argument("--nu", help="initial distribution state:mass,...")
-            p.add_argument("--continuous", action="store_true")
-            p.add_argument("--nodes", type=int, default=128)
-            p.set_defaults(func=_cmd_density)
-        else:
-            p.add_argument("--from", dest="from_state", type=int, required=True)
-            p.add_argument("--to", dest="to_state", type=int, required=True)
-            p.set_defaults(func=_cmd_transition)
-
-    p = sub.add_parser("reproduce", help="recover the initial distribution")
-    _add_model_flags(p)
-    p.add_argument("--nu", help="initial distribution state:mass,...")
-    p.add_argument("--samples", help="CSV of (t, f) samples for blind numeric mode")
-    p.add_argument("--mode", choices=("spectral", "numeric"), default="spectral")
-    p.add_argument("--j-max", type=int, default=4)
-    p.add_argument("--t0", type=float, default=0.005)
-    p.add_argument("--window-factor", type=float, default=0.4)
-    p.add_argument("--force", action="store_true", help="allow j_max beyond 6")
-    p.set_defaults(func=_cmd_reproduce)
-
-    p = sub.add_parser("htransform", help="transform rates and C-matrix by an eigenfunction")
-    _add_model_flags(p)
-    p.add_argument("--gamma", type=_parse_rate, help="eigenvalue shift")
-    p.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    p.add_argument("--target-lambda", type=_parse_rate, help="target birth rate")
-    p.add_argument("--target-mu", type=_parse_rate, help="target death rate")
-    p.add_argument("--rows", type=int, help="C-matrix rows (default min(N, 12))")
-    p.set_defaults(func=_cmd_htransform)
-
-    p = sub.add_parser("simulate", help="Monte Carlo absorption times plus KS summary")
-    _add_model_flags(p)
-    p.add_argument("--nu", default="1:1")
-    p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--horizon", type=float, default=200.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("verify", help="run the cross-module property checks")
-    _add_model_flags(p)
-    p.set_defaults(func=_cmd_verify)
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

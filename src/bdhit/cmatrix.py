@@ -10,11 +10,16 @@ occupation probabilities.
 
 Entries grow combinatorially and the recursion alternates signs, so exact
 rational arithmetic is the default whenever the chain's rates are exact;
-float mode must be requested explicitly.
+float mode must be requested explicitly.  Exact rows are built on integers:
+over the lcm L of the rate denominators, row i is a vector of integer
+numerators over one denominator, and each entry becomes a Fraction once,
+so the build takes no gcd per arithmetic step (the fraction-free idea of
+Bareiss, 1968).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,6 +100,16 @@ def build_c_matrix(spec, max_index, rational=None):
     function, so one loop fills every column.  The result carries spec's
     speed measure and scale function (CMatrix.from_rows).
 
+    In exact mode the same recursion runs on integers: with L the lcm of
+    the rate denominators, lambda_i = a_i / L and mu_i = b_i / L, and
+    C(i,j) = N(i,j) L^j / E_i over the row denominator E_i = b_1 a_1 ...
+    a_{i-1}, where
+
+    N(i+1, j) = N(i, j-1) + (a_i + b_i) N(i, j) - b_i a_{i-1} N(i-1, j).
+
+    Each entry is then one Fraction(N(i,j) L^j, E_i), equal to what the
+    Fraction recursion gives.  Float mode runs the recursion as written.
+
     Parameters
     ----------
     max_index : last row to build.  Rows beyond n_states need the zero top
@@ -118,28 +133,53 @@ def build_c_matrix(spec, max_index, rational=None):
         )
         max_index = n
 
-    if rational:
-        lam = [Fraction(x) for x in spec.lam]
-        mu = [Fraction(x) for x in spec.mu]
-        zero = Fraction(0)
-    else:
-        lam = [float(x) for x in spec.lam]
-        mu = [float(x) for x in spec.mu]
-        zero = 0.0
+    rows = _rational_rows(spec, max_index) if rational else _float_rows(spec, max_index)
+    return CMatrix.from_rows(rows, rational, spec)
 
-    rows = [(zero,), (zero, (zero + 1) / mu[0])]
+
+def _rational_rows(spec, max_index):
+    """Exact rows 0..max_index by the integer recursion of build_c_matrix.
+
+    The numerators start from N(0, .) = 0 and N(1, 1) = 1 (E_1 = b_1), and
+    each entry is normalized once, where Fraction arithmetic would take a
+    gcd on every operation.
+    """
+    lam = [Fraction(x) for x in spec.lam[:max_index]]
+    mu = [Fraction(x) for x in spec.mu[:max_index]]
+    scale = math.lcm(*(x.denominator for x in lam + mu))
+    a = [x.numerator * (scale // x.denominator) for x in lam]
+    b = [x.numerator * (scale // x.denominator) for x in mu]
+    powers = [scale**j for j in range(max_index + 1)]
+    zero = Fraction(0)
+    rows = [(zero,), (zero, Fraction(scale, b[0]))]
+    prev, cur, denom = [0], [0, 1], b[0]  # N(0, .), N(1, .), E_1
     for i in range(1, max_index):
-        prev, cur = rows[i - 1], rows[i]
+        ai, bi = a[i - 1], b[i - 1]
+        back = bi * a[i - 2] if i > 1 else 0  # N(0, .) = 0 for i = 1
+        prev = prev + [0, 0]
+        cur = cur + [0]
+        nxt = [0] + [cur[j - 1] + (ai + bi) * cur[j] - back * prev[j] for j in range(1, i + 2)]
+        denom *= ai
+        rows.append((zero,) + tuple(Fraction(nxt[j] * powers[j], denom) for j in range(1, i + 2)))
+        prev, cur = cur, nxt
+    return tuple(rows)
 
-        def at(row, j):
-            return row[j] if j < len(row) else zero
 
-        new = [zero]
+def _float_rows(spec, max_index):
+    """Float rows 0..max_index by the forward recurrence of build_c_matrix."""
+    lam = [float(x) for x in spec.lam]
+    mu = [float(x) for x in spec.mu]
+    rows = [(0.0,), (0.0, 1.0 / mu[0])]
+    for i in range(1, max_index):
+        lam_i, mu_i = lam[i - 1], mu[i - 1]
+        prev = rows[i - 1] + (0.0, 0.0)
+        cur = rows[i] + (0.0,)
+        new = [0.0]
         for j in range(1, i + 2):
-            num = at(cur, j - 1) - mu[i - 1] * at(prev, j) + (lam[i - 1] + mu[i - 1]) * at(cur, j)
-            new.append(num / lam[i - 1])
+            num = cur[j - 1] - mu_i * prev[j] + (lam_i + mu_i) * cur[j]
+            new.append(num / lam_i)
         rows.append(tuple(new))
-    return CMatrix.from_rows(tuple(rows), rational, spec)
+    return tuple(rows)
 
 
 def eval_psi_theta(c, i, theta):

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, manifests, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import bdhit as b
+from bdhit import cli
 from bdhit.cli import main
 
 
@@ -59,6 +62,73 @@ class TestParsing:
             tmp_path, monkeypatch,
         ) == 0
         assert (tmp_path / "cmatrix.csv").read_bytes() == by_spec
+
+
+COMMANDS = ("cmatrix", "spectrum", "density", "transition", "reproduce", "htransform",
+            "simulate", "verify")
+
+USAGE_CASES = [
+    ["-h"],
+    *([name, "-h"] for name in COMMANDS),
+    [],
+    ["--version"],
+    ["frobnicate"],
+    ["reproduce", "--bogus"],
+    ["transition", "--model", "symmetric_rw", "--kappa", "1", "--N", "4"],
+    ["reproduce", "--mode", "bad"],
+    ["--bogus", "reproduce"],
+    ["-h", "reproduce"],
+]
+
+
+def built_commands(parser):
+    """Names of the subparsers a parser holds."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+    def test_help_and_usage_match_the_full_parser(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = main(list(argv)), capsys.readouterr()
+        full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: full([]))
+        want = main(list(argv)), capsys.readouterr()
+        assert got == want
+        assert got[1].out or got[1].err
+
+    def test_builds_only_the_named_subparser(self):
+        assert built_commands(cli._build_parser(["reproduce", "--nu", "1:1"])) == ["reproduce"]
+        for argv in ([], ["-h"], ["--version"], ["frobnicate"], ["--bogus", "reproduce"]):
+            assert built_commands(cli._build_parser(argv)) == list(COMMANDS)
+
+    def test_console_script_reads_sys_argv(self, tmp_path, monkeypatch):
+        built = []
+        full = cli._build_parser
+
+        def spy(argv):
+            parser = full(argv)
+            built.append(built_commands(parser))
+            return parser
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        monkeypatch.setattr(sys, "argv", [
+            "bdhit", "cmatrix", "--model", "symmetric_rw", "--kappa", "1", "--N", "4",
+            "--out-dir", str(tmp_path),
+        ])
+        assert main() == 0
+        assert built == [["cmatrix"]]
+        assert (tmp_path / "cmatrix.csv").exists()
+
+    def test_every_handler_listed_once(self):
+        handlers = {name: fn for name, fn in vars(cli).items() if name.startswith("_cmd_")}
+        listed = [cmd[3] for cmd in cli._COMMANDS]
+        assert [cmd[0] for cmd in cli._COMMANDS] == list(COMMANDS)
+        assert sorted(fn.__name__ for fn in listed) == sorted(handlers)
+        for name, help_text, arguments, fn in cli._COMMANDS:
+            assert listed.count(fn) == 1
+            assert fn is handlers[f"_cmd_{name}"]
 
 
 class TestCMatrixCommand:
@@ -239,6 +309,32 @@ class TestReproduceCommand:
         doc = json.loads((tmp_path / "reproduce.json").read_text())
         assert abs(doc["recovered"][1] - 1.0) < 1e-3
         assert doc.get("reference") is None
+
+    @pytest.mark.parametrize("text, cause", [
+        ("t,f\n0.003,1.5\n0.004,nan\n0.005,2.0\n",
+         "data row 2 of bad.csv is not finite (t=0.004, f=nan)"),
+        ("inf,1.5\n", "data row 1 of bad.csv is not finite (t=inf, f=1.5)"),
+        ("", "no rows in bad.csv"),
+        ("t,f\n", "no rows in bad.csv"),
+    ])
+    def test_bad_samples_file_refused_with_cause(self, text, cause, tmp_path, monkeypatch, capsys):
+        (tmp_path / "bad.csv").write_text(text)
+        code = run(
+            ["reproduce", "--model", "symmetric_rw", "--kappa", "1", "--N", "5",
+             "--samples", "bad.csv", "--mode", "numeric"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: samples: {cause}" in err
+        assert "ill-conditioned" not in err
+        assert not (tmp_path / "reproduce.json").exists()
+
+    def test_headerless_samples_keep_their_first_row(self, tmp_path):
+        # a first row with an exponent is data, not a header
+        (tmp_path / "s.csv").write_text("1e-3,2.5\n0.002,3.0\n")
+        data = cli._read_samples_csv(str(tmp_path / "s.csv"))
+        assert data.tolist() == [[1e-3, 2.5], [0.002, 3.0]]
 
     def test_missing_samples_file(self, tmp_path, monkeypatch, capsys):
         code = run(

@@ -13,6 +13,36 @@ def build(spec, max_index=None, rational=None):
     return b.build_c_matrix(spec, max_index or spec.n_states, rational=rational)
 
 
+def reference_rows(spec, max_index, number):
+    """Rows 0..max_index by the forward recurrence in `number` arithmetic
+    (Fraction or float), one operation at a time."""
+    lam = [number(x) for x in spec.lam]
+    mu = [number(x) for x in spec.mu]
+    zero = number(0)
+    rows = [(zero,), (zero, (zero + 1) / mu[0])]
+    for i in range(1, max_index):
+        prev, cur = rows[i - 1], rows[i]
+
+        def at(row, j):
+            return row[j] if j < len(row) else zero
+
+        new = [zero]
+        for j in range(1, i + 2):
+            num = at(cur, j - 1) - mu[i - 1] * at(prev, j) + (lam[i - 1] + mu[i - 1]) * at(cur, j)
+            new.append(num / lam[i - 1])
+        rows.append(tuple(new))
+    return tuple(rows)
+
+
+def quarter_rate_chain(seed, n):
+    """Exact rates k/4 with k in 2..12, top birth rate 0."""
+    rng = np.random.default_rng(seed)
+    lam = [Fraction(int(k), 4) for k in rng.integers(2, 13, n)]
+    mu = [Fraction(int(k), 4) for k in rng.integers(2, 13, n)]
+    lam[-1] = 0
+    return b.ProcessSpec(lam, mu)
+
+
 class TestConstruction:
     def test_seed_entries(self, rational_chain):
         c = build(rational_chain)
@@ -74,6 +104,51 @@ class TestConstruction:
         with pytest.warns(UserWarning, match="not constructible"):
             c = b.build_c_matrix(two_state_chain, 4)
         assert c.max_index == 2
+
+
+class TestIntegerRecurrence:
+    """The exact rows come from integer numerators over one denominator per
+    row; they must equal the Fraction recurrence entry for entry."""
+
+    @staticmethod
+    def check(spec, max_index, rational=None):
+        c = b.build_c_matrix(spec, max_index, rational=rational)
+        assert c.rational
+        assert c.rows == reference_rows(spec, max_index, Fraction)
+        assert all(type(v) is Fraction for row in c.rows for v in row)
+        assert b.verify_columns(c) == 0
+
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quarter_rate_chains(self, n, seed):
+        spec = quarter_rate_chain(1000 * n + seed, n)
+        for max_index in sorted({1, 2, n // 2, n}):
+            self.check(spec, max_index)
+
+    @pytest.mark.parametrize("kappa", [1, Fraction(3, 2)])
+    def test_walks(self, kappa):
+        self.check(b.symmetric_rw_spec(kappa, 30), 30)
+
+    def test_asymmetric_walk(self):
+        spec, _ = b.asymmetric_rw(Fraction(5, 4), 1, 12)
+        self.check(spec, 12)
+
+    def test_unlike_denominators(self, rational_chain):
+        self.check(rational_chain, 4)
+        spec = b.ProcessSpec(
+            (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), 0),
+            (Fraction(3, 7), 2, Fraction(1, 3), Fraction(9, 11)),
+        )
+        self.check(spec, 4)
+
+    def test_integer_rates_forced_rational(self):
+        self.check(b.ProcessSpec((2, 3, 1, 5, 0), (1, 4, 2, 5, 3)), 5, rational=True)
+
+    def test_float_rows_unchanged(self, chain_factory):
+        for seed in (21, 22):
+            spec = chain_factory(seed)
+            c = b.build_c_matrix(spec, 10, rational=False)
+            assert c.rows == reference_rows(spec, 10, float)
 
 
 class TestAgainstClosedForm:
