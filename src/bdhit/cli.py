@@ -36,7 +36,6 @@ from .htransform import (
     asymmetric_rw,
     rw_gamma_eigenfunctions,
     transform_cmatrix,
-    transform_density,
     transformed_evaluator,
 )
 from .model import (
@@ -54,12 +53,7 @@ from .simulate import (
     ks_statistic,
     sample_path,
 )
-from .spectral import (
-    finite_spectrum,
-    orthogonality_defect,
-    stieltjes_check,
-    symmetric_rw_spectrum,
-)
+from .spectral import orthogonality_defect, stieltjes_check
 
 _FLOAT_FMT = "%.17g"
 _CSV_BLOCK = 4096  # rows per write in emit_plot_data, which keeps its memory flat
@@ -175,13 +169,14 @@ def _jsonable(obj):
 
 
 def _write_json(path, doc):
+    """Write doc, already converted by _jsonable, with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_manifest(out_dir, command, config, outputs, started):
-    config = _jsonable(config)
+    config = _jsonable(config)  # the one conversion: hashed and written as is
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
@@ -244,13 +239,19 @@ def _cmd_cmatrix(args, parser):
     return 0
 
 
+def _continuous_kappa(args, parser):
+    """The walk rate --continuous reads; refused unless the model is the walk."""
+    if args.model != "symmetric_rw" or args.kappa is None:
+        parser.error("--continuous needs --model symmetric_rw --kappa K")
+    return args.kappa
+
+
 def _cmd_spectrum(args, parser):
     started = time.monotonic()
     out = _out_dir(args)
     if args.continuous:
-        if args.model != "symmetric_rw" or args.kappa is None:
-            parser.error("--continuous needs --model symmetric_rw --kappa K")
-        measure = symmetric_rw_spectrum(args.kappa, args.nodes)
+        # one state: theta and the weights do not depend on the table width
+        ev = rw_evaluator(_continuous_kappa(args, parser), n_nodes=args.nodes, n_states=1)
         cfg = {
             "model": "symmetric_rw",
             "kappa": args.kappa,
@@ -259,12 +260,12 @@ def _cmd_spectrum(args, parser):
         }
     else:
         spec = _resolve_spec(args, parser)
-        measure = finite_spectrum(build_c_matrix(spec, min(spec.n_states, 10), rational=False))
+        ev = finite_evaluator(spec)
         cfg = {"spec": spec.to_dict(), "continuous": False}
     csv_path = os.path.join(out, "spectrum.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("theta,weight\n")
-        for th, w in zip(measure.theta, measure.weights):
+        for th, w in zip(ev.theta, ev.weights):
             fh.write(f"{_fmt(th)},{_fmt(w)}\n")
     _write_manifest(out, "spectrum", cfg, [csv_path], started)
     return 0
@@ -281,10 +282,8 @@ def _cmd_density(args, parser):
     started = time.monotonic()
     out = _out_dir(args)
     if args.continuous:
-        if args.model != "symmetric_rw" or args.kappa is None:
-            parser.error("--continuous needs --model symmetric_rw --kappa K")
-        n_states = args.n_states or 64
-        ev = rw_evaluator(args.kappa, n_nodes=args.nodes, n_states=n_states)
+        kappa = _continuous_kappa(args, parser)
+        ev = rw_evaluator(kappa, n_nodes=args.nodes, n_states=args.n_states or 64)
         cfg_spec = {"model": "symmetric_rw", "kappa": args.kappa, "continuous": True}
     else:
         spec = _resolve_spec(args, parser)
@@ -399,7 +398,7 @@ def _cmd_reproduce(args, parser):
         force=args.force,
     )
     json_path = os.path.join(out, "reproduce.json")
-    _write_json(json_path, report.to_dict())
+    _write_json(json_path, _jsonable(report.to_dict()))
     csv_path = os.path.join(out, "reproduce.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("j,recovered,reference,abs_error\n")
@@ -458,9 +457,7 @@ def _cmd_htransform(args, parser):
     else:
         c2 = transform_cmatrix(build_c_matrix(ht.base, rows), ht)
     spec_path = os.path.join(out, "htransform_spec.json")
-    doc = c2.spec.to_dict()
-    doc["gamma"] = _jsonable(ht.gamma)
-    doc["k_values"] = _jsonable(list(ht.k_values))
+    doc = _jsonable({**c2.spec.to_dict(), "gamma": ht.gamma, "k_values": ht.k_values})
     _write_json(spec_path, doc)
     csv_path = _write_cmatrix_csv(os.path.join(out, "htransform_cmatrix.csv"), c2)
     _write_manifest(out, "htransform", cfg, [spec_path, csv_path], started)
@@ -497,7 +494,7 @@ def _cmd_simulate(args, parser):
         "passed": passed,
     }
     summary_path = os.path.join(out, "simulate_summary.json")
-    _write_json(summary_path, summary)
+    _write_json(summary_path, _jsonable(summary))
     cfg = {
         "spec": spec.to_dict(),
         "paths": args.paths,
@@ -664,7 +661,9 @@ def _verify_battery(spec):
 
         x, t = min(2, n), 0.7
         lhs = spectral_sum(ev2, (t,), x)[0]
-        rhs = transform_density(spectral_sum(ev, (t,), x)[0], plus, x, t)
+        # f'_x(t) = exp(-gamma t) f_x(t) / k(x)
+        f = spectral_sum(ev, (t,), x)[0]
+        rhs = math.exp(-float(plus.gamma) * t) * f / float(plus.k_values[x])
         d = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         yield "htransform-density-conjugacy", d <= 1e-9, f"rel diff {d:g}"
 
@@ -704,7 +703,7 @@ def _cmd_verify(args, parser):
             line += f" ({detail})"
         print(line)
     json_path = os.path.join(out, "verify.json")
-    _write_json(json_path, {"spec": spec.to_dict(), "results": results})
+    _write_json(json_path, _jsonable({"spec": spec.to_dict(), "results": results}))
     _write_manifest(out, "verify", {"spec": spec.to_dict()}, [json_path], started)
     return 2 if any(r["passed"] is False for r in results) else 0
 

@@ -27,12 +27,7 @@ import numpy as np
 
 from .cmatrix import build_c_matrix, diff_operator_coeffs
 from .model import symmetric_rw_spec
-from .spectral import (
-    DensityEvaluator,
-    finite_spectrum,
-    rw_psi_values,
-    symmetric_rw_spectrum,
-)
+from .spectral import DensityEvaluator, finite_spectrum
 
 __all__ = [
     "InitialDistribution",
@@ -118,21 +113,36 @@ def finite_evaluator(spec, c_rows=None):
 def rw_evaluator(kappa, n_nodes=128, n_states=64):
     """Quadrature-backed evaluator for the symmetric walk with rate kappa.
 
-    Exact (to rounding) for states up to n_nodes - 1 per the quadrature
-    rule; n_states bounds the eigenfunction table and the truncation used
-    for the C rows, whose entries do not depend on the truncation level.
+    The walk's spectral density sqrt(theta (4 kappa - theta)) / (2 pi) on
+    (0, 4 kappa) becomes (2 kappa^2 / pi) sin^2 u on (0, pi) under
+    theta = 2 kappa (1 - cos u).  Its midpoint rule has nodes
+    u_m = (m - 1/2) pi / n_nodes and weights (2 kappa^2 / n_nodes) sin^2 u_m,
+    of total mass kappa^2, and the eigenfunctions at the nodes are
+    psi_m(i) = sin(i u_m) / (kappa sin u_m).  The rule integrates the
+    products sin(iu) sin(ju) exactly for i, j <= n_nodes - 1, so the
+    evaluator is exact (to rounding) for states below n_nodes.  n_states
+    bounds the eigenfunction table and the truncation used for the C rows,
+    whose entries do not depend on the truncation level.
     """
-    if n_states < 2:
-        raise ValueError(f"n_states: must be at least 2, got {n_states}")
+    kappa_f = float(kappa)
+    if kappa_f <= 0:
+        raise ValueError(f"kappa: must be positive, got {kappa_f}")
+    if n_nodes < 2:
+        raise ValueError(f"n_nodes: must be at least 2, got {n_nodes}")
+    if n_states < 1:
+        raise ValueError(f"n_states: must be at least 1, got {n_states}")
     if n_states >= n_nodes:
         raise ValueError(
             f"n_states: must stay below n_nodes for the quadrature to be exact "
             f"({n_states} >= {n_nodes})"
         )
-    q = symmetric_rw_spectrum(kappa, n_nodes)
-    psi = np.vstack([rw_psi_values(q, i) for i in range(1, n_states + 1)]).T
+    u = (np.arange(1, n_nodes + 1) - 0.5) * math.pi / n_nodes
+    sin_u = np.sin(u)
+    theta = 2.0 * kappa_f * (1.0 - np.cos(u))
+    weights = (2.0 * kappa_f**2 / n_nodes) * sin_u**2
+    psi = (np.sin(np.arange(1, n_states + 1)[:, None] * u) / (kappa_f * sin_u)).T
     c = build_c_matrix(symmetric_rw_spec(kappa, n_states), min(n_states, 16))
-    return DensityEvaluator(q.theta, q.weights, psi, c, is_continuous=True)
+    return DensityEvaluator(theta, weights, psi, c, is_continuous=True)
 
 
 def _check_state(ev, i, name="state"):
@@ -148,8 +158,9 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
     density f), ("state", j) (b_k = pi_j psi_k(j), P[X_t = j]) or
     ("c_row", j) (b_k = pi_j sum_m C(j, m) (-theta_k)^(m-1), the row-j
     C-matrix operator applied to f, from the C coefficients).  transform:
-    an order k >= 0 (a factor (-theta_k)^k, the k-th t-derivative) or
-    "cdf" (-expm1(-theta_k t) / theta_k in place of exp(-theta_k t)).
+    an integer order k >= 0 (a factor (-theta_k)^k, the k-th t-derivative)
+    or "cdf" (-expm1(-theta_k t) / theta_k in place of exp(-theta_k t)).
+    Any other target or transform is refused with a ValueError naming it.
 
     So f_i(t) is spectral_sum(ev, t, i), P_i[X_t = j] is
     spectral_sum(ev, t, i, ("state", j)) and P_nu[T_0 <= t] is
@@ -172,7 +183,14 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
         _check_state(ev, start)
         coef = ev.weights * ev.psi[:, start - 1]
     if target != "absorption":
-        kind, j = target
+        try:
+            kind, j = () if isinstance(target, str) else target
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"target: expected 'absorption' or a (kind, state) pair, got {target!r}"
+            ) from None
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise ValueError(f"target: state must be an integer, got {j!r}")
         if kind == "state":
             _check_state(ev, j, "target state")
             coef *= ev.psi[:, j - 1]
@@ -203,8 +221,12 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
         coef /= neg_theta
         decay = np.expm1
     else:
+        if isinstance(transform, bool) or not isinstance(transform, (int, np.integer)):
+            raise ValueError(
+                f"transform: expected 'cdf' or an integer order, got {transform!r}"
+            )
         if transform < 0:
-            raise ValueError(f"order: must be nonnegative, got {transform}")
+            raise ValueError(f"transform order: must be nonnegative, got {transform}")
         if transform:
             coef *= neg_theta**transform
         decay = np.exp

@@ -5,9 +5,11 @@ chain into a new birth-and-death chain:
 
     lambda'_i = lambda_i k(i+1)/k(i),   mu'_i = mu_i k(i-1)/k(i),
 
-whose semigroup is P'_t(x, y) = exp(-gamma t) (k(y)/k(x)) P_t(x, y) and
-whose spectral atoms shift by gamma.  The asymmetric walk (lambda != mu)
-arises this way from the symmetric walk with kappa = sqrt(lambda mu) and
+whose semigroup is P'_t(x, y) = exp(-gamma t) (k(y)/k(x)) P_t(x, y), whose
+hitting density is f'_x(t) = exp(-gamma t) f_x(t) / k(x) and whose spectral
+atoms shift by gamma; transformed_evaluator carries the spectral
+representation across.  The asymmetric walk (lambda != mu) arises this way
+from the symmetric walk with kappa = sqrt(lambda mu) and
 gamma = (sqrt(lambda) - sqrt(mu))^2, which is how its hitting density
 inherits the Bessel closed form.
 """
@@ -30,8 +32,6 @@ __all__ = [
     "rw_gamma_eigenfunctions",
     "transform_rates",
     "transform_cmatrix",
-    "transform_density",
-    "transform_transition",
     "asymmetric_rw",
     "transformed_evaluator",
 ]
@@ -185,21 +185,6 @@ def transform_cmatrix(c, ht):
             row.append(k1sq * acc / k[i])
         rows.append(tuple(row))
     return CMatrix.from_rows(tuple(rows), rational, transform_rates(ht))
-
-
-def transform_density(f_base, ht, x, t):
-    """Absorption density of the transformed chain from the base one.
-
-    f'_x(t) = exp(-gamma t) f_x(t) / k(x); the k(0) = 1 normalization
-    keeps the target boundary weight fixed.
-    """
-    return math.exp(-float(ht.gamma) * t) * f_base / float(ht.k_values[x])
-
-
-def transform_transition(p_base, ht, x, y, t):
-    """P'_t(x, y) = exp(-gamma t) (k(y)/k(x)) P_t(x, y)."""
-    k = ht.k_values
-    return math.exp(-float(ht.gamma) * t) * float(k[y]) / float(k[x]) * p_base
 
 
 def asymmetric_rw(lam, mu, n_states):

@@ -107,9 +107,13 @@ class ProcessSpec:
         """Number of interior states N."""
         return len(self.lam)
 
-    @property
+    @functools.cached_property
     def is_rational(self):
-        """True when every rate is an int or Fraction (exact mode available)."""
+        """True when every rate is an int or Fraction (exact mode available).
+
+        Scanned once per spec and kept out of the dataclass fields, so
+        equality and hashing still read the rates alone.
+        """
         return all(_is_exact_number(r) for r in self.lam) and all(
             _is_exact_number(r) for r in self.mu
         )

@@ -6,11 +6,11 @@ carries the chain and its speed measure.  Finite chains get it from
 finite_spectrum: an exact discrete spectrum from the bidiagonal factor of
 the negated symmetrized generator, whose singular values square to the
 atoms with high relative accuracy, however small.  The constant-rate
-symmetric walk has a closed-form continuous spectral density, discretized
-by a trigonometric quadrature rule (RWSpectrum) that is exact on the
-eigenfunction products it is used for.  A Stieltjes-ratio identity for the
-same walk serves as an independent cross-check of the whole spectral
-setup.
+symmetric walk has a closed-form continuous spectral density;
+densities.rw_evaluator discretizes it by a trigonometric quadrature rule
+that is exact on the eigenfunction products it is used for, into the same
+DensityEvaluator.  A Stieltjes-ratio identity for the same walk serves as
+an independent cross-check of the whole spectral setup.
 """
 
 from __future__ import annotations
@@ -27,11 +27,8 @@ from .cmatrix import CMatrix, eval_psi_theta
 
 __all__ = [
     "DensityEvaluator",
-    "RWSpectrum",
     "psi_table",
     "finite_spectrum",
-    "symmetric_rw_spectrum",
-    "rw_psi_values",
     "orthogonality_defect",
     "stieltjes_check",
 ]
@@ -43,11 +40,12 @@ class DensityEvaluator:
 
     theta and weights are the atoms theta_k and weights w_k of the
     spectral measure: the exact discrete spectrum of a finite chain
-    (theta ascending and positive), or the symmetric walk's quadrature
-    nodes when is_continuous.  psi has one row per atom and one column per
-    interior state, psi_k(i) = psi_{-theta_k}(i); for a finite chain it is
-    the table finite_spectrum computed the weights from, for the walk its
-    closed form.  c carries the rows of the C-matrix, so the
+    (theta ascending and positive), or the nodes and weights of
+    rw_evaluator's quadrature rule for the symmetric walk when
+    is_continuous.  psi has one row per atom and one column per interior
+    state, psi_k(i) = psi_{-theta_k}(i); for a finite chain it is the table
+    finite_spectrum computed the weights from, for the walk its closed
+    form.  c carries the rows of the C-matrix, so the
     differential-operator coefficients are at hand, and is the one holder
     of the chain (spec) and its speed measure (pi, as floats over the same
     states as psi).
@@ -70,27 +68,6 @@ class DensityEvaluator:
     @property
     def n_states(self):
         return self.psi.shape[1]
-
-    @property
-    def n_atoms(self):
-        return len(self.theta)
-
-
-@dataclass(frozen=True)
-class RWSpectrum:
-    """Quadrature discretization of the symmetric-walk spectral density.
-
-    The density is sqrt(theta (4 kappa - theta)) / (2 pi) on (0, 4 kappa).
-    Under theta = 2 kappa (1 - cos u) it becomes (2 kappa^2 / pi) sin^2 u
-    on (0, pi), where the midpoint rule in u integrates the eigenfunction
-    products sin(iu) sin(ju) exactly for i, j <= n_nodes - 1.  rw_evaluator
-    turns the rule into the walk's DensityEvaluator.
-    """
-
-    kappa: float
-    nodes_u: np.ndarray
-    theta: np.ndarray
-    weights: np.ndarray
 
     @property
     def n_atoms(self):
@@ -255,33 +232,6 @@ def finite_spectrum(c):
                 f"at state {i_chk} (|{horner:g} - {rec:g}|)"
             )
     return DensityEvaluator(theta, weights, psi, c)
-
-
-def symmetric_rw_spectrum(kappa, n_nodes):
-    """Midpoint quadrature for the symmetric-walk spectral density.
-
-    Nodes u_m = (m - 1/2) pi / n and weights (2 kappa^2 / n) sin^2 u_m;
-    total mass kappa^2.  Exact for integrands sin(iu) sin(ju) with
-    i, j <= n_nodes - 1, hence for every orthogonality integral the
-    evaluators need.
-    """
-    kappa = float(kappa)
-    if kappa <= 0:
-        raise ValueError(f"kappa: must be positive, got {kappa}")
-    if n_nodes < 2:
-        raise ValueError(f"n_nodes: must be at least 2, got {n_nodes}")
-    m = np.arange(1, n_nodes + 1)
-    u = (m - 0.5) * math.pi / n_nodes
-    theta = 2.0 * kappa * (1.0 - np.cos(u))
-    weights = (2.0 * kappa**2 / n_nodes) * np.sin(u) ** 2
-    return RWSpectrum(kappa, u, theta, weights)
-
-
-def rw_psi_values(measure, i):
-    """Eigenfunction values at the quadrature nodes: sin(i u)/(kappa sin u)."""
-    if i < 1:
-        raise ValueError(f"state {i}: must be >= 1")
-    return np.sin(i * measure.nodes_u) / (measure.kappa * np.sin(measure.nodes_u))
 
 
 def orthogonality_defect(ev, i, j):

@@ -196,6 +196,13 @@ class TestSpectrumCommand:
         assert len(data) == 24
         assert all(0 < r[0] < 8 for r in data)  # theta in (0, 4 kappa)
 
+    def test_continuous_two_nodes_is_the_smallest_rule(self, tmp_path, monkeypatch, capsys):
+        argv = ["spectrum", "--continuous", "--model", "symmetric_rw", "--kappa", "1", "--nodes"]
+        assert run([*argv, "2"], tmp_path, monkeypatch) == 0
+        assert len(read_csv(tmp_path / "spectrum.csv")[1]) == 2
+        assert run([*argv, "1"], tmp_path, monkeypatch) == 1
+        assert "n_nodes: must be at least 2, got 1" in capsys.readouterr().err
+
 
 class TestDensityCommand:
     def test_values_match_library(self, tmp_path, monkeypatch):

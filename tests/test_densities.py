@@ -1,5 +1,6 @@
 """Transition probabilities and hitting-time densities from the spectral data."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -305,6 +306,25 @@ class TestSpectralSum:
         assert b.spectral_sum(ev, [], 1).shape == (0,)
         # +inf stays allowed: verify reads the total mass as the CDF there.
         assert b.spectral_sum(ev, [np.inf], 1, transform="cdf")[0] == pytest.approx(1.0, abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"transform": 1.5}, "transform: expected 'cdf' or an integer order, got 1.5"),
+            ({"transform": True}, "transform: expected 'cdf' or an integer order, got True"),
+            ({"transform": "CDF"}, "transform: expected 'cdf' or an integer order, got 'CDF'"),
+            ({"target": "absorb"},
+             "target: expected 'absorption' or a (kind, state) pair, got 'absorb'"),
+            ({"target": ("state", 2.0)}, "target: state must be an integer, got 2.0"),
+        ],
+        ids=["fractional-order", "bool-order", "unknown-transform", "bare-string-target",
+             "float-target-state"],
+    )
+    def test_refuses_malformed_argument(self, kwargs, message):
+        ev = b.finite_evaluator(b.symmetric_rw_spec(1, 10))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            b.spectral_sum(ev, (1.0, 2.0), 1, **kwargs)
 
 
 class TestRWEvaluator:

@@ -136,33 +136,39 @@ class TestTransformCMatrix:
 
 
 class TestDensityConjugacy:
+    """f'_x(t) = exp(-gamma t) f_x(t) / k(x) and
+    P'_t(x, y) = exp(-gamma t) (k(y)/k(x)) P_t(x, y), read from
+    transformed_evaluator and from the drifted chain built directly."""
+
     def test_density_and_transition(self):
         direct_spec, ht = b.asymmetric_rw(2, 1, 60)
         base_ev = b.finite_evaluator(ht.base, c_rows=6)
+        tilted_ev = b.transformed_evaluator(base_ev, ht)
         direct_ev = b.finite_evaluator(direct_spec, c_rows=6)
-        ts = (0.1, 0.7, 3.0)
+        ts = np.array([0.1, 0.7, 3.0])
+        decay = np.exp(-float(ht.gamma) * ts)
+        k = ht.k_array()
         for x in (1, 2, 5):
-            f_base = b.spectral_sum(base_ev, ts, x)
-            want = b.spectral_sum(direct_ev, ts, x)
-            for t, f, w in zip(ts, f_base, want):
-                assert b.transform_density(f, ht, x, t) == pytest.approx(w, rel=1e-9)
-        p_base = b.spectral_sum(base_ev, ts, 2, ("state", 4))
-        want = b.spectral_sum(direct_ev, ts, 2, ("state", 4))
-        for t, p, w in zip(ts, p_base, want):
-            assert b.transform_transition(p, ht, 2, 4, t) == pytest.approx(w, rel=1e-9)
+            want = decay * b.spectral_sum(base_ev, ts, x) / k[x]
+            for ev in (tilted_ev, direct_ev):
+                np.testing.assert_allclose(b.spectral_sum(ev, ts, x), want, rtol=1e-9)
+        want = decay * k[4] / k[2] * b.spectral_sum(base_ev, ts, 2, ("state", 4))
+        for ev in (tilted_ev, direct_ev):
+            np.testing.assert_allclose(b.spectral_sum(ev, ts, 2, ("state", 4)), want, rtol=1e-9)
 
     def test_bessel_closed_form_through_tilting(self):
         # Tilted closed-form density for the (2, 1) walk from state 1.
         from bdhit.oracles import rw_hitting_density_closed_form
 
         direct_spec, ht = b.asymmetric_rw(2, 1, 200)
-        ev = b.finite_evaluator(direct_spec, c_rows=4)
+        tilted_ev = b.transformed_evaluator(b.finite_evaluator(ht.base, c_rows=4), ht)
+        direct_ev = b.finite_evaluator(direct_spec, c_rows=4)
         kappa = math.sqrt(2.0)
         for t in (0.25, 1.0, 4.0):
-            want = b.transform_density(
-                rw_hitting_density_closed_form(kappa, t), ht, 1, t
-            )
-            assert b.spectral_sum(ev, (t,), 1)[0] == pytest.approx(want, rel=1e-10)
+            f = rw_hitting_density_closed_form(kappa, t)
+            want = math.exp(-float(ht.gamma) * t) * f / float(ht.k_values[1])
+            for ev in (tilted_ev, direct_ev):
+                assert b.spectral_sum(ev, (t,), 1)[0] == pytest.approx(want, rel=1e-10)
 
 
 class TestTransformedEvaluator:

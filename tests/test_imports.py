@@ -1,9 +1,12 @@
 """Every name a bdhit module imports is read somewhere in that module,
-and the package exports each module's public names once.
+every name it exports is read somewhere else, and the package exports each
+module's public names once.
 
 An AST scan stands in for a linter: a module that imports a name and
 never reads it fails here.  __init__.py is exempt (its imports are the
-package's re-exports), and so are `from __future__` imports.
+package's re-exports), and so are `from __future__` imports.  An export
+counts as read when another file under src/, tests/ or demos/ loads it as
+a name or an attribute (`spectral_sum(...)`, `b.spectral_sum`).
 """
 
 import ast
@@ -12,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bdhit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bdhit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -65,3 +69,31 @@ def test_package_exports_every_module_name_once():
         exported.update(module.__all__)
     assert len(bdhit.__all__) == len(set(bdhit.__all__))
     assert set(bdhit.__all__) == exported
+
+
+def names_read(source):
+    """Names a source loads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_export_is_read_elsewhere():
+    files = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+    reads = {p: names_read(p.read_text(encoding="utf-8")) for p in files}
+    dead = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in getattr(importlib.import_module(f"bdhit.{path.stem}"), "__all__", ())
+        if not any(name in read for p, read in reads.items() if p != path)
+    ]
+    assert dead == []
+
+
+def test_export_scan_sees_names_and_attributes():
+    source = "import bdhit as b\nfrom bdhit import f\nf(b.g, h=1)\nb.k = 2\n"
+    assert names_read(source) == {"b", "f", "g"}

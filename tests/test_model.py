@@ -22,6 +22,22 @@ class TestProcessSpec:
         spec = b.ProcessSpec((1, 0.0), (1, 2))
         assert not spec.is_rational
 
+    def test_exact_c_matrix_reads_each_rate_once(self, monkeypatch):
+        # is_rational is scanned once per spec; build_scale_function also
+        # checks the N exact speed-measure weights.
+        n = 20
+        lam = [Fraction(2 + i % 11, 4) for i in range(n - 1)] + [0]
+        mu = [Fraction(2 + (3 * i) % 11, 4) for i in range(n)]
+        spec = b.ProcessSpec(lam, mu)
+        calls = []
+        real = b.model._is_exact_number
+        monkeypatch.setattr(b.model, "_is_exact_number", lambda x: calls.append(x) or real(x))
+        assert b.build_c_matrix(spec, n).rational
+        assert len(calls) == 2 * n + n
+        # the cached flag is no field: equality and hashing see the rates only
+        fresh = b.ProcessSpec(lam, mu)
+        assert spec == fresh and hash(spec) == hash(fresh)
+
     def test_arrays_are_float(self, rational_chain):
         la = rational_chain.lam_array()
         assert la.dtype == np.float64

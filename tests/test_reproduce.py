@@ -55,6 +55,7 @@ class TestSpectralRoute:
     def test_report_to_dict(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(74))
         rep = b.recover_initial(ev, nu=b.InitialDistribution({1: 1.0}), j_max=3)
+        assert isinstance(rep, b.ReproductionReport)
         doc = rep.to_dict()
         assert doc["mode"] == "spectral"
         assert doc["states"] == [1, 2, 3]
@@ -145,6 +146,7 @@ class TestNumericOperator:
         f = b.spectral_sum(ev, t_grid, 1)
         coeffs = b.diff_operator_coeffs(ev.c, 3)
         app = b.apply_psi_dt_numeric((t_grid, f), coeffs, 0.5, cond_threshold=1.0)
+        assert isinstance(app, b.NumericApplication)
         assert not app.reliable
         assert app.condition > 1.0
 

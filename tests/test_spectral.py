@@ -225,36 +225,44 @@ class TestOrthogonality:
 
 
 class TestRWSpectrum:
+    """The walk's midpoint rule, as rw_evaluator builds it."""
+
     def test_nodes_and_support(self):
         kappa = 1.5
-        m = b.symmetric_rw_spectrum(kappa, 32)
-        assert np.all((m.nodes_u > 0) & (m.nodes_u < np.pi))
-        assert np.all((m.theta > 0) & (m.theta < 4 * kappa))
-        assert m.n_atoms == 32
+        ev = b.rw_evaluator(kappa, n_nodes=32, n_states=4)
+        assert ev.n_atoms == 32
+        assert np.all((ev.theta > 0) & (ev.theta < 4 * kappa))
+        # the rule in closed form, operation for operation
+        u = (np.arange(1, 33) - 0.5) * math.pi / 32
+        np.testing.assert_array_equal(ev.theta, 2.0 * kappa * (1.0 - np.cos(u)))
+        np.testing.assert_array_equal(ev.weights, (2.0 * kappa**2 / 32) * np.sin(u) ** 2)
+        for i in range(1, 5):
+            np.testing.assert_array_equal(ev.psi[:, i - 1], np.sin(i * u) / (kappa * np.sin(u)))
 
     def test_total_weight_is_kappa_squared(self):
         # Integral of the spectral weight over (0, 4 kappa) equals kappa^2.
         for kappa in (1.0, 2.0):
-            m = b.symmetric_rw_spectrum(kappa, 64)
-            assert math.fsum(m.weights) == pytest.approx(kappa**2, rel=1e-14)
+            ev = b.rw_evaluator(kappa, n_nodes=64, n_states=1)
+            assert math.fsum(ev.weights) == pytest.approx(kappa**2, rel=1e-14)
 
     def test_psi_values_match_recurrence(self):
         kappa = 2.0
-        m = b.symmetric_rw_spectrum(kappa, 16)
-        spec = b.symmetric_rw_spec(kappa, 24)
-        for i in (1, 2, 5):
-            got = b.rw_psi_values(m, i)
-            want = b.psi_table(spec, -m.theta)[:, i - 1]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        ev = b.rw_evaluator(kappa, n_nodes=16, n_states=5)
+        want = b.psi_table(b.symmetric_rw_spec(kappa, 24), -ev.theta)[:, :5]
+        np.testing.assert_allclose(ev.psi, want, rtol=1e-12, atol=1e-14)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="kappa"):
-            b.symmetric_rw_spectrum(-1.0, 8)
-        with pytest.raises(ValueError, match="n_nodes"):
-            b.symmetric_rw_spectrum(1.0, 1)
-        m = b.symmetric_rw_spectrum(1.0, 8)
-        with pytest.raises(ValueError, match="state"):
-            b.rw_psi_values(m, 0)
+        # kappa and n_nodes are refused before n_states is looked at
+        with pytest.raises(ValueError, match="kappa: must be positive"):
+            b.rw_evaluator(-1.0, n_nodes=8, n_states=64)
+        with pytest.raises(ValueError, match="n_nodes: must be at least 2"):
+            b.rw_evaluator(1.0, n_nodes=1, n_states=64)
+        with pytest.raises(ValueError, match="n_states: must be at least 1"):
+            b.rw_evaluator(1.0, n_nodes=8, n_states=0)
+        ev = b.rw_evaluator(1.0, n_nodes=2, n_states=1)
+        assert (ev.n_atoms, ev.n_states) == (2, 1)
+        with pytest.raises(ValueError, match="state 0: outside 1..1"):
+            b.spectral_sum(ev, (1.0,), 0)
 
 
 class TestStieltjesRatio:
