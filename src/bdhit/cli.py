@@ -6,6 +6,12 @@ manifest next to them recording the resolved configuration, an input
 digest, the output list, and versions.  Outputs are byte-identical for
 identical configurations, RNG seeds included.
 
+A subcommand's handler only computes: it returns its configuration, its
+outputs (JSON documents and CSV tables by file name) and its exit code,
+and _run_job writes them.  So outputs are written only after the job has
+computed everything, and a refused run writes nothing and creates no
+directory.
+
 Exit codes: 0 success, 1 validation/usage error, 2 numerical failure
 (a failed check or a result flagged unreliable).
 """
@@ -56,7 +62,7 @@ from .simulate import (
 from .spectral import orthogonality_defect, stieltjes_check
 
 _FLOAT_FMT = "%.17g"
-_CSV_BLOCK = 4096  # rows per write in emit_plot_data, which keeps its memory flat
+_CSV_BLOCK = 4096  # rows per write of an all-float table, which keeps its memory flat
 _KS_CRIT_1PCT = 1.6276  # sqrt(-ln(0.005)/2), asymptotic 1% point
 # Expected jumps one simulation may take over all its paths: about 15 s of
 # the sampler at 7 million jumps a second (2 vCPU).
@@ -124,8 +130,7 @@ def _add_model_flags(p):
 def _resolve_spec(args, parser):
     if args.spec is not None:
         if not os.path.exists(args.spec):
-            print(f"error: spec file not found: {args.spec}", file=sys.stderr)
-            raise SystemExit(1)
+            raise ValueError(f"spec file not found: {args.spec}")
         return load_spec(args.spec)
     if args.model == "symmetric_rw":
         if args.kappa is None or args.n_states is None:
@@ -175,16 +180,59 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_manifest(out_dir, command, config, outputs, started):
+def _write_table(path, header, columns):
+    """CSV of equal-length columns under a header line.
+
+    A table of numpy float columns is interleaved by numpy and written
+    _CSV_BLOCK rows at a time in _FLOAT_FMT, which keeps memory flat on
+    long grids.  Any other table is formatted cell by cell with _fmt, a
+    None becoming an empty cell.  A table with no rows is its header.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        if all(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns):
+            data = np.column_stack(columns)
+            row = ",".join([_FLOAT_FMT] * len(columns)) + "\n"
+            for start in range(0, len(data), _CSV_BLOCK):
+                block = data[start:start + _CSV_BLOCK]
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        else:
+            for cells in zip(*columns):
+                fh.write(",".join("" if v is None else _fmt(v) for v in cells) + "\n")
+
+
+def _cmatrix_table(c):
+    """Rows 0..max_index of a C-matrix as (row, col, value) columns."""
+    cells = [(i, j, v) for i, row in enumerate(c.rows) for j, v in enumerate(row)]
+    return ("row", "col", "value"), tuple(zip(*cells))
+
+
+def _run_job(args, parser):
+    """Run the subcommand's handler, then write its outputs and the manifest.
+
+    A handler computes everything and returns (config, outputs, exit
+    code), outputs mapping each file name to a JSON document (a dict) or
+    a (header, columns) table.  Only then is the output directory made
+    and written, so a refused job writes nothing.
+    """
+    started = time.monotonic()
+    config, outputs, code = args.func(args, parser)
+    out = _out_dir(args)
+    for name, content in outputs.items():
+        path = os.path.join(out, name)
+        if isinstance(content, dict):
+            _write_json(path, _jsonable(content))
+        else:
+            _write_table(path, *content)
     config = _jsonable(config)  # the one conversion: hashed and written as is
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
-    doc = {
-        "command": command,
+    manifest = {
+        "command": args.command,
         "config": config,
         "input_digest": digest,
-        "outputs": sorted(os.path.basename(p) for p in outputs),
+        "outputs": sorted(outputs),
         "versions": {
             "bdhit": __version__,
             "numpy": np.__version__,
@@ -193,50 +241,19 @@ def _write_manifest(out_dir, command, config, outputs, started):
         },
         "wall_clock_s": round(time.monotonic() - started, 6),
     }
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    _write_json(path, doc)
-    return path
-
-
-def emit_plot_data(series, path, header=("x", "y")):
-    """Two-column CSV of an (n, 2) array or list of (x, y) pairs, x strictly
-    increasing; every value is written as a float in _FLOAT_FMT."""
-    data = np.asarray(series, dtype=float)
-    if not len(data):
-        raise ValueError("series: empty")
-    if np.any(data[1:, 0] <= data[:-1, 0]):
-        raise ValueError("series: x values must be strictly increasing")
-    row = f"{_FLOAT_FMT},{_FLOAT_FMT}\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{header[0]},{header[1]}\n")
-        for block in np.split(data, range(_CSV_BLOCK, len(data), _CSV_BLOCK)):
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
-    return path
-
-
-def _write_cmatrix_csv(path, c):
-    """Rows 0..max_index of a C-matrix as (row, col, value) lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,value\n")
-        for i in range(c.max_index + 1):
-            for j in range(i + 1):
-                fh.write(f"{i},{j},{_fmt(c.rows[i][j])}\n")
-    return path
+    _write_json(os.path.join(out, f"{args.command}_manifest.json"), manifest)
+    return code
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_cmatrix(args, parser):
-    started = time.monotonic()
     spec = _resolve_spec(args, parser)
-    out = _out_dir(args)
     rows = args.rows if args.rows is not None else min(spec.n_states, 16)
     c = build_c_matrix(spec, rows)
-    csv_path = _write_cmatrix_csv(os.path.join(out, "cmatrix.csv"), c)
     cfg = {"spec": spec.to_dict(), "rows": c.max_index, "rational": c.rational}
-    _write_manifest(out, "cmatrix", cfg, [csv_path], started)
-    return 0
+    return cfg, {"cmatrix.csv": _cmatrix_table(c)}, 0
 
 
 def _continuous_kappa(args, parser):
@@ -247,8 +264,6 @@ def _continuous_kappa(args, parser):
 
 
 def _cmd_spectrum(args, parser):
-    started = time.monotonic()
-    out = _out_dir(args)
     if args.continuous:
         # one state: theta and the weights do not depend on the table width
         ev = rw_evaluator(_continuous_kappa(args, parser), n_nodes=args.nodes, n_states=1)
@@ -262,75 +277,57 @@ def _cmd_spectrum(args, parser):
         spec = _resolve_spec(args, parser)
         ev = finite_evaluator(spec)
         cfg = {"spec": spec.to_dict(), "continuous": False}
-    csv_path = os.path.join(out, "spectrum.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("theta,weight\n")
-        for th, w in zip(ev.theta, ev.weights):
-            fh.write(f"{_fmt(th)},{_fmt(w)}\n")
-    _write_manifest(out, "spectrum", cfg, [csv_path], started)
-    return 0
+    return cfg, {"spectrum.csv": (("theta", "weight"), (ev.theta, ev.weights))}, 0
 
 
-def _grid_from_args(args, continuous):
-    t_min = args.t_min
-    if continuous and t_min < 1e-8:
-        t_min = 1e-8  # termwise evaluation is unsafe at t = 0 for the walk
-    return time_grid(t_min, args.t_max, args.t_count, log=args.log_grid)
+def _grid_series(args, ev, t_min, start, target, column):
+    """(grid config, (t, column) table) of spectral_sum over the grid flags."""
+    grid = time_grid(t_min, args.t_max, args.t_count, log=args.log_grid)
+    values = spectral_sum(ev, grid, start, target)
+    cfg = {
+        "t_min": float(grid[0]),
+        "t_max": args.t_max,
+        "t_count": args.t_count,
+        "log": args.log_grid,
+    }
+    return cfg, (("t", column), (grid, values))
 
 
 def _cmd_density(args, parser):
-    started = time.monotonic()
-    out = _out_dir(args)
+    t_min = args.t_min
     if args.continuous:
         kappa = _continuous_kappa(args, parser)
         ev = rw_evaluator(kappa, n_nodes=args.nodes, n_states=args.n_states or 64)
         cfg_spec = {"model": "symmetric_rw", "kappa": args.kappa, "continuous": True}
+        t_min = max(t_min, 1e-8)  # termwise evaluation is unsafe at t = 0 for the walk
     else:
         spec = _resolve_spec(args, parser)
         ev = finite_evaluator(spec)
         cfg_spec = spec.to_dict()
-    grid = _grid_from_args(args, args.continuous)
     nu = _parse_nu(args.nu) if args.nu else None
-    values = spectral_sum(ev, grid, args.state if nu is None else nu)
-    csv_path = os.path.join(out, "density.csv")
-    emit_plot_data(np.column_stack((grid, values)), csv_path, header=("t", "f"))
+    start = args.state if nu is None else nu
+    grid_cfg, table = _grid_series(args, ev, t_min, start, "absorption", "f")
     cfg = {
         "spec": cfg_spec,
         "state": None if nu is not None else args.state,
         "nu": dict(nu.items) if nu is not None else None,
-        "grid": {
-            "t_min": float(grid[0]),
-            "t_max": args.t_max,
-            "t_count": args.t_count,
-            "log": args.log_grid,
-        },
+        "grid": grid_cfg,
     }
-    _write_manifest(out, "density", cfg, [csv_path], started)
-    return 0
+    return cfg, {"density.csv": table}, 0
 
 
 def _cmd_transition(args, parser):
-    started = time.monotonic()
     spec = _resolve_spec(args, parser)
-    out = _out_dir(args)
     ev = finite_evaluator(spec)
-    grid = _grid_from_args(args, continuous=False)
-    values = spectral_sum(ev, grid, args.from_state, ("state", args.to_state))
-    csv_path = os.path.join(out, "transition.csv")
-    emit_plot_data(np.column_stack((grid, values)), csv_path, header=("t", "p"))
+    target = ("state", args.to_state)
+    grid_cfg, table = _grid_series(args, ev, args.t_min, args.from_state, target, "p")
     cfg = {
         "spec": spec.to_dict(),
         "from": args.from_state,
         "to": args.to_state,
-        "grid": {
-            "t_min": args.t_min,
-            "t_max": args.t_max,
-            "t_count": args.t_count,
-            "log": args.log_grid,
-        },
+        "grid": grid_cfg,
     }
-    _write_manifest(out, "transition", cfg, [csv_path], started)
-    return 0
+    return cfg, {"transition.csv": table}, 0
 
 
 def _is_numbers(line):
@@ -371,9 +368,7 @@ def _read_samples_csv(path):
 
 
 def _cmd_reproduce(args, parser):
-    started = time.monotonic()
     spec = _resolve_spec(args, parser)
-    out = _out_dir(args)
     nu = _parse_nu(args.nu) if args.nu else None
     ev = finite_evaluator(spec, c_rows=max(args.j_max, 16))
     if args.samples is not None:
@@ -397,15 +392,13 @@ def _cmd_reproduce(args, parser):
         window_factor=args.window_factor,
         force=args.force,
     )
-    json_path = os.path.join(out, "reproduce.json")
-    _write_json(json_path, _jsonable(report.to_dict()))
-    csv_path = os.path.join(out, "reproduce.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("j,recovered,reference,abs_error\n")
-        for idx, j in enumerate(report.states):
-            ref = "" if report.reference is None else _fmt(report.reference[idx])
-            err = "" if report.abs_error is None else _fmt(report.abs_error[idx])
-            fh.write(f"{j},{_fmt(report.recovered[idx])},{ref},{err}\n")
+    blank = (None,) * len(report.states)
+    table = ("j", "recovered", "reference", "abs_error"), (
+        report.states,
+        report.recovered,
+        blank if report.reference is None else report.reference,
+        blank if report.abs_error is None else report.abs_error,
+    )
     cfg = {
         "spec": spec.to_dict(),
         "mode": mode,
@@ -415,16 +408,14 @@ def _cmd_reproduce(args, parser):
         "nu": dict(nu.items) if nu is not None else None,
         "samples": args.samples,
     }
-    _write_manifest(out, "reproduce", cfg, [json_path, csv_path], started)
+    outputs = {"reproduce.json": report.to_dict(), "reproduce.csv": table}
     if not report.reliable:
         print("reproduce: result flagged unreliable (ill-conditioned fit)", file=sys.stderr)
-        return 2
-    return 0
+        return cfg, outputs, 2
+    return cfg, outputs, 0
 
 
 def _cmd_htransform(args, parser):
-    started = time.monotonic()
-    out = _out_dir(args)
     target_form = args.target_lambda is not None or args.target_mu is not None
     if target_form:
         if args.target_lambda is None or args.target_mu is None or args.n_states is None:
@@ -456,18 +447,15 @@ def _cmd_htransform(args, parser):
         c2 = build_c_matrix(spec2, rows)
     else:
         c2 = transform_cmatrix(build_c_matrix(ht.base, rows), ht)
-    spec_path = os.path.join(out, "htransform_spec.json")
-    doc = _jsonable({**c2.spec.to_dict(), "gamma": ht.gamma, "k_values": ht.k_values})
-    _write_json(spec_path, doc)
-    csv_path = _write_cmatrix_csv(os.path.join(out, "htransform_cmatrix.csv"), c2)
-    _write_manifest(out, "htransform", cfg, [spec_path, csv_path], started)
-    return 0
+    outputs = {
+        "htransform_spec.json": {**c2.spec.to_dict(), "gamma": ht.gamma, "k_values": ht.k_values},
+        "htransform_cmatrix.csv": _cmatrix_table(c2),
+    }
+    return cfg, outputs, 0
 
 
 def _cmd_simulate(args, parser):
-    started = time.monotonic()
     spec = _resolve_spec(args, parser)
-    out = _out_dir(args)
     nu = _parse_nu(args.nu)
     config = SimConfig(
         n_paths=args.paths, t_horizon=args.horizon, seed=args.seed, initial=nu
@@ -476,11 +464,6 @@ def _cmd_simulate(args, parser):
     if too_long:
         raise ValueError(f"simulate: {too_long}; lower --paths or --horizon")
     sample = empirical_hitting(spec, config)
-    samples_path = os.path.join(out, "simulate_samples.csv")
-    with open(samples_path, "w", encoding="utf-8") as fh:
-        fh.write("t_hit\n")
-        for t in sample.times:
-            fh.write(f"{_fmt(t)}\n")
     ev = None if sample.n_censored else finite_evaluator(spec)
     ks, critical = _ks_gate(ev, sample, nu)
     passed = ks is not None and ks < critical
@@ -493,8 +476,6 @@ def _cmd_simulate(args, parser):
         "ks_critical_1pct": critical,
         "passed": passed,
     }
-    summary_path = os.path.join(out, "simulate_summary.json")
-    _write_json(summary_path, _jsonable(summary))
     cfg = {
         "spec": spec.to_dict(),
         "paths": args.paths,
@@ -502,15 +483,17 @@ def _cmd_simulate(args, parser):
         "seed": args.seed,
         "nu": dict(nu.items),
     }
-    _write_manifest(out, "simulate", cfg, [samples_path, summary_path], started)
+    outputs = {
+        "simulate_samples.csv": (("t_hit",), (sample.times,)),
+        "simulate_summary.json": summary,
+    }
     if sample.n_censored:
         print(
             f"simulate: {sample.n_censored} paths censored at the horizon; "
             "no KS comparison possible",
             file=sys.stderr,
         )
-        return 2
-    return 0 if passed else 2
+    return cfg, outputs, 0 if passed else 2  # censored paths leave passed False
 
 
 def _over_budget(spec, nu, n_paths, horizon):
@@ -690,9 +673,7 @@ def _verify_battery(spec):
 
 
 def _cmd_verify(args, parser):
-    started = time.monotonic()
     spec = _resolve_spec(args, parser)
-    out = _out_dir(args)
     results = []
     for name, passed, detail in _verify_battery(spec):
         if passed is not None:
@@ -702,10 +683,9 @@ def _cmd_verify(args, parser):
         if not passed:
             line += f" ({detail})"
         print(line)
-    json_path = os.path.join(out, "verify.json")
-    _write_json(json_path, _jsonable({"spec": spec.to_dict(), "results": results}))
-    _write_manifest(out, "verify", {"spec": spec.to_dict()}, [json_path], started)
-    return 2 if any(r["passed"] is False for r in results) else 0
+    doc = {"spec": spec.to_dict(), "results": results}
+    code = 2 if any(r["passed"] is False for r in results) else 0
+    return {"spec": spec.to_dict()}, {"verify.json": doc}, code
 
 
 # --------------------------------------------------------------------- main
@@ -811,13 +791,10 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args, parser)
+        return _run_job(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

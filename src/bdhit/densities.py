@@ -27,7 +27,7 @@ import numpy as np
 
 from .cmatrix import build_c_matrix, diff_operator_coeffs
 from .model import symmetric_rw_spec
-from .spectral import DensityEvaluator, finite_spectrum
+from .spectral import DensityEvaluator, _check_state, finite_spectrum
 
 __all__ = [
     "InitialDistribution",
@@ -145,11 +145,6 @@ def rw_evaluator(kappa, n_nodes=128, n_states=64):
     return DensityEvaluator(theta, weights, psi, c, is_continuous=True)
 
 
-def _check_state(ev, i, name="state"):
-    if not 1 <= i <= ev.n_states:
-        raise ValueError(f"{name} {i}: outside 1..{ev.n_states}")
-
-
 def spectral_sum(ev, t, start, target="absorption", transform=0):
     """sum_k w_k exp(-theta_k t) a_k b_k at every t of a 1-D array.
 
@@ -243,7 +238,12 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
 
 
 def time_grid(t_min, t_max, count, log=False):
-    """Evaluation grid on [t_min, t_max], linear by default, log on request."""
+    """Evaluation grid on [t_min, t_max], linear by default, log on request.
+
+    Its points are strictly increasing: count > 1 points on equal
+    endpoints, or on endpoints too close to give count distinct floats,
+    are refused.
+    """
     t_min = float(t_min)
     t_max = float(t_max)
     count = int(count)
@@ -259,5 +259,11 @@ def time_grid(t_min, t_max, count, log=False):
     if log:
         if t_min <= 0:
             raise ValueError(f"grid: log spacing needs t_min > 0, got {t_min}")
-        return np.geomspace(t_min, t_max, count)
-    return np.linspace(t_min, t_max, count)
+        grid = np.geomspace(t_min, t_max, count)
+    else:
+        grid = np.linspace(t_min, t_max, count)
+    if not np.all(grid[1:] > grid[:-1]):
+        raise ValueError(
+            f"grid: {count} points on [{t_min}, {t_max}] are not strictly increasing"
+        )
+    return grid

@@ -234,6 +234,14 @@ def finite_spectrum(c):
     return DensityEvaluator(theta, weights, psi, c)
 
 
+def _check_state(ev, i, name="state"):
+    """Refuse i unless it is an integer (bool excluded) in 1..n_states."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise ValueError(f"{name}: must be an integer, got {i!r}")
+    if not 1 <= i <= ev.n_states:
+        raise ValueError(f"{name} {i}: outside 1..{ev.n_states}")
+
+
 def orthogonality_defect(ev, i, j):
     """| sum_k w_k psi_k(i) psi_k(j)  -  delta_ij / pi_j |, from ev alone.
 
@@ -245,8 +253,8 @@ def orthogonality_defect(ev, i, j):
     verify_columns), for the walk the closed form on the quadrature
     nodes, where pi_j = 1.
     """
-    if not (1 <= i <= ev.n_states and 1 <= j <= ev.n_states):
-        raise ValueError(f"states ({i},{j}): outside 1..{ev.n_states}")
+    _check_state(ev, i, "state i")
+    _check_state(ev, j, "state j")
     acc = math.fsum(ev.weights * ev.psi[:, i - 1] * ev.psi[:, j - 1])
     target = 1.0 / float(ev.pi[j - 1]) if i == j else 0.0
     return abs(acc - target)

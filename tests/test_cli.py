@@ -611,19 +611,79 @@ class TestOutputDirectory:
         assert (target / "density.csv").exists()
 
 
-class TestPlotData:
-    def test_strictly_increasing_required(self, tmp_path):
-        from bdhit.cli import emit_plot_data
+SMALL_WALK = ("--model", "symmetric_rw", "--kappa", "1", "--N", "4")
 
-        with pytest.raises(ValueError, match="strictly increasing"):
-            emit_plot_data([(1.0, 2.0), (1.0, 3.0)], tmp_path / "p.csv")
-        with pytest.raises(ValueError, match="empty"):
-            emit_plot_data([], tmp_path / "p.csv")
+JOB_ARGV = {
+    "cmatrix": (),
+    "spectrum": (),
+    "density": ("--t-count", "5"),
+    "transition": ("--from", "1", "--to", "2", "--t-count", "5"),
+    "reproduce": ("--nu", "1:0.5,2:0.5", "--j-max", "2"),
+    "htransform": ("--gamma", "1/2"),
+    "simulate": ("--paths", "200", "--horizon", "200", "--seed", "1"),
+    "verify": (),
+}
 
-    def test_writes_header_and_rows(self, tmp_path):
-        from bdhit.cli import emit_plot_data
+REFUSED = {
+    "spectrum-no-chain": (["spectrum"], "need --spec FILE or --model NAME"),
+    "density-equal-endpoints": (
+        ["density", *SMALL_WALK, "--t-min", "1", "--t-max", "1", "--t-count", "3"],
+        "grid: 3 points on [1.0, 1.0] are not strictly increasing",
+    ),
+    "simulate-over-budget": (
+        ["simulate", "--model", "asymmetric_rw", "--lambda", "2", "--mu", "1", "--N", "40",
+         "--horizon", "1e15"],
+        "over the budget",
+    ),
+    "reproduce-j-max-above-N": (
+        ["reproduce", *SMALL_WALK, "--nu", "1:1", "--j-max", "5"],
+        "j_max 5: evaluator covers states 1..4",
+    ),
+}
 
-        emit_plot_data([(0.0, 1.0), (1.0, 0.5)], tmp_path / "p.csv", header=("t", "f"))
-        rows = (tmp_path / "p.csv").read_text().splitlines()
-        assert rows[0] == "t,f"
-        assert len(rows) == 3
+
+class TestJobOutputs:
+    @pytest.mark.parametrize("name", list(REFUSED))
+    def test_refused_job_writes_nothing(self, name, tmp_path, monkeypatch, capsys):
+        argv, cause = REFUSED[name]
+        assert run([*argv, "--out-dir", "out"], tmp_path, monkeypatch) == 1
+        assert cause in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_manifest_lists_every_file_written(self, command, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        code = run([command, *SMALL_WALK, *JOB_ARGV[command], "--out-dir", str(out)],
+                   tmp_path, monkeypatch)
+        assert code in (0, 2)  # simulate's KS gate may fail on 200 paths
+        manifest = f"{command}_manifest.json"
+        doc = json.loads((out / manifest).read_text())
+        written = {p.name for p in out.iterdir()} - {manifest}
+        assert doc["outputs"] == sorted(written)
+        assert written
+
+
+class TestWriteTable:
+    def test_mixed_table_cell_by_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        columns = ([1, np.int64(2)], [Fraction(1, 3), Fraction(5)], [0.1, 2.5], [None, 1e-300])
+        cli._write_table(path, ("j", "exact", "x", "maybe"), columns)
+        assert path.read_text() == (
+            "j,exact,x,maybe\n"
+            "1,1/3,0.10000000000000001,\n"
+            "2,5/1,2.5,1e-300\n"
+        )
+
+    def test_all_float_table_in_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 2)
+        path = tmp_path / "t.csv"
+        t = np.array([0.0, 0.5, 1.0])
+        cli._write_table(path, ("t", "f"), (t, np.array([1.0, 0.25, 1 / 3])))
+        assert path.read_text() == "t,f\n0,1\n0.5,0.25\n1,0.33333333333333331\n"
+
+    def test_zero_row_table_is_its_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_table(path, ("t_hit",), (np.empty(0),))
+        assert path.read_text() == "t_hit\n"
+        cli._write_table(path, ("j", "value"), ((), ()))
+        assert path.read_text() == "j,value\n"

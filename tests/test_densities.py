@@ -156,6 +156,9 @@ class TestFiniteEvaluator:
             b.spectral_sum(ev, (-0.1,), 1)
         with pytest.raises(ValueError, match="support reaches state"):
             b.spectral_sum(ev, (1.0,), b.InitialDistribution({11: 1.0}))
+        two = np.int64(2)  # numpy integers are states too
+        want = b.spectral_sum(ev, (1.0,), 2, ("state", 2))
+        assert b.spectral_sum(ev, (1.0,), two, ("state", two)) == want
 
 
 class TestHittingCdf:
@@ -317,14 +320,16 @@ class TestSpectralSum:
             ({"target": "absorb"},
              "target: expected 'absorption' or a (kind, state) pair, got 'absorb'"),
             ({"target": ("state", 2.0)}, "target: state must be an integer, got 2.0"),
+            ({"start": 1.5}, "state: must be an integer, got 1.5"),
+            ({"start": True}, "state: must be an integer, got True"),
         ],
         ids=["fractional-order", "bool-order", "unknown-transform", "bare-string-target",
-             "float-target-state"],
+             "float-target-state", "fractional-start", "bool-start"],
     )
     def test_refuses_malformed_argument(self, kwargs, message):
         ev = b.finite_evaluator(b.symmetric_rw_spec(1, 10))
         with pytest.raises(ValueError, match=re.escape(message)):
-            b.spectral_sum(ev, (1.0, 2.0), 1, **kwargs)
+            b.spectral_sum(ev, (1.0, 2.0), **{"start": 1, **kwargs})
 
 
 class TestRWEvaluator:
@@ -385,3 +390,13 @@ class TestTimeGrid:
     def test_non_finite_bound_named(self, t_min, t_max, name):
         with pytest.raises(ValueError, match=f"grid: {name} must be finite"):
             b.time_grid(t_min, t_max, 3)
+
+    @pytest.mark.parametrize(
+        "t_min, t_max, count, log",
+        [(1.0, 1.0, 3, False), (1.0, 1.0, 3, True), (1.0, 1.0 + 4e-16, 10, False)],
+        ids=["equal-endpoints", "equal-endpoints-log", "too-close-for-count"],
+    )
+    def test_not_strictly_increasing_refused(self, t_min, t_max, count, log):
+        message = f"grid: {count} points on [{t_min}, {t_max}] are not strictly increasing"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            b.time_grid(t_min, t_max, count, log=log)

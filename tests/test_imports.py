@@ -97,3 +97,44 @@ def test_every_export_is_read_elsewhere():
 def test_export_scan_sees_names_and_attributes():
     source = "import bdhit as b\nfrom bdhit import f\nf(b.g, h=1)\nb.k = 2\n"
     assert names_read(source) == {"b", "f", "g"}
+
+
+def top_level_names(source):
+    """Names a module binds at top level with def, class or an assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_top_level_name_is_read():
+    # catches a helper a refactor leaves behind, private or not
+    files = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in files))
+    orphans = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in sorted(top_level_names(path.read_text(encoding="utf-8")))
+        if name not in read
+    ]
+    assert orphans == []
+
+
+def test_top_level_scan_sees_defs_classes_and_constants():
+    source = (
+        "import os\n"
+        "LIMIT = 3\n"
+        "_width: int = 2\n"
+        "def f(x):\n"
+        "    inner = x\n"
+        "    return inner\n"
+        "class C:\n"
+        "    attr = 1\n"
+        "if os.name:\n"
+        "    hidden = 1\n"
+    )
+    assert top_level_names(source) == {"LIMIT", "_width", "f", "C"}

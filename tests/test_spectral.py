@@ -223,6 +223,17 @@ class TestOrthogonality:
         m = b.rw_evaluator(2.0, n_nodes=8, n_states=7)
         assert abs(b.orthogonality_defect(m, 7, 7)) < 1e-12
 
+    def test_states_must_be_integers(self):
+        ev = b.finite_evaluator(b.symmetric_rw_spec(1, 10))
+        with pytest.raises(ValueError, match="state i: must be an integer, got 1.5"):
+            b.orthogonality_defect(ev, 1.5, 1)
+        with pytest.raises(ValueError, match="state j: must be an integer, got True"):
+            b.orthogonality_defect(ev, 1, True)
+        with pytest.raises(ValueError, match="state j 11: outside 1..10"):
+            b.orthogonality_defect(ev, 1, 11)
+        two = np.int64(2)
+        assert b.orthogonality_defect(ev, two, two) == b.orthogonality_defect(ev, 2, 2)
+
 
 class TestRWSpectrum:
     """The walk's midpoint rule, as rw_evaluator builds it."""
