@@ -1,0 +1,81 @@
+"""LAPACK dlasq1 (dqds bidiagonal SVD) from scipy's bundled LAPACK.
+
+scipy.linalg.lapack does not wrap dlasq1, but the extension module
+scipy.linalg.cython_lapack exports every LAPACK routine as a C function
+pointer in a capsule.  Only that one module is loaded here, found beside
+scipy's files by path and run by its own loader: importing scipy.linalg
+for it would also import scipy's array-API layer and, through it,
+numpy.f2py, numpy.testing, numpy.random and numpy.ma, about 0.18 s of
+every cold start.  A module that scipy.linalg has already loaded is
+reused.  Otherwise the entry the extension loader puts into sys.modules
+is taken out again: left there, a later `import scipy.linalg` would not
+bind it as the package attribute (scipy.linalg.cython_lapack raises
+AttributeError); taken out, that import binds the same module object.
+
+bdhit/__init__.py imports this module before any module that imports
+numpy.  Loading the extension starts the thread pool of scipy's bundled
+OpenBLAS, whose start-up spin was seen to stall the main thread for about
+60 ms within the next 150 ms on a 2-vCPU host.  Loaded first, the library
+is mapped before the extension's own init imports scipy and numpy, so the
+stall falls inside numpy's import; loaded after numpy, the first job of a
+run absorbed 20-30 ms of it.
+"""
+
+import ctypes
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
+_MODULE = "scipy.linalg.cython_lapack"
+
+
+def _linalg_dirs():
+    """scipy's linalg directories, found without importing scipy."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return []
+    return [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
+
+
+def _load(linalg_dirs):
+    """The scipy.linalg.cython_lapack module, loaded from linalg_dirs if need be."""
+    module = sys.modules.get(_MODULE)
+    if module is not None:
+        return module
+    spec = importlib.machinery.PathFinder.find_spec(_MODULE, linalg_dirs)
+    if spec is None:
+        raise RuntimeError(
+            f"{_MODULE}: not found in {linalg_dirs}; "
+            "finite spectra need its dlasq1 for the bidiagonal SVD"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if sys.modules.get(_MODULE) is module:
+        del sys.modules[_MODULE]
+    return module
+
+
+def _dlasq1(module):
+    """dlasq1 as a ctypes function, from the module's capsule."""
+    try:
+        capsule = module.__pyx_capi__["dlasq1"]
+    except (AttributeError, KeyError) as exc:
+        raise RuntimeError(
+            f"{_MODULE} does not export dlasq1; "
+            "finite spectra need it for the bidiagonal SVD"
+        ) from exc
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.restype = ctypes.c_char_p
+    get_name.argtypes = [ctypes.py_object]
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.restype = ctypes.c_void_p
+    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    address = get_pointer(capsule, get_name(capsule))
+    int_p = ctypes.POINTER(ctypes.c_int)
+    dbl_p = ctypes.POINTER(ctypes.c_double)
+    return ctypes.CFUNCTYPE(None, int_p, dbl_p, dbl_p, dbl_p, int_p)(address)
+
+
+_cython_lapack = _load(_linalg_dirs())
+dlasq1 = _dlasq1(_cython_lapack)

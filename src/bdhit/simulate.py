@@ -162,20 +162,27 @@ def _walk(spec, nu, seed, n_paths, horizon):
     path = taken = np.empty(0, dtype=np.uint64)
     t = np.empty(0)
     s = np.empty(0, dtype=np.intp)
+    # start states of the next paths to start, drawn up to _CAP paths at a
+    # time: one Philox call serves many refills of the live set
+    queued = np.empty(0, dtype=np.intp)
     started = blocks = 0
     while True:
         fresh = min(_LIVE - path.size, n_paths - started)
         if fresh > 0:
-            new = np.arange(started, started + fresh, dtype=np.uint64)
+            if queued.size < fresh:
+                first = started + queued.size
+                ahead = np.arange(first, min(first + _CAP, n_paths), dtype=np.uint64)
+                pick = np.zeros(ahead.size, dtype=np.intp)
+                if starts.size > 1:
+                    u = _uniform(_philox4x64((0, ahead, 0, 0), key)[0][0])
+                    pick = np.minimum(np.searchsorted(acc, u, side="right"), starts.size - 1)
+                queued = np.concatenate((queued, starts[pick]))
+            path = np.concatenate((path, np.arange(started, started + fresh, dtype=np.uint64)))
             started += fresh
-            pick = 0
-            if starts.size > 1:
-                u = _uniform(_philox4x64((0, new, 0, 0), key)[0][0])
-                pick = np.minimum(np.searchsorted(acc, u, side="right"), starts.size - 1)
-            path = np.concatenate((path, new))
             taken = np.concatenate((taken, np.zeros(fresh, dtype=np.uint64)))
             t = np.concatenate((t, np.zeros(fresh)))
-            s = np.concatenate((s, np.broadcast_to(starts[pick], fresh)))
+            s = np.concatenate((s, queued[:fresh]))
+            queued = queued[fresh:]
         if not path.size:
             return
         # 8 steps a block while the live set is full, more as it drains; a

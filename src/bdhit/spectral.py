@@ -5,24 +5,25 @@ weights w_k, the eigenfunction table psi_k(i) and the C-matrix, which
 carries the chain and its speed measure.  Finite chains get it from
 finite_spectrum: an exact discrete spectrum from the bidiagonal factor of
 the negated symmetrized generator, whose singular values square to the
-atoms with high relative accuracy, however small.  The constant-rate
-symmetric walk has a closed-form continuous spectral density;
-densities.rw_evaluator discretizes it by a trigonometric quadrature rule
-that is exact on the eigenfunction products it is used for, into the same
-DensityEvaluator.  A Stieltjes-ratio identity for the same walk serves as
-an independent cross-check of the whole spectral setup.
+atoms with high relative accuracy, however small.  They come from LAPACK's
+dqds routine dlasq1, which _lapack takes from scipy's bundled LAPACK
+without importing scipy.linalg.  The constant-rate symmetric walk has a
+closed-form continuous spectral density; densities.rw_evaluator
+discretizes it by a trigonometric quadrature rule that is exact on the
+eigenfunction products it is used for, into the same DensityEvaluator.  A
+Stieltjes-ratio identity for the same walk serves as an independent
+cross-check of the whole spectral setup.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
+from ._lapack import dlasq1
 from .cmatrix import CMatrix, eval_psi_theta
 
 __all__ = [
@@ -86,10 +87,12 @@ def psi_table(spec, theta):
 
     It walks the states once and advances every row together as a numpy
     vector, so a table for all N atoms costs N vector steps rather than N^2
-    scalar ones.  Each entry goes through exactly the floating-point
-    operations of the scalar recurrence for its theta alone, in the same
-    order, so every row is bit-identical to that scalar run.  This is the
-    only evaluator of the recurrence; one theta is a one-element array.
+    scalar ones.  Each step writes one contiguous row of an (n, atoms)
+    array, and the table returned is its transpose, a view.  Each entry
+    goes through exactly the floating-point operations of the scalar
+    recurrence for its theta alone, in the same order, so every row is
+    bit-identical to that scalar run.  This is the only evaluator of the
+    recurrence; one theta is a one-element array.
     """
     lam = spec.lam_array()
     mu = spec.mu_array()
@@ -97,15 +100,15 @@ def psi_table(spec, theta):
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         raise ValueError(f"theta: must be one-dimensional, got shape {theta.shape}")
-    out = np.empty((theta.size, n))
+    out = np.empty((n, theta.size))
     cur = np.full(theta.size, 1.0 / mu[0])
-    out[:, 0] = cur
+    out[0] = cur
     prev = 0.0
     for i in range(1, n):
         nxt = ((lam[i - 1] + mu[i - 1] + theta) * cur - mu[i - 1] * prev) / lam[i - 1]
-        out[:, i] = nxt
+        out[i] = nxt
         prev, cur = cur, nxt
-    return out
+    return out.T
 
 
 def _check_balance(spec, pi):
@@ -135,32 +138,6 @@ def _check_balance(spec, pi):
         )
 
 
-@functools.cache
-def _dlasq1():
-    """LAPACK dlasq1 (dqds bidiagonal SVD) from scipy's bundled LAPACK.
-
-    scipy.linalg.lapack does not wrap it, but scipy.linalg.cython_lapack
-    exports every LAPACK routine as a C function pointer in a capsule.
-    """
-    try:
-        capsule = cython_lapack.__pyx_capi__["dlasq1"]
-    except (AttributeError, KeyError) as exc:
-        raise RuntimeError(
-            "scipy.linalg.cython_lapack does not export dlasq1; "
-            "finite spectra need it for the bidiagonal SVD"
-        ) from exc
-    get_name = ctypes.pythonapi.PyCapsule_GetName
-    get_name.restype = ctypes.c_char_p
-    get_name.argtypes = [ctypes.py_object]
-    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-    get_pointer.restype = ctypes.c_void_p
-    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    address = get_pointer(capsule, get_name(capsule))
-    int_p = ctypes.POINTER(ctypes.c_int)
-    dbl_p = ctypes.POINTER(ctypes.c_double)
-    return ctypes.CFUNCTYPE(None, int_p, dbl_p, dbl_p, dbl_p, int_p)(address)
-
-
 def _bidiagonal_singular_values(diag, sup):
     """Singular values, descending, of the upper bidiagonal (diag, sup).
 
@@ -175,7 +152,7 @@ def _bidiagonal_singular_values(diag, sup):
     n_c = ctypes.c_int(n)
     info = ctypes.c_int(0)
     dbl_p = ctypes.POINTER(ctypes.c_double)
-    _dlasq1()(
+    dlasq1(
         ctypes.byref(n_c),
         d.ctypes.data_as(dbl_p),
         e.ctypes.data_as(dbl_p),

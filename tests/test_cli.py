@@ -639,6 +639,14 @@ REFUSED = {
         ["reproduce", *SMALL_WALK, "--nu", "1:1", "--j-max", "5"],
         "j_max 5: evaluator covers states 1..4",
     ),
+    # the flag is named, not the library's max_index
+    "cmatrix-rows-negative": (
+        ["cmatrix", *SMALL_WALK, "--rows", "-1"], "error: --rows: must be >= 1, got -1",
+    ),
+    "htransform-rows-zero": (
+        ["htransform", "--target-lambda", "2", "--target-mu", "1", "--N", "4", "--rows", "0"],
+        "error: --rows: must be >= 1, got 0",
+    ),
 }
 
 

@@ -13,6 +13,27 @@ def exp_cdf(rate):
     return lambda t: 1.0 - np.exp(-rate * t)
 
 
+def philox_words(seed, path, block):
+    """numpy's own Philox words for counter (block, path) under key seed."""
+    counter = ((path << 64) + block - 1) % 2**256
+    return np.random.Philox(key=seed, counter=counter).random_raw(4)
+
+
+def uniform(word):
+    return (int(word) >> 11) * 2.0**-53
+
+
+def reference_start(nu, seed, path):
+    """The path's start state: word 0 of block 0, inverted through nu's CDF."""
+    x = uniform(philox_words(seed, path, 0)[0])
+    acc = 0.0
+    for s, m in nu.items:
+        acc += m
+        if x < acc:
+            return s
+    return nu.items[-1][0]
+
+
 def reference_walk(spec, nu, seed, path, horizon, checkpoints=()):
     """One path by a scalar loop on numpy's own Philox, per the stream layout.
 
@@ -22,27 +43,12 @@ def reference_walk(spec, nu, seed, path, horizon, checkpoints=()):
     Returns (absorption time or None, checkpoint states, jump list).
     """
     lam, mu = spec.lam_array(), spec.mu_array()
-
-    def words(block):
-        counter = ((path << 64) + block - 1) % 2**256
-        return np.random.Philox(key=seed, counter=counter).random_raw(4)
-
-    def uniform(word):
-        return (int(word) >> 11) * 2.0**-53
-
-    x = uniform(words(0)[0])
-    acc = 0.0
-    state = nu.items[-1][0]
-    for s, m in nu.items:
-        acc += m
-        if x < acc:
-            state = s
-            break
+    state = reference_start(nu, seed, path)
     t, step, ci = 0.0, 0, 0
     out = [0] * len(checkpoints)
     jumps = [(0.0, state)]
     while True:
-        w = words(1 + step // 2)
+        w = philox_words(seed, path, 1 + step // 2)
         k = 2 * (step % 2)
         hold = -np.log1p(-np.array([uniform(w[k])]))[0]
         rate = lam[state - 1] + mu[state - 1]
@@ -230,6 +236,25 @@ class TestStreams:
         monkeypatch.setattr(b.simulate, "_CAP", 64)
         np.testing.assert_array_equal(b.empirical_hitting(spec, cfg).times, wide)
         np.testing.assert_array_equal(b.empirical_occupancy(spec, cfg, [0.5, 2.0]), counts)
+
+    def test_start_states_survive_refills(self, monkeypatch):
+        # Start states are drawn ahead, _CAP paths at a time, and handed out
+        # as the live set refills; each path still starts where its own
+        # stream says.  Paths join the live set in order, after the
+        # survivors of the block before.
+        monkeypatch.setattr(b.simulate, "_LIVE", 5)
+        monkeypatch.setattr(b.simulate, "_CAP", 64)
+        spec = random_chain(79, n=6)
+        nu = b.InitialDistribution({1: 0.3, 2: 0.2, 5: 0.5})
+        seed, n_paths = 2**40 + 3, 150
+        live, begun = [], {}
+        for _, states, done in b.simulate._walk(spec, nu, seed, n_paths, 1e4):
+            first = len(begun)
+            live += range(first, first + states.shape[1] - len(live))
+            begun.update((p, int(states[0, k])) for k, p in enumerate(live) if p >= first)
+            live = [p for p, d in zip(live, done) if not d]
+        assert list(begun) == list(range(n_paths))
+        assert begun == {p: reference_start(nu, seed, p) for p in range(n_paths)}
 
 
 class TestExpectedJumps:
