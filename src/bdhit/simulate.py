@@ -42,7 +42,7 @@ __all__ = [
 
 _CAP = 2**15  # uniforms drawn per block: bounds every work array
 _LIVE = _CAP // 16  # paths walked at once: 8 steps each per block
-_MAX_STEPS = 64  # steps per block once only a few paths are left
+_MAX_STEPS = 512  # steps per block once only a few paths are left
 
 # Philox4x64 round multipliers and key increments, for the words (x0, x2)
 # that each round multiplies and the key words (k0, k1)
@@ -151,11 +151,14 @@ def _walk(spec, nu, seed, n_paths, horizon):
     """
     n = spec.n_states
     lam, mu = spec.lam_array(), spec.mu_array()
-    rate = np.concatenate(([np.inf], lam + mu))  # state 0 holds for no time
-    p_up = np.concatenate(([0.0], lam / (lam + mu)))
-    # the state after a step from s: nxt[2 s] down, nxt[2 s + 1] up; 0 stays
-    nxt = np.repeat(np.arange(n + 1), 2) + np.tile([-1, 1], n + 1)
-    nxt[:2] = 0
+    # minus the rate, so that log1p(-u) / -rate is the holding time with
+    # no extra negation; state 0 holds for no time
+    neg_rate = np.concatenate(([-np.inf], -(lam + mu)))
+    # the loop carries 2 s: the step from s reads p_up2[2 s] and goes to
+    # nxt2[2 s] (down) or nxt2[2 s + 1] (up), again doubled; 0 stays
+    p_up2 = np.repeat(np.concatenate(([0.0], lam / (lam + mu))), 2)
+    nxt2 = 2 * (np.repeat(np.arange(n + 1), 2) + np.tile([-1, 1], n + 1))
+    nxt2[:2] = 0
     starts = np.array(nu.states)
     acc = np.cumsum([m for _, m in nu.items])
     key = (int(seed), 0)
@@ -193,14 +196,20 @@ def _walk(spec, nu, seed, n_paths, horizon):
         # words x0 and x2 of block b time steps 2b - 2 and 2b - 1, x1 and x3
         # pick their directions: step k reads [k % 2, k // 2] of each
         hold, turn = (_uniform(w) for w in _philox4x64((block, path, 0, 0), key))
-        hold = -np.log1p(-hold)
         times = np.empty((steps + 1, path.size))
         states = np.empty((steps + 1, path.size), dtype=np.intp)
-        times[0], states[0] = t, s
+        np.multiply(s, 2, out=states[0])
         for k in range(steps):
-            np.add(times[k], hold[k % 2, k // 2] / rate.take(states[k]), out=times[k + 1])
-            up = turn[k % 2, k // 2] < p_up.take(states[k])
-            np.take(nxt, 2 * states[k] + up, out=states[k + 1])
+            up = turn[k % 2, k // 2] < p_up2.take(states[k])
+            np.add(states[k], up, out=states[k + 1])
+            np.take(nxt2, states[k + 1], out=states[k + 1])
+        states >>= 1
+        # the clock after the loop: every step's holding time at once, then
+        # one running sum down the block, the same additions in the same order
+        np.log1p(-hold.transpose(1, 0, 2), out=times[1:].reshape(steps // 2, 2, -1))
+        np.divide(times[1:], neg_rate.take(states[:-1]), out=times[1:])
+        times[0] = t
+        np.cumsum(times, axis=0, out=times)
         t, s = times[-1], states[-1]
         done = (s == 0) | (t > horizon)
         yield times, states, done
