@@ -64,8 +64,9 @@ from .spectral import orthogonality_defect, stieltjes_check
 _FLOAT_FMT = "%.17g"
 _CSV_BLOCK = 4096  # rows per write of an all-float table, which keeps its memory flat
 _KS_CRIT_1PCT = 1.6276  # sqrt(-ln(0.005)/2), asymptotic 1% point
-# Expected jumps one simulation may take over all its paths: about 15 s of
-# the sampler at 7 million jumps a second (2 vCPU).
+# Expected jumps one simulation may take over all its paths: about 10 s of
+# the sampler at 9-11 million jumps a second (2 vCPU, 1e5 paths at N = 10
+# and 30).
 _JUMP_BUDGET = 1e8
 
 

@@ -5,15 +5,25 @@ Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11), written as numpy integer arithmetic, with the seed as its key
 and (block, path) as its counter.  Each 64-bit word gives one 53-bit
 uniform u.  Block 0 of a path gives its start state (its first uniform);
-block b >= 1 gives steps 2b - 2 and 2b - 1, two uniforms each.  A step
-from state i holds for -log1p(-u) / (lambda_i + mu_i) and then jumps up
-with probability lambda_i / (lambda_i + mu_i).
+block b >= 1 gives steps 4b - 4 .. 4b - 1, word k to step 4b - 4 + k.
+
+One uniform makes a whole jump.  From state i, with p = lambda_i /
+(lambda_i + mu_i), the step goes up iff u < p.  Rescaled within its
+branch, v = u / p going up and v = (u - p) / (1 - p) going down, u is
+again uniform on [0, 1) and independent of the direction, so the step
+holds for -log1p(-v) / (lambda_i + mu_i), with v kept at most 1 - 2^-53
+so that rounding cannot reach 1.  (v has the branch's share of u's 2^53
+levels: a rare branch times its steps more coarsely.)
 
 So one walker advances every live path together as numpy arrays, and a
 path's trajectory does not depend on how many paths run beside it or how
 they are batched.  It keeps at most _LIVE paths live, starting the next
 paths as others are absorbed or censored, and draws at most _CAP uniforms
 at a time: its work arrays stay a few MB whatever the number of paths.
+A block's step loop moves states only; the clock follows at the block's
+end, every holding time at once and then one running sum down the block.
+As the live set drains, blocks grow to _MAX_STEPS steps, so the last
+long paths take a few Philox calls rather than one per short block.
 Absorption times feed a Kolmogorov-Smirnov comparison against the
 spectral CDF (evaluated once, over the whole sorted sample), and
 checkpointed occupancy counts give empirical transition probabilities.
@@ -40,9 +50,10 @@ __all__ = [
     "ks_statistic",
 ]
 
-_CAP = 2**15  # uniforms drawn per block: bounds every work array
-_LIVE = _CAP // 16  # paths walked at once: 8 steps each per block
+_CAP = 2**14  # uniforms drawn per block, one per step: bounds every work array
+_LIVE = _CAP // 8  # paths walked at once: 8 steps each per block
 _MAX_STEPS = 512  # steps per block once only a few paths are left
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 # Philox4x64 round multipliers and key increments, for the words (x0, x2)
 # that each round multiplies and the key words (k0, k1)
@@ -62,6 +73,14 @@ def _check_seed(seed):
         raise ValueError(f"seed: must be an integer in [0, 2^64), got {seed!r}")
 
 
+def _check_index(state, name, n):
+    """Refuse state unless it is an integer (bool excluded) in 0..n."""
+    if isinstance(state, bool) or not isinstance(state, (int, np.integer)):
+        raise ValueError(f"{name}: state must be an integer, got {state!r}")
+    if not 0 <= state <= n:
+        raise ValueError(f"{name}: state must lie in 0..{n}, got {state}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """How many paths, how long, which seed, started from which law."""
@@ -72,8 +91,9 @@ class SimConfig:
     initial: InitialDistribution
 
     def __post_init__(self):
-        if not isinstance(self.n_paths, (int, np.integer)) or self.n_paths < 1:
-            raise ValueError(f"n_paths: must be a positive integer, got {self.n_paths!r}")
+        n = self.n_paths
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_paths: must be a positive integer, got {n!r}")
         if not self.t_horizon > 0:
             raise ValueError(f"t_horizon: must be positive, got {self.t_horizon!r}")
         _check_seed(self.seed)
@@ -151,14 +171,19 @@ def _walk(spec, nu, seed, n_paths, horizon):
     """
     n = spec.n_states
     lam, mu = spec.lam_array(), spec.mu_array()
-    # minus the rate, so that log1p(-u) / -rate is the holding time with
-    # no extra negation; state 0 holds for no time
-    neg_rate = np.concatenate(([-np.inf], -(lam + mu)))
-    # the loop carries 2 s: the step from s reads p_up2[2 s] and goes to
-    # nxt2[2 s] (down) or nxt2[2 s + 1] (up), again doubled; 0 stays
-    p_up2 = np.repeat(np.concatenate(([0.0], lam / (lam + mu))), 2)
+    p_up = np.concatenate(([0.0], lam / (lam + mu)))  # state 0 never goes up
+    # the loop carries 2 s: the step from s reads p_up2[2 s], takes branch
+    # 2 s (down) or 2 s + 1 (up) and goes to nxt2[branch], again doubled;
+    # 0 stays
+    p_up2 = np.repeat(p_up, 2)
     nxt2 = 2 * (np.repeat(np.arange(n + 1), 2) + np.tile([-1, 1], n + 1))
     nxt2[:2] = 0
+    # by branch: where its uniforms start and how wide they are, and minus
+    # the rate, so that log1p(-v) / -rate is the holding time with no extra
+    # negation; state 0 holds for no time
+    offset = np.stack((p_up, np.zeros(n + 1)), axis=1).ravel()
+    width = np.stack((1.0 - p_up, p_up), axis=1).ravel()
+    neg_rate = np.repeat(np.concatenate(([-np.inf], -(lam + mu))), 2)
     starts = np.array(nu.states)
     acc = np.cumsum([m for _, m in nu.items])
     key = (int(seed), 0)
@@ -190,24 +215,30 @@ def _walk(spec, nu, seed, n_paths, horizon):
             return
         # 8 steps a block while the live set is full, more as it drains; a
         # walk's first blocks stay short, so a short path costs little
-        steps = min(_MAX_STEPS, _CAP // (2 * path.size), 8 << blocks) & ~1
+        steps = min(_MAX_STEPS, _CAP // path.size, 8 << blocks) & ~3
         blocks += 1
-        block = taken // 2 + np.arange(1, steps // 2 + 1, dtype=np.uint64)[:, None]
-        # words x0 and x2 of block b time steps 2b - 2 and 2b - 1, x1 and x3
-        # pick their directions: step k reads [k % 2, k // 2] of each
-        hold, turn = (_uniform(w) for w in _philox4x64((block, path, 0, 0), key))
+        block = taken // 4 + np.arange(1, steps // 4 + 1, dtype=np.uint64)[:, None]
+        # even holds words (x0, x2) of each block, odd (x1, x3): interleaved,
+        # word k of block b is step 4 b - 4 + k
+        even, odd = _philox4x64((block, path, 0, 0), key)
+        words = np.stack((even.transpose(1, 0, 2), odd.transpose(1, 0, 2)), axis=2)
+        u = _uniform(words).reshape(steps, path.size)
         times = np.empty((steps + 1, path.size))
         states = np.empty((steps + 1, path.size), dtype=np.intp)
+        branch = np.empty((steps, path.size), dtype=np.intp)
         np.multiply(s, 2, out=states[0])
         for k in range(steps):
-            up = turn[k % 2, k // 2] < p_up2.take(states[k])
-            np.add(states[k], up, out=states[k + 1])
-            np.take(nxt2, states[k + 1], out=states[k + 1])
+            np.add(states[k], u[k] < p_up2.take(states[k]), out=branch[k])
+            np.take(nxt2, branch[k], out=states[k + 1])
         states >>= 1
-        # the clock after the loop: every step's holding time at once, then
-        # one running sum down the block, the same additions in the same order
-        np.log1p(-hold.transpose(1, 0, 2), out=times[1:].reshape(steps // 2, 2, -1))
-        np.divide(times[1:], neg_rate.take(states[:-1]), out=times[1:])
+        # the clock after the loop: each step's u rescaled within its branch
+        # (-v, kept above -1), every holding time at once, then one running
+        # sum down the block
+        np.subtract(offset.take(branch), u, out=u)
+        np.divide(u, width.take(branch), out=u)
+        np.maximum(u, -_BELOW_ONE, out=u)
+        np.log1p(u, out=times[1:])
+        np.divide(times[1:], neg_rate.take(branch), out=times[1:])
         times[0] = t
         np.cumsum(times, axis=0, out=times)
         t, s = times[-1], states[-1]
@@ -224,9 +255,7 @@ def sample_path(spec, start, seed, t_horizon):
     starts with (0.0, start) and the absorption time is None when the path
     outlives t_horizon.
     """
-    n = spec.n_states
-    if not 0 <= start <= n:
-        raise ValueError(f"start: state must lie in 0..{n}, got {start}")
+    _check_index(start, "start", spec.n_states)
     if not t_horizon > 0:
         raise ValueError(f"t_horizon: must be positive, got {t_horizon!r}")
     _check_seed(seed)
@@ -305,6 +334,9 @@ def empirical_occupancy(spec, config, t_values):
     """
     _check_support(spec, config.initial)
     t_values = [float(t) for t in t_values]
+    for t in t_values:
+        if not math.isfinite(t):
+            raise ValueError(f"t_values: checkpoint {t} is not finite")
     if any(b < a for a, b in zip(t_values, t_values[1:])):
         raise ValueError("t_values: must be ascending")
     if t_values and t_values[-1] > config.t_horizon:
@@ -328,9 +360,11 @@ def empirical_occupancy(spec, config, t_values):
 
 def empirical_transition(spec, config, t, j):
     """Empirical P_nu[X_t = j] with its binomial standard error."""
-    if not 0 <= j <= spec.n_states:
-        raise ValueError(f"j: state must lie in 0..{spec.n_states}, got {j}")
-    counts = empirical_occupancy(spec, config, (float(t),))
+    _check_index(j, "j", spec.n_states)
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t: must be finite, got {t}")
+    counts = empirical_occupancy(spec, config, (t,))
     freq = counts[0, j] / config.n_paths
     stderr = math.sqrt(freq * (1.0 - freq) / config.n_paths)
     return float(freq), float(stderr)

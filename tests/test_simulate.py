@@ -1,6 +1,7 @@
 """Path simulation: determinism, distributional checks, KS machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,8 +39,9 @@ def reference_walk(spec, nu, seed, path, horizon, checkpoints=()):
     """One path by a scalar loop on numpy's own Philox, per the stream layout.
 
     Block b of the path is counter (b, path) under key seed; word 0 of
-    block 0 picks the start; block b >= 1 gives steps 2b - 2 (words 0, 1)
-    and 2b - 1 (words 2, 3): a holding-time uniform, then a direction one.
+    block 0 picks the start; block b >= 1 gives steps 4b - 4 .. 4b - 1, word
+    k to step 4b - 4 + k.  A step's uniform u goes up iff u < p, and
+    rescaled within its branch, to v, it times the step.
     Returns (absorption time or None, checkpoint states, jump list).
     """
     lam, mu = spec.lam_array(), spec.mu_array()
@@ -48,17 +50,19 @@ def reference_walk(spec, nu, seed, path, horizon, checkpoints=()):
     out = [0] * len(checkpoints)
     jumps = [(0.0, state)]
     while True:
-        w = philox_words(seed, path, 1 + step // 2)
-        k = 2 * (step % 2)
-        hold = -np.log1p(-np.array([uniform(w[k])]))[0]
+        u = uniform(philox_words(seed, path, 1 + step // 4)[step % 4])
         rate = lam[state - 1] + mu[state - 1]
+        p = lam[state - 1] / rate
+        up = u < p
+        v = min(u / p if up else (u - p) / (1.0 - p), 1.0 - 2.0**-53)
+        hold = -np.log1p(-np.array([v]))[0]
         t_next = t + hold / rate
         while ci < len(checkpoints) and checkpoints[ci] < t_next:
             out[ci] = state
             ci += 1
         if t_next > horizon:
             return None, out, jumps
-        state += 1 if uniform(w[k + 1]) < lam[state - 1] / rate else -1
+        state += 1 if up else -1
         t = t_next
         step += 1
         jumps.append((t, state))
@@ -71,6 +75,8 @@ class TestSimConfig:
         nu = b.InitialDistribution({1: 1.0})
         with pytest.raises(ValueError, match="n_paths"):
             b.SimConfig(0, 10.0, 1, nu)
+        with pytest.raises(ValueError, match="n_paths"):
+            b.SimConfig(True, 10.0, 1, nu)
         with pytest.raises(ValueError, match="t_horizon"):
             b.SimConfig(10, 0.0, 1, nu)
         with pytest.raises(ValueError, match="seed"):
@@ -118,6 +124,9 @@ class TestSamplePath:
     def test_validation(self, two_state_chain):
         with pytest.raises(ValueError, match="start"):
             b.sample_path(two_state_chain, 5, 1, 1.0)
+        for start in (1.5, True):
+            with pytest.raises(ValueError, match="start: state must be an integer"):
+                b.sample_path(two_state_chain, start, 1, 1.0)
         with pytest.raises(ValueError, match="t_horizon"):
             b.sample_path(two_state_chain, 1, 1, 0.0)
         with pytest.raises(ValueError, match="seed"):
@@ -236,6 +245,42 @@ class TestStreams:
         monkeypatch.setattr(b.simulate, "_CAP", 64)
         np.testing.assert_array_equal(b.empirical_hitting(spec, cfg).times, wide)
         np.testing.assert_array_equal(b.empirical_occupancy(spec, cfg, [0.5, 2.0]), counts)
+        # blocks that stop growing at 4 steps cut every path elsewhere
+        monkeypatch.setattr(b.simulate, "_MAX_STEPS", 4)
+        np.testing.assert_array_equal(b.empirical_hitting(spec, cfg).times, wide)
+        np.testing.assert_array_equal(b.empirical_occupancy(spec, cfg, [0.5, 2.0]), counts)
+
+    def test_blocks_grow_as_the_walk_drains(self, monkeypatch):
+        # One live path: each block draws twice the steps of the one
+        # before, up to 512, in one Philox call, so a path of ~1900 jumps
+        # takes 9 calls, not one per short block.
+        calls = []
+        philox = b.simulate._philox4x64
+
+        def counted(counter, key):
+            calls.append(4 * np.shape(counter[0])[0])  # one word per step
+            return philox(counter, key)
+
+        monkeypatch.setattr(b.simulate, "_philox4x64", counted)
+        traj, absorbed = b.sample_path(b.symmetric_rw_spec(1, 40), 20, 5, 1e6)
+        assert absorbed is not None
+        assert calls == [min(8 << k, 512) for k in range(len(calls))]
+        assert sum(calls[:-1]) < len(traj) - 1 <= sum(calls)
+        assert len(calls) <= 9
+
+    def test_memory_stays_flat(self):
+        # 1e4 paths walk in a live set of at most _LIVE paths: the work
+        # arrays stay well under a megabyte or two, not O(paths x steps).
+        spec = random_chain(80, n=10)
+        cfg = b.SimConfig(10_000, 1e4, 6, b.InitialDistribution({1: 0.5, 7: 0.5}))
+        tracemalloc.start()
+        try:
+            sample = b.empirical_hitting(spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sample.times) == 10_000
+        assert peak < 4 * 2**20
 
     def test_start_states_survive_refills(self, monkeypatch):
         # Start states are drawn ahead, _CAP paths at a time, and handed out
@@ -330,6 +375,10 @@ class TestEmpiricalOccupancy:
             b.empirical_occupancy(two_state_chain, cfg, [0.5, 2.0])
         with pytest.raises(ValueError, match="negative"):
             b.empirical_occupancy(two_state_chain, cfg, [-0.5, 0.7])
+        # every comparison with nan is False: it must not pass as a checkpoint
+        for bad in ([math.nan], [0.2, math.nan], [-math.inf, 0.5]):
+            with pytest.raises(ValueError, match="t_values: .* not finite"):
+                b.empirical_occupancy(two_state_chain, cfg, bad)
 
 
 class TestEmpiricalTransition:
@@ -347,6 +396,11 @@ class TestEmpiricalTransition:
         cfg = b.SimConfig(10, 1.0, 3, b.InitialDistribution({1: 1.0}))
         with pytest.raises(ValueError, match="j: state"):
             b.empirical_transition(two_state_chain, cfg, 0.5, 9)
+        for j in (2.5, True):
+            with pytest.raises(ValueError, match="j: state must be an integer"):
+                b.empirical_transition(two_state_chain, cfg, 0.5, j)
+        with pytest.raises(ValueError, match="t: must be finite"):
+            b.empirical_transition(two_state_chain, cfg, math.nan, 0)
 
 
 class TestKSStatistic:
