@@ -153,9 +153,9 @@ def _philox4x64(counter, key):
     return mul.reshape(shape), xor.reshape(shape)
 
 
-def _uniform(words):
+def _uniform(words, out=None):
     """53-bit uniforms on [0, 1): the top 53 bits of each 64-bit word."""
-    return np.multiply(words >> np.uint64(11), 2.0**-53)
+    return np.multiply(words >> np.uint64(11), 2.0**-53, out=out)
 
 
 def _walk(spec, nu, seed, n_paths, horizon):
@@ -218,11 +218,12 @@ def _walk(spec, nu, seed, n_paths, horizon):
         steps = min(_MAX_STEPS, _CAP // path.size, 8 << blocks) & ~3
         blocks += 1
         block = taken // 4 + np.arange(1, steps // 4 + 1, dtype=np.uint64)[:, None]
-        # even holds words (x0, x2) of each block, odd (x1, x3): interleaved,
+        # Philox gives words (x0, x2) and (x1, x3) of each block; interleaved,
         # word k of block b is step 4 b - 4 + k
-        even, odd = _philox4x64((block, path, 0, 0), key)
-        words = np.stack((even.transpose(1, 0, 2), odd.transpose(1, 0, 2)), axis=2)
-        u = _uniform(words).reshape(steps, path.size)
+        u = np.empty((steps // 4, 2, 2, path.size))
+        for i, words in enumerate(_philox4x64((block, path, 0, 0), key)):
+            _uniform(words.transpose(1, 0, 2), out=u[:, :, i])
+        u = u.reshape(steps, path.size)
         times = np.empty((steps + 1, path.size))
         states = np.empty((steps + 1, path.size), dtype=np.intp)
         branch = np.empty((steps, path.size), dtype=np.intp)
@@ -233,14 +234,20 @@ def _walk(spec, nu, seed, n_paths, horizon):
         states >>= 1
         # the clock after the loop: each step's u rescaled within its branch
         # (-v, kept above -1), every holding time at once, then one running
-        # sum down the block
+        # sum down the block, the same additions in the same order either
+        # way: cumsum costs about 4 ns a value and an add about 2 us a row,
+        # so a wide block is summed row by row
         np.subtract(offset.take(branch), u, out=u)
         np.divide(u, width.take(branch), out=u)
         np.maximum(u, -_BELOW_ONE, out=u)
         np.log1p(u, out=times[1:])
         np.divide(times[1:], neg_rate.take(branch), out=times[1:])
         times[0] = t
-        np.cumsum(times, axis=0, out=times)
+        if path.size >= 512:
+            for k in range(steps):
+                np.add(times[k], times[k + 1], out=times[k + 1])
+        else:
+            np.cumsum(times, axis=0, out=times)
         t, s = times[-1], states[-1]
         done = (s == 0) | (t > horizon)
         yield times, states, done
