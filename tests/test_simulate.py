@@ -250,6 +250,21 @@ class TestStreams:
         np.testing.assert_array_equal(b.empirical_hitting(spec, cfg).times, wide)
         np.testing.assert_array_equal(b.empirical_occupancy(spec, cfg, [0.5, 2.0]), counts)
 
+    def test_largest_uniform_holds_a_finite_time(self, monkeypatch):
+        # Every word all ones: u = 1 - 2^-53 goes down from p = 0.3, where
+        # (u - p) / (1 - p) rounds to 1; kept below 1, v gives a finite
+        # holding time, -log(2^-53) / rate.
+        def all_ones(counter, key):
+            shape = (2,) + np.broadcast_shapes(*(np.shape(c) for c in counter))
+            words = np.full(shape, 2**64 - 1, dtype=np.uint64)
+            return words, words.copy()
+
+        monkeypatch.setattr(b.simulate, "_philox4x64", all_ones)
+        spec = b.ProcessSpec((3.0, 0.0), (7.0, 1.0))
+        traj, absorbed = b.sample_path(spec, 1, 0, 1e3)
+        assert absorbed == pytest.approx(53 * math.log(2) / 10, rel=1e-12)
+        assert traj == [(0.0, 1), (absorbed, 0)]
+
     def test_blocks_grow_as_the_walk_drains(self, monkeypatch):
         # One live path: each block draws twice the steps of the one
         # before, up to 512, in one Philox call, so a path of ~1900 jumps
