@@ -27,7 +27,7 @@ import numpy as np
 
 from .cmatrix import build_c_matrix, diff_operator_coeffs
 from .model import symmetric_rw_spec
-from .spectral import DensityEvaluator, _check_state, finite_spectrum
+from .spectral import DensityEvaluator, _check_state, _PsiRows, finite_spectrum
 
 __all__ = [
     "InitialDistribution",
@@ -57,6 +57,10 @@ class InitialDistribution:
                 raise ValueError(f"nu: state {state!r} is not an integer")
             if state < 1:
                 raise ValueError(f"nu: state {state} is outside the interior (>= 1)")
+            if isinstance(mass, bool):
+                raise ValueError(
+                    f"nu: mass at state {state} must be a positive number, got {mass!r}"
+                )
             if not mass > 0:
                 raise ValueError(f"nu: mass at state {state} must be positive, got {mass}")
         total = math.fsum(m for _, m in pairs)
@@ -140,9 +144,9 @@ def rw_evaluator(kappa, n_nodes=128, n_states=64):
     sin_u = np.sin(u)
     theta = 2.0 * kappa_f * (1.0 - np.cos(u))
     weights = (2.0 * kappa_f**2 / n_nodes) * sin_u**2
-    psi = (np.sin(np.arange(1, n_states + 1)[:, None] * u) / (kappa_f * sin_u)).T
+    psi = np.sin(np.arange(1, n_states + 1)[:, None] * u) / (kappa_f * sin_u)
     c = build_c_matrix(symmetric_rw_spec(kappa, n_states), min(n_states, 16))
-    return DensityEvaluator(theta, weights, psi, c, is_continuous=True)
+    return DensityEvaluator(theta, weights, _PsiRows(psi, c.spec, -theta), c, is_continuous=True)
 
 
 def spectral_sum(ev, t, start, target="absorption", transform=0):
@@ -169,14 +173,11 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
             raise ValueError(
                 f"nu: support reaches state {start.max_state}, evaluator covers 1..{ev.n_states}"
             )
-        (i, mass), *rest = start.items
-        coef = mass * ev.psi[:, i - 1]
-        for i, mass in rest:
-            coef += mass * ev.psi[:, i - 1]
-        coef *= ev.weights
+        reads = start.states
     else:
         _check_state(ev, start)
-        coef = ev.weights * ev.psi[:, start - 1]
+        reads = (start,)
+    kind = None
     if target != "absorption":
         try:
             kind, j = () if isinstance(target, str) else target
@@ -188,16 +189,29 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
             raise ValueError(f"target: state must be an integer, got {j!r}")
         if kind == "state":
             _check_state(ev, j, "target state")
-            coef *= ev.psi[:, j - 1]
+            reads += (j,)
         elif kind == "c_row":
             if j > ev.c.max_index:
                 raise ValueError(
                     f"state {j}: evaluator keeps C-matrix rows up to {ev.c.max_index}"
                 )
-            c_row = [float(v) for v in diff_operator_coeffs(ev.c, j)]
-            coef *= np.polyval(c_row[::-1], neg_theta)
         else:
             raise ValueError(f"target: expected 'state' or 'c_row', got {kind!r}")
+    psi = ev.psi_at(reads)  # one column per state read, in the order of reads
+    if isinstance(start, InitialDistribution):
+        (_, mass), *rest = start.items
+        coef = mass * psi[:, 0]
+        for m, (_, mass) in enumerate(rest, start=1):
+            coef += mass * psi[:, m]
+        coef *= ev.weights
+    else:
+        coef = ev.weights * psi[:, 0]
+    if kind == "state":
+        coef *= psi[:, -1]
+    elif kind == "c_row":
+        c_row = [float(v) for v in diff_operator_coeffs(ev.c, j)]
+        coef *= np.polyval(c_row[::-1], neg_theta)
+    if kind is not None:
         coef *= ev.pi[j - 1]
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:

@@ -17,7 +17,7 @@ inherits the Bessel closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -217,12 +217,15 @@ def transformed_evaluator(ev, ht):
 
         theta' = theta + gamma,  w' = w / k(1)^2,  psi' = k(1)^2 psi / k.
 
-    The chain and its speed measure come with transform_cmatrix's result.
+    psi' is not built: the result reads the base evaluator's psi on demand
+    (psi_at) and applies the factor k(1)^2 / k(i) per state.  The chain
+    and its speed measure come with transform_cmatrix's result.
     """
     if ev.is_continuous:
         raise ValueError("transformed_evaluator: needs a finite-chain evaluator")
     c2 = transform_cmatrix(ev.c, ht)  # refuses an ht of another base chain
     k = ht.k_array()
     k1 = k[1]
-    psi = ev.psi * (k1**2 / k[1 : ev.n_states + 1])[None, :]
+    rows = ev.psi_rows
+    psi = replace(rows, scales=(*rows.scales, k1**2 / k[1 : ev.n_states + 1]))
     return DensityEvaluator(ev.theta + float(ht.gamma), ev.weights / k1**2, psi, c2)

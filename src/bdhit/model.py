@@ -44,6 +44,12 @@ def _is_exact_number(x):
     return isinstance(x, _EXACT_TYPES) and not isinstance(x, bool)
 
 
+def _read_only_floats(values):
+    out = np.array([float(v) for v in values])
+    out.flags.writeable = False
+    return out
+
+
 def _as_rate(value, field):
     """Coerce a JSON-style value to int, Fraction, or float."""
     if isinstance(value, bool):
@@ -119,10 +125,22 @@ class ProcessSpec:
         )
 
     def lam_array(self):
-        return np.asarray([float(r) for r in self.lam])
+        """Birth rates as floats, converted once per spec: every call
+        returns the same read-only array."""
+        return self._lam_floats
 
     def mu_array(self):
-        return np.asarray([float(r) for r in self.mu])
+        """Death rates as floats, converted once per spec: every call
+        returns the same read-only array."""
+        return self._mu_floats
+
+    @functools.cached_property
+    def _lam_floats(self):
+        return _read_only_floats(self.lam)
+
+    @functools.cached_property
+    def _mu_floats(self):
+        return _read_only_floats(self.mu)
 
     def to_dict(self):
         """JSON-ready document; exact rates become "p/q" strings."""

@@ -73,6 +73,11 @@ def _check_seed(seed):
         raise ValueError(f"seed: must be an integer in [0, 2^64), got {seed!r}")
 
 
+def _check_horizon(t_horizon):
+    if isinstance(t_horizon, bool) or not t_horizon > 0:
+        raise ValueError(f"t_horizon: must be a positive number, got {t_horizon!r}")
+
+
 def _check_index(state, name, n):
     """Refuse state unless it is an integer (bool excluded) in 0..n."""
     if isinstance(state, bool) or not isinstance(state, (int, np.integer)):
@@ -94,8 +99,7 @@ class SimConfig:
         n = self.n_paths
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n_paths: must be a positive integer, got {n!r}")
-        if not self.t_horizon > 0:
-            raise ValueError(f"t_horizon: must be positive, got {self.t_horizon!r}")
+        _check_horizon(self.t_horizon)
         _check_seed(self.seed)
         if not isinstance(self.initial, InitialDistribution):
             raise ValueError("initial: must be an InitialDistribution")
@@ -263,8 +267,7 @@ def sample_path(spec, start, seed, t_horizon):
     outlives t_horizon.
     """
     _check_index(start, "start", spec.n_states)
-    if not t_horizon > 0:
-        raise ValueError(f"t_horizon: must be positive, got {t_horizon!r}")
+    _check_horizon(t_horizon)
     _check_seed(seed)
     if start == 0:
         return [], 0.0
@@ -355,6 +358,8 @@ def empirical_occupancy(spec, config, t_values):
         raise ValueError(f"t_values: checkpoint {t_values[0]} is negative")
     n = spec.n_states
     counts = np.zeros((len(t_values), n + 1), dtype=np.int64)
+    if not t_values:
+        return counts
     horizon = float(config.t_horizon)
     for times, states, _ in _walk(spec, config.initial, config.seed, config.n_paths, horizon):
         # a path sits in states[k] over [times[k], times[k + 1])

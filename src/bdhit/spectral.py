@@ -1,13 +1,16 @@
 """Spectral representations of absorbed birth-and-death chains.
 
 A chain's spectral representation is one DensityEvaluator: atoms theta_k,
-weights w_k, the eigenfunction table psi_k(i) and the C-matrix, which
-carries the chain and its speed measure.  Finite chains get it from
-finite_spectrum: an exact discrete spectrum from the bidiagonal factor of
-the negated symmetrized generator, whose singular values square to the
-atoms with high relative accuracy, however small.  They come from LAPACK's
-dqds routine dlasq1, which _lapack takes from scipy's bundled LAPACK
-without importing scipy.linalg.  The constant-rate symmetric walk has a
+weights w_k, the eigenfunctions psi_k(i), read per state on demand, and
+the C-matrix, which carries the chain and its speed measure.  Finite
+chains get it from finite_spectrum: an exact discrete spectrum from the
+bidiagonal factor of the negated symmetrized generator, whose singular
+values square to the atoms with high relative accuracy, however small.
+They come from LAPACK's dqds routine dlasq1, which _lapack takes from
+scipy's bundled LAPACK without importing scipy.linalg.  The weights come
+from one pass of the psi recurrence over the states, which keeps psi only
+for the states the C rows cover, so the spectrum path holds O(N) memory
+and no N x N array.  The constant-rate symmetric walk has a
 closed-form continuous spectral density; densities.rw_evaluator
 discretizes it by a trigonometric quadrature rule that is exact on the
 eigenfunction products it is used for, into the same DensityEvaluator.  A
@@ -36,6 +39,40 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class _PsiRows:
+    """psi_k(i) at any interior state i, from the first rows and the recurrence.
+
+    head[i - 1] is the row psi_k(i) over the atoms for states i = 1..len(head).
+    A deeper state continues the recurrence of spec at theta from the last
+    two head rows, so it gets the bits a full psi_table walk would give,
+    and nothing between is stored.  scales are per-state column factors
+    (indexed by state - 1), applied in order to every value read.
+    """
+
+    head: np.ndarray
+    spec: object
+    theta: np.ndarray
+    scales: tuple = ()
+
+    def at(self, states):
+        """One row per state: an array of shape (len(states), atoms)."""
+        kept = len(self.head)
+        out = self.head[[min(i, kept) - 1 for i in states]]  # deep states are filled in below
+        deep = {}
+        for pos, i in enumerate(states):
+            if i > kept:
+                deep.setdefault(i, []).append(pos)
+        if deep:
+            rows = _psi_rows(self.spec, self.theta, max(deep), self.head)
+            for i, row in enumerate(rows, start=kept + 1):
+                if i in deep:
+                    out[deep[i]] = row
+        for factors in self.scales:
+            out *= factors[[i - 1 for i in states]][:, None]
+        return out
+
+
+@dataclass(frozen=True)
 class DensityEvaluator:
     """A chain's one spectral representation: atoms, weights, psi, C-matrix.
 
@@ -43,10 +80,12 @@ class DensityEvaluator:
     spectral measure: the exact discrete spectrum of a finite chain
     (theta ascending and positive), or the nodes and weights of
     rw_evaluator's quadrature rule for the symmetric walk when
-    is_continuous.  psi has one row per atom and one column per interior
-    state, psi_k(i) = psi_{-theta_k}(i); for a finite chain it is the table
-    finite_spectrum computed the weights from, for the walk its closed
-    form.  c carries the rows of the C-matrix, so the
+    is_continuous.  psi_at(states) reads the eigenfunctions
+    psi_k(i) = psi_{-theta_k}(i) at the given interior states, on demand:
+    a finite chain keeps them only for the states its C rows cover and
+    continues the recurrence the weights came from for any deeper one, so
+    it holds O(N) memory, not an N x N table; for the walk they are its
+    closed form.  c carries the rows of the C-matrix, so the
     differential-operator coefficients are at hand, and is the one holder
     of the chain (spec) and its speed measure (pi, as floats over the same
     states as psi).
@@ -54,7 +93,7 @@ class DensityEvaluator:
 
     theta: np.ndarray
     weights: np.ndarray
-    psi: np.ndarray = field(repr=False)
+    psi_rows: _PsiRows = field(repr=False)
     c: CMatrix = field(repr=False)
     is_continuous: bool = False
 
@@ -68,15 +107,29 @@ class DensityEvaluator:
 
     @property
     def n_states(self):
-        return self.psi.shape[1]
+        return self.c.spec.n_states
 
     @property
     def n_atoms(self):
         return len(self.theta)
 
+    def psi_at(self, states):
+        """psi_k(i) for each interior state i in states: shape (atoms, len(states)).
 
-def psi_table(spec, theta):
-    """Values psi_theta(1..n) for every theta in a 1-D array, one row each.
+        Column m is psi at states[m]; states are 1-based and not checked
+        here (callers check them against n_states).
+        """
+        return self.psi_rows.at(states).T
+
+    @property
+    def psi(self):
+        """The whole table psi_k(i), one row per atom and one column per
+        state 1..n_states, built on each read (N x N for a finite chain)."""
+        return self.psi_at(range(1, self.n_states + 1))
+
+
+def _psi_rows(spec, theta, stop, head=None):
+    """Yield the rows psi_theta(i) over the thetas for the states up to stop.
 
     The defining three-term recurrence (the C-matrix row polynomials
     psi_theta(i) = sum_j C(i,j) theta^(j-1) in their numerically stable
@@ -85,29 +138,58 @@ def psi_table(spec, theta):
         psi(0) = 0,  psi(1) = 1/mu_1,
         lambda_i psi(i+1) = (lambda_i + mu_i + theta) psi(i) - mu_i psi(i-1).
 
-    It walks the states once and advances every row together as a numpy
-    vector, so a table for all N atoms costs N vector steps rather than N^2
-    scalar ones.  Each step writes one contiguous row of an (n, atoms)
-    array, and the table returned is its transpose, a view.  Each entry
-    goes through exactly the floating-point operations of the scalar
-    recurrence for its theta alone, in the same order, so every row is
-    bit-identical to that scalar run.  This is the only evaluator of the
-    recurrence; one theta is a one-element array.
+    With no head the walk yields states 1..stop; with head, the rows of
+    states 1..len(head) already known, it continues from their last two
+    and yields states len(head)+1..stop.  Every row advances as one numpy
+    vector through exactly the floating-point operations of the scalar
+    recurrence for its theta alone, in the same order, so every value is
+    bit-identical to that scalar run.  The walk works in three reused
+    buffers: a yielded row is overwritten two steps later, so a caller
+    that keeps it copies it.  This is the only evaluator of the recurrence.
     """
     lam = spec.lam_array()
     mu = spec.mu_array()
-    n = spec.n_states
+    prev, cur, nxt = (np.zeros(theta.size) for _ in range(3))
+    if head is None:
+        cur.fill(1.0 / mu[0])
+        yield cur
+        start = 1
+    else:
+        start = len(head)
+        cur[:] = head[-1]
+        if start > 1:
+            prev[:] = head[-2]
+    diag = (lam + mu).tolist()
+    lam = lam.tolist()
+    mu = mu.tolist()
+    for i in range(start, stop):
+        np.add(diag[i - 1], theta, out=nxt)
+        nxt *= cur
+        np.multiply(mu[i - 1], prev, out=prev)
+        nxt -= prev
+        nxt /= lam[i - 1]
+        prev, cur, nxt = cur, nxt, prev
+        yield cur
+
+
+def psi_table(spec, theta):
+    """Values psi_theta(1..n) for every theta in a 1-D array, one row each.
+
+    The _psi_rows walk over every state: it advances every theta together
+    as a numpy vector, so a table for all N atoms costs N vector steps
+    rather than N^2 scalar ones, and each entry is bit-identical to the
+    scalar recurrence for its theta alone.  Each step writes one
+    contiguous row of an (n, atoms) array, and the table returned is its
+    transpose, a view.  The evaluators never build it: finite_spectrum
+    keeps only the rows its C-matrix covers.
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         raise ValueError(f"theta: must be one-dimensional, got shape {theta.shape}")
+    n = spec.n_states
     out = np.empty((n, theta.size))
-    cur = np.full(theta.size, 1.0 / mu[0])
-    out[0] = cur
-    prev = 0.0
-    for i in range(1, n):
-        nxt = ((lam[i - 1] + mu[i - 1] + theta) * cur - mu[i - 1] * prev) / lam[i - 1]
-        out[i] = nxt
-        prev, cur = cur, nxt
+    for i, row in enumerate(_psi_rows(spec, theta, n)):
+        out[i] = row
     return out.T
 
 
@@ -179,13 +261,16 @@ def finite_spectrum(c):
         w_k = 1 / sum_i pi_i psi_{-theta_k}(i)^2
 
     with psi normalized by psi(1) = 1/mu_1 = C(1,1), which removes any
-    eigenvector-scaling ambiguity.  The table psi_{-theta_k}(i) is built
-    once, by one psi_table walk vectorized across the atoms, and kept on
-    the result as its psi, next to c.  The speed measure is c.pi.array(),
-    the one float copy of c.pi; the O(N) balance check refuses one that
-    does not symmetrize the rates.  The recurrence values are
-    cross-checked against Horner evaluation of the rows of c on a low
-    state (the two must agree: same polynomials).
+    eigenvector-scaling ambiguity.  One recurrence walk over the states,
+    vectorized across the atoms, adds pi_i psi_k(i)^2 to the sums state by
+    state, in the order (and so with the bits) of a reduction over a full
+    psi_table, and keeps the rows of states 1..c.max_index, the states the
+    C rows cover; psi at a deeper state is recomputed when read
+    (DensityEvaluator.psi_at), so no N x N array is built.  The speed
+    measure is c.pi.array(), the one float copy of c.pi; the O(N) balance
+    check refuses one that does not symmetrize the rates.  The recurrence
+    values are cross-checked against Horner evaluation of the rows of c
+    on a low state (the two must agree: same polynomials).
     """
     spec = c.spec
     pia = c.pi.array()
@@ -197,18 +282,28 @@ def finite_spectrum(c):
         raise ValueError(
             f"internal error: nonpositive spectral atom {theta[0]!r} for an absorbed chain"
         )
-    psi = psi_table(spec, -theta)
-    weights = 1.0 / np.einsum("ki,i,ki->k", psi, pia, psi)
+    neg_theta = -theta
+    n = spec.n_states
+    head = np.empty((min(c.max_index, n), theta.size))
+    total = np.zeros(theta.size)
+    term = np.empty(theta.size)
+    for i, row in enumerate(_psi_rows(spec, neg_theta, n)):
+        if i < len(head):
+            head[i] = row
+        np.multiply(row, pia[i], out=term)
+        term *= row
+        total += term
+    ev = DensityEvaluator(theta, 1.0 / total, _PsiRows(head, spec, neg_theta), c)
     i_chk = min(c.max_index, 10)
+    rec = ev.psi_at((i_chk,))[:, 0]
     for k in (0, len(theta) - 1):
         horner = float(eval_psi_theta(c, i_chk, -theta[k]))
-        rec = psi[k, i_chk - 1]
-        if abs(horner - rec) > 1e-7 * max(1.0, abs(rec)):
+        if abs(horner - rec[k]) > 1e-7 * max(1.0, abs(rec[k])):
             raise ValueError(
                 "internal error: C-matrix row and recurrence disagree "
-                f"at state {i_chk} (|{horner:g} - {rec:g}|)"
+                f"at state {i_chk} (|{horner:g} - {rec[k]:g}|)"
             )
-    return DensityEvaluator(theta, weights, psi, c)
+    return ev
 
 
 def _check_state(ev, i, name="state"):
@@ -222,17 +317,18 @@ def _check_state(ev, i, name="state"):
 def orthogonality_defect(ev, i, j):
     """| sum_k w_k psi_k(i) psi_k(j)  -  delta_ij / pi_j |, from ev alone.
 
-    Reads the evaluator's own eigenfunction table and speed measure, so
-    nothing is rebuilt: for a finite chain the recurrence table the
-    weights came from (Horner summation of the C-matrix rows cancels
-    catastrophically for states around 10; the row-vs-recurrence
+    Reads psi at i and j and the speed measure from the evaluator itself
+    (psi_at), so no table is rebuilt: for a finite chain the recurrence
+    values the weights came from (Horner summation of the C-matrix rows
+    cancels catastrophically for states around 10; the row-vs-recurrence
     agreement is enforced separately in finite_spectrum and
     verify_columns), for the walk the closed form on the quadrature
     nodes, where pi_j = 1.
     """
     _check_state(ev, i, "state i")
     _check_state(ev, j, "state j")
-    acc = math.fsum(ev.weights * ev.psi[:, i - 1] * ev.psi[:, j - 1])
+    psi_i, psi_j = ev.psi_at((i, j)).T
+    acc = math.fsum(ev.weights * psi_i * psi_j)
     target = 1.0 / float(ev.pi[j - 1]) if i == j else 0.0
     return abs(acc - target)
 

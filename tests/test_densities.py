@@ -41,6 +41,8 @@ class TestInitialDistribution:
             b.InitialDistribution({1: 0.4, 2: 0.4})
         with pytest.raises(ValueError, match="at least one state"):
             b.InitialDistribution({})
+        with pytest.raises(ValueError, match="mass at state 1 must be a positive number, got True"):
+            b.InitialDistribution({1: True})
 
     def test_rejects_bad_states(self):
         with pytest.raises(ValueError, match="not an integer"):
@@ -64,6 +66,19 @@ class TestFiniteEvaluator:
         assert np.array_equal(ev.psi, b.psi_table(spec, -ev.theta))
         weights = 1.0 / np.einsum("ki,i,ki->k", ev.psi, ev.pi, ev.psi)
         assert np.array_equal(ev.weights, weights)
+
+    def test_memory_is_linear_in_the_states(self):
+        # The weights come from one recurrence pass and psi is kept for 16
+        # states only: no N x N table (31 MiB at N = 2000).
+        spec = b.symmetric_rw_spec(1, 2000)
+        tracemalloc.start()
+        try:
+            ev = b.finite_evaluator(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ev.n_states == 2000
+        assert peak < 4 * 2**20
 
     def test_pi_is_the_speed_measures_one_float_copy(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(52))

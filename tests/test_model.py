@@ -43,6 +43,11 @@ class TestProcessSpec:
         assert la.dtype == np.float64
         assert la[0] == 1.5
 
+    def test_arrays_converted_once_and_read_only(self, rational_chain):
+        for get in (rational_chain.lam_array, rational_chain.mu_array):
+            assert get() is get()
+            assert not get().flags.writeable
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one interior state"):
             b.ProcessSpec((), ())

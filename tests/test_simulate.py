@@ -79,6 +79,8 @@ class TestSimConfig:
             b.SimConfig(True, 10.0, 1, nu)
         with pytest.raises(ValueError, match="t_horizon"):
             b.SimConfig(10, 0.0, 1, nu)
+        with pytest.raises(ValueError, match="t_horizon: must be a positive number, got True"):
+            b.SimConfig(10, True, 1, nu)
         with pytest.raises(ValueError, match="seed"):
             b.SimConfig(10, 1.0, -1, nu)
         with pytest.raises(ValueError, match="seed"):
@@ -129,6 +131,8 @@ class TestSamplePath:
                 b.sample_path(two_state_chain, start, 1, 1.0)
         with pytest.raises(ValueError, match="t_horizon"):
             b.sample_path(two_state_chain, 1, 1, 0.0)
+        with pytest.raises(ValueError, match="t_horizon: must be a positive number, got True"):
+            b.sample_path(two_state_chain, 1, 3, True)
         with pytest.raises(ValueError, match="seed"):
             b.sample_path(two_state_chain, 1, np.random.default_rng(1), 1.0)
 
@@ -381,6 +385,16 @@ class TestEmpiricalOccupancy:
         counts = b.empirical_occupancy(two_state_chain, cfg, [5.0])
         absorbed_by_5 = int(np.searchsorted(sample.times, 5.0, side="left"))
         assert counts[0, 0] == absorbed_by_5
+
+    def test_no_checkpoints_walks_no_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("paths walked for no checkpoint")
+
+        monkeypatch.setattr(b.simulate, "_walk", refuse)
+        cfg = b.SimConfig(20_000, 50.0, 5, b.InitialDistribution({1: 1.0}))
+        counts = b.empirical_occupancy(b.symmetric_rw_spec(1, 10), cfg, [])
+        assert counts.shape == (0, 11)
+        assert counts.dtype == np.int64
 
     def test_checkpoint_validation(self, two_state_chain):
         cfg = b.SimConfig(10, 1.0, 3, b.InitialDistribution({1: 1.0}))

@@ -78,6 +78,86 @@ class TestPsiTable:
             b.psi_table(spec, [[1.0]])
 
 
+def full_table_twin(ev):
+    """ev holding psi as the whole psi_table, so that nothing is recomputed on a read."""
+    table = b.psi_table(ev.spec, -ev.theta)
+    rows = dataclasses.replace(ev.psi_rows, head=np.ascontiguousarray(table.T))
+    return dataclasses.replace(ev, psi_rows=rows)
+
+
+def forward_eigenfunction(spec, gamma):
+    """Q k = gamma k with k(0) = k(1) = 1, run forward: positive for gamma >= 0."""
+    lam, mu = spec.lam_array(), spec.mu_array()
+    k = [1.0, 1.0]
+    for i in range(1, spec.n_states):
+        k.append(((lam[i - 1] + mu[i - 1] + gamma) * k[i] - mu[i - 1] * k[i - 1]) / lam[i - 1])
+    return b.HTransform(gamma, tuple(k), spec)
+
+
+@pytest.mark.parametrize("c_rows", [1, 2, 16])
+@pytest.mark.parametrize(
+    "spec", [b.symmetric_rw_spec(1, 60), random_chain(64, n=40)], ids=["walk-60", "random-40"]
+)
+class TestPsiBelowTheKeptRows:
+    """A finite evaluator keeps psi for states 1..c_rows and recomputes deeper
+    ones; every value read there has the bits of a full psi_table."""
+
+    def test_keeps_only_the_c_rows_states(self, spec, c_rows):
+        ev = b.finite_evaluator(spec, c_rows=c_rows)
+        assert ev.psi_rows.head.shape == (c_rows, spec.n_states)
+        assert np.array_equal(ev.psi, b.psi_table(spec, -ev.theta))
+        states = (spec.n_states, 1, c_rows + 1, spec.n_states, c_rows)
+        want = b.psi_table(spec, -ev.theta)[:, [i - 1 for i in states]]
+        assert np.array_equal(ev.psi_at(states), want)
+
+    def test_spectral_sums(self, spec, c_rows):
+        ev = b.finite_evaluator(spec, c_rows=c_rows)
+        full = full_table_twin(ev)
+        n = spec.n_states
+        ts = np.array([0.0, 0.3, 2.0, 40.0])
+        for i in (1, c_rows + 1, n // 2, n):
+            for j in (n, c_rows + 1):
+                got = b.spectral_sum(ev, ts, i, ("state", j))
+                assert np.array_equal(got, b.spectral_sum(full, ts, i, ("state", j)))
+        nu = b.InitialDistribution({2: 0.25, n // 2: 0.25, n: 0.5})
+        for transform in (0, 2, "cdf"):
+            got = b.spectral_sum(ev, ts, nu, transform=transform)
+            assert np.array_equal(got, b.spectral_sum(full, ts, nu, transform=transform))
+        got = b.spectral_sum(ev, ts, nu, ("c_row", c_rows))
+        assert np.array_equal(got, b.spectral_sum(full, ts, nu, ("c_row", c_rows)))
+
+    def test_orthogonality_defect(self, spec, c_rows):
+        ev = b.finite_evaluator(spec, c_rows=c_rows)
+        full = full_table_twin(ev)
+        n = spec.n_states
+        for i, j in ((1, n), (c_rows + 1, n // 2), (n, n)):
+            assert b.orthogonality_defect(ev, i, j) == b.orthogonality_defect(full, i, j)
+
+    def test_verify_total_mass_loop(self, spec, c_rows):
+        ev = b.finite_evaluator(spec, c_rows=c_rows)
+        full = full_table_twin(ev)
+        for i in range(1, spec.n_states + 1):
+            got = b.spectral_sum(ev, (np.inf,), i, transform="cdf")
+            assert np.array_equal(got, b.spectral_sum(full, (np.inf,), i, transform="cdf"))
+
+    def test_transformed_evaluator(self, spec, c_rows):
+        ev = b.finite_evaluator(spec, c_rows=c_rows)
+        ht = forward_eigenfunction(spec, 0.25)
+        tilted = b.transformed_evaluator(ev, ht)
+        twin = b.transformed_evaluator(full_table_twin(ev), ht)
+        k = ht.k_array()
+        n = spec.n_states
+        want = b.psi_table(spec, -ev.theta) * (k[1] ** 2 / k[1 : n + 1])[None, :]
+        assert np.array_equal(tilted.psi, want)
+        ts = np.array([0.3, 2.0])
+        for i in (1, c_rows + 1, n):
+            got = b.spectral_sum(tilted, ts, i, ("state", n))
+            assert np.array_equal(got, b.spectral_sum(twin, ts, i, ("state", n)))
+        twice = b.transformed_evaluator(tilted, forward_eigenfunction(tilted.spec, 0.5))
+        k2 = forward_eigenfunction(tilted.spec, 0.5).k_array()
+        assert np.array_equal(twice.psi, want * (k2[1] ** 2 / k2[1 : n + 1])[None, :])
+
+
 class TestBalanceCheck:
     @pytest.mark.parametrize("index", [0, 7, 19])
     def test_one_weight_off_by_a_millionth_rejected(self, index):
