@@ -55,6 +55,6 @@ print("worst orthogonality defect:", worst)
 
 # Every row of C evaluated at -theta_k reproduces the eigenfunction values,
 # and the total-mass identity sum_k w_k psi_k(i) / theta_k = 1 holds.
-psi1 = m.psi[:, 0]
+psi1 = m.psi_at((1,))[:, 0]
 total = float(np.sum(m.weights * psi1 / m.theta))
 print("total-mass identity at i = 1:", total)

@@ -305,17 +305,19 @@ def _grid_series(args, ev, t_min, start, target, column):
 
 def _cmd_density(args, parser):
     t_min = args.t_min
+    nu = _parse_nu(args.nu) if args.nu else None
+    start = args.state if nu is None else nu
     if args.continuous:
         kappa = _continuous_kappa(args, parser)
-        ev = rw_evaluator(kappa, n_nodes=args.nodes, n_states=args.n_states or 64)
+        # the table reaches the deepest state read, unless --N sets it
+        top = args.state if nu is None else nu.max_state
+        ev = rw_evaluator(kappa, n_nodes=args.nodes, n_states=args.n_states or max(top, 1))
         cfg_spec = {"model": "symmetric_rw", "kappa": args.kappa, "continuous": True}
         t_min = max(t_min, 1e-8)  # termwise evaluation is unsafe at t = 0 for the walk
     else:
         spec = _resolve_spec(args, parser)
         ev = finite_evaluator(spec)
         cfg_spec = spec.to_dict()
-    nu = _parse_nu(args.nu) if args.nu else None
-    start = args.state if nu is None else nu
     grid_cfg, table = _grid_series(args, ev, t_min, start, "absorption", "f")
     cfg = {
         "spec": cfg_spec,
@@ -600,8 +602,9 @@ def _verify_battery(spec):
     )
     yield "eigenfunction-orthogonality", d <= 1e-9, f"max defect {d:g}"
 
-    # total mass: the hitting CDF at t = inf
-    d = max(abs(spectral_sum(ev, (np.inf,), i, transform="cdf")[0] - 1.0) for i in range(1, n + 1))
+    # total mass: the hitting CDF at t = inf, from every state
+    mass = spectral_sum(ev, (np.inf,), range(1, n + 1), transform="cdf")
+    d = float(np.max(np.abs(mass - 1.0)))
     yield "density-total-mass", d <= 1e-9, f"max defect {d:g}"
 
     theta_min = float(ev.theta[0])
@@ -614,10 +617,9 @@ def _verify_battery(spec):
 
     ts = (0.3, 1.0, 2.5)
     mu1 = float(spec.mu[0])
-    d = max(
-        np.max(np.abs(spectral_sum(ev, ts, i) - mu1 * spectral_sum(ev, ts, i, ("state", 1))))
-        for i in range(1, min(3, n) + 1)
-    )
+    starts = range(1, min(3, n) + 1)
+    f = spectral_sum(ev, ts, starts)
+    d = float(np.max(np.abs(f - mu1 * spectral_sum(ev, ts, starts, ("state", 1)))))
     yield "density-transition-link", d <= 1e-12, f"max diff {d:g}"
 
     k_sup = min(3, n)
@@ -629,10 +631,10 @@ def _verify_battery(spec):
     k_max = min(4, rows - 1)
     alpha = derivative_bound_sequence(c, k_max)
     worst = 0.0
+    starts = range(1, min(n, 8) + 1)
     for k in range(k_max + 1):
-        for i in range(1, min(n, 8) + 1):
-            v = np.abs(spectral_sum(ev, (0.05, 0.3, 1.0, 3.0), i, transform=k))
-            worst = max(worst, float(v.max()) - float(alpha[k]) * (1 + 1e-12))
+        v = np.abs(spectral_sum(ev, (0.05, 0.3, 1.0, 3.0), starts, transform=k))
+        worst = max(worst, float(v.max()) - float(alpha[k]) * (1 + 1e-12))
     yield "derivative-bounds", worst <= 1e-12, f"max excess {worst:g}"
 
     if _is_constant_symmetric(spec):
@@ -642,25 +644,34 @@ def _verify_battery(spec):
         yield "stieltjes-ratio", d <= 1e-6, f"max diff {d:g}"
 
         gamma = kappa / 2
-        plus, _ = rw_gamma_eigenfunctions(spec.mu[0], gamma, n)
-        ev2 = transformed_evaluator(ev, plus)
-        c2 = ev2.c
-        c2_direct = build_c_matrix(c2.spec, c.max_index, rational=False)
-        d = 0.0
-        for i in range(c.max_index + 1):
-            for j in range(i + 1):
-                a = float(c2.rows[i][j])
-                b = float(c2_direct.rows[i][j])
-                d = max(d, abs(a - b) / max(1.0, abs(b)))
-        yield "htransform-cmatrix-commutation", d <= 1e-10, f"max rel diff {d:g}"
+        try:
+            plus, _ = rw_gamma_eigenfunctions(spec.mu[0], gamma, n)
+            ev2 = transformed_evaluator(ev, plus)
+        except (ValueError, OverflowError) as exc:
+            # the tilted chain is out of reach (its speed measure leaves float
+            # range from N = 513 on the kappa = 1 walk): both of its checks
+            # fail, and the battery goes on
+            detail = f"tilted evaluator refused: {exc}"
+            yield "htransform-cmatrix-commutation", False, detail
+            yield "htransform-density-conjugacy", False, detail
+        else:
+            c2 = ev2.c
+            c2_direct = build_c_matrix(c2.spec, c.max_index, rational=False)
+            d = 0.0
+            for i in range(c.max_index + 1):
+                for j in range(i + 1):
+                    a = float(c2.rows[i][j])
+                    b = float(c2_direct.rows[i][j])
+                    d = max(d, abs(a - b) / max(1.0, abs(b)))
+            yield "htransform-cmatrix-commutation", d <= 1e-10, f"max rel diff {d:g}"
 
-        x, t = min(2, n), 0.7
-        lhs = spectral_sum(ev2, (t,), x)[0]
-        # f'_x(t) = exp(-gamma t) f_x(t) / k(x)
-        f = spectral_sum(ev, (t,), x)[0]
-        rhs = math.exp(-float(plus.gamma) * t) * f / float(plus.k_values[x])
-        d = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        yield "htransform-density-conjugacy", d <= 1e-9, f"rel diff {d:g}"
+            x, t = min(2, n), 0.7
+            lhs = spectral_sum(ev2, (t,), x)[0]
+            # f'_x(t) = exp(-gamma t) f_x(t) / k(x)
+            f = spectral_sum(ev, (t,), x)[0]
+            rhs = math.exp(-float(plus.gamma) * t) * f / float(plus.k_values[x])
+            d = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+            yield "htransform-density-conjugacy", d <= 1e-9, f"rel diff {d:g}"
 
     horizon = 80.0 / theta_min
     too_long = _over_budget(spec, nu, 2000, horizon)

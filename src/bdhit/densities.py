@@ -149,31 +149,60 @@ def rw_evaluator(kappa, n_nodes=128, n_states=64):
     return DensityEvaluator(theta, weights, _PsiRows(psi, c.spec, -theta), c, is_continuous=True)
 
 
+def _ascending_states(ev, start):
+    """The states of the sequence start, refused unless strictly ascending in 1..N."""
+    states = tuple(start)
+    for i in states:
+        _check_state(ev, i, "start state")
+    for i, j in zip(states, states[1:]):
+        if j <= i:
+            raise ValueError(f"start: states must be strictly ascending, got {j} after {i}")
+    return states
+
+
 def spectral_sum(ev, t, start, target="absorption", transform=0):
     """sum_k w_k exp(-theta_k t) a_k b_k at every t of a 1-D array.
 
-    start: a state i (a_k = psi_k(i)) or an InitialDistribution nu
+    start: a state i (a_k = psi_k(i)), a strictly ascending sequence of
+    states (one such sum per state), or an InitialDistribution nu
     (a_k = sum_i nu{i} psi_k(i)).  target: "absorption" (b_k = 1, the
     density f), ("state", j) (b_k = pi_j psi_k(j), P[X_t = j]) or
     ("c_row", j) (b_k = pi_j sum_m C(j, m) (-theta_k)^(m-1), the row-j
     C-matrix operator applied to f, from the C coefficients).  transform:
     an integer order k >= 0 (a factor (-theta_k)^k, the k-th t-derivative)
     or "cdf" (-expm1(-theta_k t) / theta_k in place of exp(-theta_k t)).
-    Any other target or transform is refused with a ValueError naming it.
+    Any other start, target or transform is refused with a ValueError
+    naming it.
 
     So f_i(t) is spectral_sum(ev, t, i), P_i[X_t = j] is
-    spectral_sum(ev, t, i, ("state", j)) and P_nu[T_0 <= t] is
-    spectral_sum(ev, t, nu, transform="cdf").  Every t must be
-    nonnegative (NaN is refused); t = inf is allowed, where the CDF
-    is the total mass.
+    spectral_sum(ev, t, i, ("state", j)), P_nu[T_0 <= t] is
+    spectral_sum(ev, t, nu, transform="cdf") and the total mass from
+    every state is spectral_sum(ev, (inf,), range(1, N + 1), transform="cdf").
+    Every t must be nonnegative (NaN is refused); t = inf is allowed,
+    where the CDF is the total mass.
+
+    Returns shape (len(t),), or (len(states), len(t)) for a sequence of
+    states.  psi at the start states comes from one pass
+    (_PsiRows.stream), so a call over every state makes one recurrence
+    walk, not one per state, and holds one coefficient row at a time,
+    never a states x atoms array; psi_j of a ("state", j) target is read
+    first, by a pass of its own that walks only when j lies above the
+    kept rows.  A row's coefficients are formed as w psi_i, then times
+    psi_j or the C-row polynomial, then pi_j, then over -theta or times
+    (-theta)^k, and reduced by the same t-blocked kernel, so every row
+    has the bits of its one-state call.
     """
     neg_theta = -ev.theta
-    if isinstance(start, InitialDistribution):
-        if start.max_state > ev.n_states:
+    nu = start if isinstance(start, InitialDistribution) else None
+    many = nu is None and not isinstance(start, (int, np.integer)) and np.ndim(start) > 0
+    if nu is not None:
+        if nu.max_state > ev.n_states:
             raise ValueError(
-                f"nu: support reaches state {start.max_state}, evaluator covers 1..{ev.n_states}"
+                f"nu: support reaches state {nu.max_state}, evaluator covers 1..{ev.n_states}"
             )
-        reads = start.states
+        reads = nu.states
+    elif many:
+        reads = _ascending_states(ev, start)
     else:
         _check_state(ev, start)
         reads = (start,)
@@ -189,7 +218,6 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
             raise ValueError(f"target: state must be an integer, got {j!r}")
         if kind == "state":
             _check_state(ev, j, "target state")
-            reads += (j,)
         elif kind == "c_row":
             if j > ev.c.max_index:
                 raise ValueError(
@@ -197,22 +225,6 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
                 )
         else:
             raise ValueError(f"target: expected 'state' or 'c_row', got {kind!r}")
-    psi = ev.psi_at(reads)  # one column per state read, in the order of reads
-    if isinstance(start, InitialDistribution):
-        (_, mass), *rest = start.items
-        coef = mass * psi[:, 0]
-        for m, (_, mass) in enumerate(rest, start=1):
-            coef += mass * psi[:, m]
-        coef *= ev.weights
-    else:
-        coef = ev.weights * psi[:, 0]
-    if kind == "state":
-        coef *= psi[:, -1]
-    elif kind == "c_row":
-        c_row = [float(v) for v in diff_operator_coeffs(ev.c, j)]
-        coef *= np.polyval(c_row[::-1], neg_theta)
-    if kind is not None:
-        coef *= ev.pi[j - 1]
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"t: expected a one-dimensional array, got shape {t.shape}")
@@ -227,7 +239,6 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
                 "transform 'cdf': needs the discrete spectrum of a finite chain "
                 "(the quadrature version loses the 1/theta tail)"
             )
-        coef /= neg_theta
         decay = np.expm1
     else:
         if isinstance(transform, bool) or not isinstance(transform, (int, np.integer)):
@@ -236,19 +247,41 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
             )
         if transform < 0:
             raise ValueError(f"transform order: must be nonnegative, got {transform}")
-        if transform:
-            coef *= neg_theta**transform
+        power = neg_theta**transform
         decay = np.exp
-    out = np.empty(len(t))
-    rows = max(1, _BLOCK_ENTRIES // len(coef))
-    work = np.empty((min(rows, len(t)), len(coef)))
-    for lo in range(0, len(t), rows):
-        block = work[: len(t) - lo]
-        np.multiply(t[lo : lo + rows, None], neg_theta, out=block)
-        decay(block, out=block)
-        block *= coef
-        np.add.reduce(block, axis=-1, out=out[lo : lo + rows])
-    return out
+    if kind == "state":
+        factor = next(ev.psi_rows.stream((j,)))
+    elif kind == "c_row":
+        c_row = [float(v) for v in diff_operator_coeffs(ev.c, j)]
+        factor = np.polyval(c_row[::-1], neg_theta)
+    rows = ev.psi_rows.stream(reads)
+    if nu is not None:
+        (_, mass), *rest = nu.items
+        coef = mass * next(rows)
+        for (_, mass), psi in zip(rest, rows):
+            coef += mass * psi
+        coef *= ev.weights
+        coefs = (coef,)
+    else:
+        coefs = (ev.weights * psi for psi in rows)
+    out = np.empty((1 if nu is not None else len(reads), len(t)))
+    step = max(1, _BLOCK_ENTRIES // len(neg_theta))
+    work = np.empty((min(step, len(t)), len(neg_theta)))
+    for values, coef in zip(out, coefs):
+        if kind is not None:
+            coef *= factor
+            coef *= ev.pi[j - 1]
+        if transform == "cdf":
+            coef /= neg_theta
+        elif transform:
+            coef *= power
+        for lo in range(0, len(t), step):
+            block = work[: len(t) - lo]
+            np.multiply(t[lo : lo + step, None], neg_theta, out=block)
+            decay(block, out=block)
+            block *= coef
+            np.add.reduce(block, axis=-1, out=values[lo : lo + step])
+    return out if many else out[0]
 
 
 def time_grid(t_min, t_max, count, log=False):

@@ -10,17 +10,19 @@ They come from LAPACK's dqds routine dlasq1, which _lapack takes from
 scipy's bundled LAPACK without importing scipy.linalg.  The weights come
 from one pass of the psi recurrence over the states, which keeps psi only
 for the states the C rows cover, so the spectrum path holds O(N) memory
-and no N x N array.  The constant-rate symmetric walk has a
-closed-form continuous spectral density; densities.rw_evaluator
-discretizes it by a trigonometric quadrature rule that is exact on the
-eigenfunction products it is used for, into the same DensityEvaluator.  A
-Stieltjes-ratio identity for the same walk serves as an independent
-cross-check of the whole spectral setup.
+and no N x N array; a read of psi at deeper states, one state or all of
+them, continues that recurrence in one more pass.  The constant-rate
+symmetric walk has a closed-form continuous spectral density;
+densities.rw_evaluator discretizes it by a trigonometric quadrature rule
+that is exact on the eigenfunction products it is used for, into the
+same DensityEvaluator.  A Stieltjes-ratio identity for the same walk
+serves as an independent cross-check of the whole spectral setup.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +33,6 @@ from .cmatrix import CMatrix, eval_psi_theta
 
 __all__ = [
     "DensityEvaluator",
-    "psi_table",
     "finite_spectrum",
     "orthogonality_defect",
     "stieltjes_check",
@@ -43,8 +44,8 @@ class _PsiRows:
     """psi_k(i) at any interior state i, from the first rows and the recurrence.
 
     head[i - 1] is the row psi_k(i) over the atoms for states i = 1..len(head).
-    A deeper state continues the recurrence of spec at theta from the last
-    two head rows, so it gets the bits a full psi_table walk would give,
+    Deeper states continue the recurrence of spec at theta from the last
+    two head rows, so they get the bits a walk over every state would give,
     and nothing between is stored.  scales are per-state column factors
     (indexed by state - 1), applied in order to every value read.
     """
@@ -54,22 +55,30 @@ class _PsiRows:
     theta: np.ndarray
     scales: tuple = ()
 
+    def stream(self, states):
+        """Yield the row psi_k(i) over the atoms for each i of the ascending states.
+
+        All rows come from one pass: head, then one _psi_rows walk that
+        goes no deeper than the last state.  A yielded row is read-only
+        and is valid until the next one is drawn.
+        """
+        walk = _psi_rows(self.spec, self.theta, self.head)
+        rows = enumerate(itertools.chain(self.head, walk), start=1)
+        for i in states:
+            for state, row in rows:
+                if state == i:
+                    break
+            for factors in self.scales:
+                row = row * factors[i - 1]
+            yield row
+
     def at(self, states):
-        """One row per state: an array of shape (len(states), atoms)."""
-        kept = len(self.head)
-        out = self.head[[min(i, kept) - 1 for i in states]]  # deep states are filled in below
-        deep = {}
-        for pos, i in enumerate(states):
-            if i > kept:
-                deep.setdefault(i, []).append(pos)
-        if deep:
-            rows = _psi_rows(self.spec, self.theta, max(deep), self.head)
-            for i, row in enumerate(rows, start=kept + 1):
-                if i in deep:
-                    out[deep[i]] = row
-        for factors in self.scales:
-            out *= factors[[i - 1 for i in states]][:, None]
-        return out
+        """One row per state, in any order: an array of shape (len(states), atoms)."""
+        order = sorted(set(states))
+        out = np.empty((len(order), self.theta.size))
+        for m, row in enumerate(self.stream(order)):
+            out[m] = row
+        return out[np.searchsorted(order, states)]
 
 
 @dataclass(frozen=True)
@@ -116,20 +125,16 @@ class DensityEvaluator:
     def psi_at(self, states):
         """psi_k(i) for each interior state i in states: shape (atoms, len(states)).
 
-        Column m is psi at states[m]; states are 1-based and not checked
-        here (callers check them against n_states).
+        Column m is psi at states[m], in any order; a state that is not
+        an integer in 1..n_states is refused.
         """
+        for i in states:
+            _check_state(self, i)
         return self.psi_rows.at(states).T
 
-    @property
-    def psi(self):
-        """The whole table psi_k(i), one row per atom and one column per
-        state 1..n_states, built on each read (N x N for a finite chain)."""
-        return self.psi_at(range(1, self.n_states + 1))
 
-
-def _psi_rows(spec, theta, stop, head=None):
-    """Yield the rows psi_theta(i) over the thetas for the states up to stop.
+def _psi_rows(spec, theta, head=None):
+    """Yield the rows psi_theta(i) over the thetas, state by state up to N.
 
     The defining three-term recurrence (the C-matrix row polynomials
     psi_theta(i) = sum_j C(i,j) theta^(j-1) in their numerically stable
@@ -138,14 +143,16 @@ def _psi_rows(spec, theta, stop, head=None):
         psi(0) = 0,  psi(1) = 1/mu_1,
         lambda_i psi(i+1) = (lambda_i + mu_i + theta) psi(i) - mu_i psi(i-1).
 
-    With no head the walk yields states 1..stop; with head, the rows of
+    With no head the walk yields states 1..N; with head, the rows of
     states 1..len(head) already known, it continues from their last two
-    and yields states len(head)+1..stop.  Every row advances as one numpy
-    vector through exactly the floating-point operations of the scalar
-    recurrence for its theta alone, in the same order, so every value is
-    bit-identical to that scalar run.  The walk works in three reused
-    buffers: a yielded row is overwritten two steps later, so a caller
-    that keeps it copies it.  This is the only evaluator of the recurrence.
+    and yields states len(head)+1..N.  A step is taken only when its row
+    is drawn, so a caller that needs fewer states stops drawing.  Every
+    row advances as one numpy vector through exactly the floating-point
+    operations of the scalar recurrence for its theta alone, in the same
+    order, so every value is bit-identical to that scalar run.  The walk
+    works in three reused buffers: a yielded row is overwritten two steps
+    later, so a caller that keeps it copies it.  This is the only
+    evaluator of the recurrence.
     """
     lam = spec.lam_array()
     mu = spec.mu_array()
@@ -162,7 +169,7 @@ def _psi_rows(spec, theta, stop, head=None):
     diag = (lam + mu).tolist()
     lam = lam.tolist()
     mu = mu.tolist()
-    for i in range(start, stop):
+    for i in range(start, spec.n_states):
         np.add(diag[i - 1], theta, out=nxt)
         nxt *= cur
         np.multiply(mu[i - 1], prev, out=prev)
@@ -170,27 +177,6 @@ def _psi_rows(spec, theta, stop, head=None):
         nxt /= lam[i - 1]
         prev, cur, nxt = cur, nxt, prev
         yield cur
-
-
-def psi_table(spec, theta):
-    """Values psi_theta(1..n) for every theta in a 1-D array, one row each.
-
-    The _psi_rows walk over every state: it advances every theta together
-    as a numpy vector, so a table for all N atoms costs N vector steps
-    rather than N^2 scalar ones, and each entry is bit-identical to the
-    scalar recurrence for its theta alone.  Each step writes one
-    contiguous row of an (n, atoms) array, and the table returned is its
-    transpose, a view.  The evaluators never build it: finite_spectrum
-    keeps only the rows its C-matrix covers.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1:
-        raise ValueError(f"theta: must be one-dimensional, got shape {theta.shape}")
-    n = spec.n_states
-    out = np.empty((n, theta.size))
-    for i, row in enumerate(_psi_rows(spec, theta, n)):
-        out[i] = row
-    return out.T
 
 
 def _check_balance(spec, pi):
@@ -263,14 +249,16 @@ def finite_spectrum(c):
     with psi normalized by psi(1) = 1/mu_1 = C(1,1), which removes any
     eigenvector-scaling ambiguity.  One recurrence walk over the states,
     vectorized across the atoms, adds pi_i psi_k(i)^2 to the sums state by
-    state, in the order (and so with the bits) of a reduction over a full
-    psi_table, and keeps the rows of states 1..c.max_index, the states the
-    C rows cover; psi at a deeper state is recomputed when read
-    (DensityEvaluator.psi_at), so no N x N array is built.  The speed
-    measure is c.pi.array(), the one float copy of c.pi; the O(N) balance
-    check refuses one that does not symmetrize the rates.  The recurrence
-    values are cross-checked against Horner evaluation of the rows of c
-    on a low state (the two must agree: same polynomials).
+    state, in the order (and so with the bits) of a reduction over the
+    whole (states x atoms) table, and keeps the rows of states
+    1..c.max_index, the states the C rows cover.  psi at deeper states is
+    recomputed when read, by one walk per read however many states it
+    covers (_PsiRows.stream, which spectral_sum and psi_at read through),
+    so no N x N array is built.  The speed measure is c.pi.array(), the
+    one float copy of c.pi; the O(N) balance check refuses one that does
+    not symmetrize the rates.  The recurrence values are cross-checked
+    against Horner evaluation of the rows of c on a low state (the two
+    must agree: same polynomials).
     """
     spec = c.spec
     pia = c.pi.array()
@@ -287,7 +275,7 @@ def finite_spectrum(c):
     head = np.empty((min(c.max_index, n), theta.size))
     total = np.zeros(theta.size)
     term = np.empty(theta.size)
-    for i, row in enumerate(_psi_rows(spec, neg_theta, n)):
+    for i, row in enumerate(_psi_rows(spec, neg_theta)):
         if i < len(head):
             head[i] = row
         np.multiply(row, pia[i], out=term)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bdhit import ProcessSpec
+from bdhit.spectral import _psi_rows
 
 
 def random_chain(seed, n=10, lo=0.5, hi=3.0):
@@ -15,6 +16,16 @@ def random_chain(seed, n=10, lo=0.5, hi=3.0):
     mu = list(rng.uniform(lo, hi, n))
     lam[-1] = 0.0
     return ProcessSpec(tuple(lam), tuple(mu))
+
+
+def walk_table(spec, theta):
+    """psi_theta(1..N) for each theta, one row each: a whole _psi_rows walk.
+
+    The reference table tests compare psi reads against; the walk reuses
+    its buffers, so every row is copied out.
+    """
+    theta = np.asarray(theta, dtype=float)
+    return np.array([row.copy() for row in _psi_rows(spec, theta)]).T
 
 
 @pytest.fixture

@@ -240,6 +240,17 @@ class TestDensityCommand:
         header, data = read_csv(tmp_path / "density.csv")
         assert data[0][0] > 0
 
+    def test_continuous_table_reaches_the_states_read(self, tmp_path, monkeypatch):
+        # with no --N the walk's table stops at the deepest state read, so
+        # a rule of 32 nodes is enough; the values do not depend on --N
+        args = ["density", "--continuous", "--model", "symmetric_rw", "--kappa", "1",
+                "--nodes", "32", "--t-count", "9"]
+        for extra in ([], ["--nu", "2:0.5,31:0.5"]):
+            assert run([*args, *extra], tmp_path, monkeypatch) == 0
+            default = (tmp_path / "density.csv").read_bytes()
+            assert run([*args, *extra, "--N", "31"], tmp_path, monkeypatch) == 0
+            assert (tmp_path / "density.csv").read_bytes() == default
+
     @pytest.mark.parametrize("flag", ["--t-min", "--t-max"])
     def test_nan_bound_exits_1(self, tmp_path, monkeypatch, capsys, flag):
         args = ["density", "--model", "symmetric_rw", "--kappa", "1", "--N", "10",
@@ -570,6 +581,29 @@ class TestVerifyCommand:
         skipped = [r["name"] for r in doc["results"] if r["passed"] is None]
         assert skipped == ["monte-carlo-ks", "simulation-determinism"]
         assert all(r["passed"] for r in doc["results"] if r["name"] not in skipped)
+
+    @pytest.mark.parametrize("error", [ValueError, OverflowError])
+    def test_refused_tilt_fails_two_checks_and_goes_on(self, tmp_path, monkeypatch, capsys, error):
+        # from N = 513 the tilted walk's speed measure leaves float range
+        def refuse(ev, ht):
+            raise error("speed measure overflows at pi[7]")
+
+        monkeypatch.setattr(b.cli, "transformed_evaluator", refuse)
+        code = run(
+            ["verify", "--model", "symmetric_rw", "--kappa", "1", "--N", "6"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 2
+        out = capsys.readouterr().out
+        detail = "tilted evaluator refused: speed measure overflows at pi[7]"
+        assert f"FAIL htransform-cmatrix-commutation ({detail})" in out
+        assert f"FAIL htransform-density-conjugacy ({detail})" in out
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        failed = [r["name"] for r in doc["results"] if not r["passed"]]
+        assert failed == ["htransform-cmatrix-commutation", "htransform-density-conjugacy"]
+        assert [r["name"] for r in doc["results"]][-2:] == [
+            "monte-carlo-ks", "simulation-determinism",
+        ]
 
     def test_battery_passes_on_random_chain(self, tmp_path, monkeypatch, capsys):
         doc = {

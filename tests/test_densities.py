@@ -10,6 +10,7 @@ import scipy.linalg
 
 import bdhit as b
 from bdhit.oracles import interior_rate_matrix, rw_hitting_density_closed_form
+from conftest import walk_table
 
 
 class TestInitialDistribution:
@@ -58,13 +59,14 @@ class TestFiniteEvaluator:
         ev = b.finite_evaluator(chain_factory(51))
         assert ev.n_states == 10
         assert not ev.is_continuous
-        assert ev.psi.shape == (10, 10)
+        assert ev.psi_at(range(1, 11)).shape == (10, 10)
 
     def test_psi_is_the_table_the_weights_came_from(self, chain_factory):
         spec = chain_factory(52)
         ev = b.finite_evaluator(spec)
-        assert np.array_equal(ev.psi, b.psi_table(spec, -ev.theta))
-        weights = 1.0 / np.einsum("ki,i,ki->k", ev.psi, ev.pi, ev.psi)
+        psi = ev.psi_at(range(1, 11))
+        assert np.array_equal(psi, walk_table(spec, -ev.theta))
+        weights = 1.0 / np.einsum("ki,i,ki->k", psi, ev.pi, psi)
         assert np.array_equal(ev.weights, weights)
 
     def test_memory_is_linear_in_the_states(self):
@@ -238,7 +240,7 @@ class TestSpectralSum:
         with mpmath.workdps(50):
             for i, j in pairs:
                 got = b.spectral_sum(ev, ts, i, ("state", j))
-                terms = list(zip(ev.weights, ev.theta, ev.psi[:, i - 1], ev.psi[:, j - 1]))
+                terms = list(zip(ev.weights, ev.theta, *ev.psi_at((i, j)).T))
                 for t, p in zip(ts, got):
                     want = mpf(ev.pi[j - 1]) * mpmath.fsum(
                         mpf(w) * mpmath.exp(-mpf(th) * mpf(t)) * mpf(a) * mpf(c)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import scipy.linalg
 
 import bdhit as b
 from bdhit.oracles import interior_rate_matrix
-from conftest import random_chain
+from conftest import random_chain, walk_table
 
 
 def spectrum(spec):
@@ -23,7 +24,7 @@ class TestPsiRecurrence:
     def test_matches_polynomial_evaluation_exactly(self, rational_chain):
         c = b.build_c_matrix(rational_chain, 4)
         thetas = (-0.7, 0.0, 1.3)
-        for theta, psi in zip(thetas, b.psi_table(rational_chain, thetas)):
+        for theta, psi in zip(thetas, walk_table(rational_chain, thetas)):
             for i in range(1, 5):
                 assert psi[i - 1] == pytest.approx(
                     float(b.eval_psi_theta(c, i, theta)), rel=1e-12, abs=1e-15
@@ -32,14 +33,14 @@ class TestPsiRecurrence:
     def test_eigen_equation(self, chain_factory):
         spec = chain_factory(31)
         theta = -1.1
-        psi = b.psi_table(spec, [theta])[0]
+        psi = walk_table(spec, [theta])[0]
         qpsi = b.apply_Q(spec, [0.0, *psi])
         for i in range(spec.n_states - 1):
             assert qpsi[i] == pytest.approx(theta * psi[i], rel=1e-10, abs=1e-12)
 
 
 def scalar_psi(spec, theta):
-    """The one-theta recurrence as a plain Python loop: the reference for psi_table."""
+    """The one-theta recurrence as a plain Python loop: the reference for the walk."""
     lam = spec.lam_array()
     mu = spec.mu_array()
     out = np.empty(spec.n_states)
@@ -64,23 +65,18 @@ class TestPsiTable:
     )
     def test_rows_bit_identical_to_scalar_recurrence(self, spec):
         m = spectrum(spec)
-        table = b.psi_table(spec, -m.theta)
+        table = walk_table(spec, -m.theta)
         assert table.shape == (m.n_atoms, spec.n_states)
         for k, th in enumerate(m.theta):
             want = scalar_psi(spec, float(-th))
             assert np.array_equal(table[k], want)
-            assert np.array_equal(b.psi_table(spec, [-th])[0], want)
-        assert np.array_equal(m.psi, table)
-
-    def test_validation(self, chain_factory):
-        spec = chain_factory(61)
-        with pytest.raises(ValueError, match="one-dimensional"):
-            b.psi_table(spec, [[1.0]])
+            assert np.array_equal(walk_table(spec, [-th])[0], want)
+        assert np.array_equal(m.psi_at(range(1, spec.n_states + 1)), table)
 
 
 def full_table_twin(ev):
-    """ev holding psi as the whole psi_table, so that nothing is recomputed on a read."""
-    table = b.psi_table(ev.spec, -ev.theta)
+    """ev holding psi as the whole walk table, so that nothing is recomputed on a read."""
+    table = walk_table(ev.spec, -ev.theta)
     rows = dataclasses.replace(ev.psi_rows, head=np.ascontiguousarray(table.T))
     return dataclasses.replace(ev, psi_rows=rows)
 
@@ -100,15 +96,25 @@ def forward_eigenfunction(spec, gamma):
 )
 class TestPsiBelowTheKeptRows:
     """A finite evaluator keeps psi for states 1..c_rows and recomputes deeper
-    ones; every value read there has the bits of a full psi_table."""
+    ones; every value read there has the bits of a full walk table."""
 
     def test_keeps_only_the_c_rows_states(self, spec, c_rows):
         ev = b.finite_evaluator(spec, c_rows=c_rows)
         assert ev.psi_rows.head.shape == (c_rows, spec.n_states)
-        assert np.array_equal(ev.psi, b.psi_table(spec, -ev.theta))
+        table = walk_table(spec, -ev.theta)
+        assert np.array_equal(ev.psi_at(range(1, spec.n_states + 1)), table)
         states = (spec.n_states, 1, c_rows + 1, spec.n_states, c_rows)
-        want = b.psi_table(spec, -ev.theta)[:, [i - 1 for i in states]]
+        want = table[:, [i - 1 for i in states]]
         assert np.array_equal(ev.psi_at(states), want)
+
+    def test_states_outside_the_chain_refused(self, spec, c_rows):
+        ev = b.finite_evaluator(spec, c_rows=c_rows)
+        n = spec.n_states
+        for bad in (0, n + 1):
+            with pytest.raises(ValueError, match=f"state {bad}: outside 1..{n}"):
+                ev.psi_at((1, bad))
+        with pytest.raises(ValueError, match="state: must be an integer, got 2.5"):
+            ev.psi_at((2.5,))
 
     def test_spectral_sums(self, spec, c_rows):
         ev = b.finite_evaluator(spec, c_rows=c_rows)
@@ -147,15 +153,140 @@ class TestPsiBelowTheKeptRows:
         twin = b.transformed_evaluator(full_table_twin(ev), ht)
         k = ht.k_array()
         n = spec.n_states
-        want = b.psi_table(spec, -ev.theta) * (k[1] ** 2 / k[1 : n + 1])[None, :]
-        assert np.array_equal(tilted.psi, want)
+        every = range(1, n + 1)
+        want = walk_table(spec, -ev.theta) * (k[1] ** 2 / k[1 : n + 1])[None, :]
+        assert np.array_equal(tilted.psi_at(every), want)
         ts = np.array([0.3, 2.0])
         for i in (1, c_rows + 1, n):
             got = b.spectral_sum(tilted, ts, i, ("state", n))
             assert np.array_equal(got, b.spectral_sum(twin, ts, i, ("state", n)))
         twice = b.transformed_evaluator(tilted, forward_eigenfunction(tilted.spec, 0.5))
         k2 = forward_eigenfunction(tilted.spec, 0.5).k_array()
-        assert np.array_equal(twice.psi, want * (k2[1] ** 2 / k2[1 : n + 1])[None, :])
+        assert np.array_equal(twice.psi_at(every), want * (k2[1] ** 2 / k2[1 : n + 1])[None, :])
+
+
+MANY_START_CHAINS = {
+    "walk-60": b.symmetric_rw_spec(1, 60),
+    "random-40": random_chain(64, n=40),
+    "drift-2-1-40": b.asymmetric_rw(2, 1, 40)[0],
+}
+
+
+def counted_walks(monkeypatch):
+    """A list that gets one entry per _psi_rows walk that takes a step: the
+    number of rows it yields."""
+    walks = []
+    real = b.spectral._psi_rows
+
+    def counted(*args):
+        walks.append(0)
+        for row in real(*args):
+            walks[-1] += 1
+            yield row
+
+    monkeypatch.setattr(b.spectral, "_psi_rows", counted)
+    return walks
+
+
+class TestManyStarts:
+    """spectral_sum over a sequence of start states: one row per state, all
+    from one walk, each with the bits of its one-state call."""
+
+    @pytest.mark.parametrize("transform", [0, 2, "cdf"])
+    @pytest.mark.parametrize("target", ["absorption", "state-1", "state-N", "c_row"])
+    @pytest.mark.parametrize("c_rows", [1, 2, 16])
+    @pytest.mark.parametrize("chain", sorted(MANY_START_CHAINS))
+    def test_rows_bit_identical_to_one_state_calls(self, chain, c_rows, target, transform):
+        spec = MANY_START_CHAINS[chain]
+        n = spec.n_states
+        base = b.finite_evaluator(spec, c_rows=c_rows)
+        tilted = b.transformed_evaluator(base, forward_eigenfunction(spec, 0.25))
+        target = {
+            "absorption": "absorption",
+            "state-1": ("state", 1),
+            "state-N": ("state", n),
+            "c_row": ("c_row", c_rows),
+        }[target]
+        ts = np.array([0.0, 0.3, 2.0, 40.0])
+        if transform == "cdf":
+            ts = np.append(ts, np.inf)
+        states = range(1, n + 1)
+        for ev in (base, tilted):
+            rows = b.spectral_sum(ev, ts, states, target, transform)
+            assert rows.shape == (n, len(ts))
+            for i, row in zip(states, rows):
+                assert np.array_equal(row, b.spectral_sum(ev, ts, i, target, transform)), i
+
+    def test_a_subset_and_a_single_state(self):
+        ev = b.finite_evaluator(MANY_START_CHAINS["random-40"], c_rows=4)
+        ts = np.array([0.1, 1.0])
+        states = (2, 5, 6, 39)
+        rows = b.spectral_sum(ev, ts, np.array(states), ("state", 7))
+        for i, row in zip(states, rows):
+            assert np.array_equal(row, b.spectral_sum(ev, ts, i, ("state", 7)))
+        one = b.spectral_sum(ev, ts, [5])
+        assert one.shape == (1, 2)
+        assert np.array_equal(one[0], b.spectral_sum(ev, ts, 5))
+        assert b.spectral_sum(ev, ts, ()).shape == (0, 2)
+
+    def test_one_walk_for_every_state(self, monkeypatch):
+        n = 300
+        ev = b.finite_evaluator(b.symmetric_rw_spec(1, n), c_rows=10)
+        walks = counted_walks(monkeypatch)
+        b.spectral_sum(ev, (0.1, 1.0, np.inf), range(1, n + 1), transform="cdf")
+        assert walks == [n - 10]  # states 11..n, once each
+        walks.clear()
+        b.spectral_sum(ev, (1.0,), range(1, 11))  # the kept rows: no walk at all
+        assert walks == []
+        walks.clear()
+        for i in (11, 12, 13):
+            b.spectral_sum(ev, (1.0,), i)
+        assert walks == [1, 2, 3]
+
+    def test_verify_total_mass_is_one_walk(self, monkeypatch):
+        from bdhit.cli import _verify_battery
+
+        spec = b.symmetric_rw_spec(1, 30)
+        battery = _verify_battery(spec)
+        walks = counted_walks(monkeypatch)
+        for name, passed, _ in battery:
+            if name == "eigenfunction-orthogonality":
+                walks.clear()
+            if name == "density-total-mass":
+                assert passed
+                break
+        assert walks == [20]  # states 11..30 above the 10 kept rows
+
+    def test_all_states_at_n_2000_hold_o_n_memory(self):
+        # an N x N coefficient or psi array would be 31 MiB
+        n = 2000
+        ev = b.finite_evaluator(b.symmetric_rw_spec(1, n), c_rows=10)
+        tracemalloc.start()
+        try:
+            mass = b.spectral_sum(ev, (0.1, 1.0, 10.0, np.inf), range(1, n + 1), transform="cdf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert np.max(np.abs(mass[:, -1] - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "starts, message",
+        [
+            ((2, 1), "strictly ascending, got 1 after 2"),
+            ((1, 3, 3), "strictly ascending, got 3 after 3"),
+            ((0, 1), "start state 0: outside 1..10"),
+            ((1, 11), "start state 11: outside 1..10"),
+            ((True, 2), "start state: must be an integer, got True"),
+            ((1, 2.0), "start state: must be an integer, got 2.0"),
+            (np.array([1.0, 2.0]), r"start state: must be an integer, got np.float64\(1.0\)"),
+            ([[1, 2]], r"start state: must be an integer, got \[1, 2\]"),
+        ],
+    )
+    def test_refused_starts(self, starts, message):
+        ev = b.finite_evaluator(b.symmetric_rw_spec(1, 10))
+        with pytest.raises(ValueError, match=message):
+            b.spectral_sum(ev, (1.0,), starts)
 
 
 class TestBalanceCheck:
@@ -180,7 +311,7 @@ class TestBalanceCheck:
                 patched.append(name)
         assert "bdhit.oracles" in patched
         ev = b.finite_evaluator(b.symmetric_rw_spec(1, 500))
-        assert ev.psi.shape == (500, 500)
+        assert ev.psi_at(range(1, 501)).shape == (500, 500)
 
 
 class TestCRowCrossCheck:
@@ -232,7 +363,7 @@ class TestFiniteSpectrum:
         # sum_k w_k psi_k(i) / theta_k = 1 for every interior i.
         spec = chain_factory(39)
         m = b.finite_spectrum(b.build_c_matrix(spec, spec.n_states))
-        table = b.psi_table(spec, -m.theta)
+        table = walk_table(spec, -m.theta)
         for i in range(1, spec.n_states + 1):
             psi_i = table[:, i - 1]
             total = math.fsum(m.weights * psi_i / m.theta)
@@ -284,9 +415,11 @@ class TestOrthogonality:
         ev = b.finite_spectrum(b.build_c_matrix(chain_factory(43), 10))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("orthogonality_defect rebuilt the psi table")
+            raise AssertionError("orthogonality_defect walked the recurrence")
+            yield
 
-        monkeypatch.setattr(b.spectral, "psi_table", refuse)
+        # states 3 and 5 are among the 10 kept rows: no walk is taken
+        monkeypatch.setattr(b.spectral, "_psi_rows", refuse)
         assert b.orthogonality_defect(ev, 3, 5) < 1e-10
 
     def test_rw_quadrature_defect(self):
@@ -328,7 +461,9 @@ class TestRWSpectrum:
         np.testing.assert_array_equal(ev.theta, 2.0 * kappa * (1.0 - np.cos(u)))
         np.testing.assert_array_equal(ev.weights, (2.0 * kappa**2 / 32) * np.sin(u) ** 2)
         for i in range(1, 5):
-            np.testing.assert_array_equal(ev.psi[:, i - 1], np.sin(i * u) / (kappa * np.sin(u)))
+            np.testing.assert_array_equal(
+                ev.psi_at((i,))[:, 0], np.sin(i * u) / (kappa * np.sin(u))
+            )
 
     def test_total_weight_is_kappa_squared(self):
         # Integral of the spectral weight over (0, 4 kappa) equals kappa^2.
@@ -339,8 +474,8 @@ class TestRWSpectrum:
     def test_psi_values_match_recurrence(self):
         kappa = 2.0
         ev = b.rw_evaluator(kappa, n_nodes=16, n_states=5)
-        want = b.psi_table(b.symmetric_rw_spec(kappa, 24), -ev.theta)[:, :5]
-        np.testing.assert_allclose(ev.psi, want, rtol=1e-12, atol=1e-14)
+        want = walk_table(b.symmetric_rw_spec(kappa, 24), -ev.theta)[:, :5]
+        np.testing.assert_allclose(ev.psi_at(range(1, 6)), want, rtol=1e-12, atol=1e-14)
 
     def test_validation(self):
         # kappa and n_nodes are refused before n_states is looked at
