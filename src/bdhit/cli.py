@@ -554,8 +554,19 @@ def _verify_battery(spec):
 
     passed is None for a check skipped, with the reason as its detail: the
     two simulations are skipped when their expected jumps overrun
-    _JUMP_BUDGET.
+    _JUMP_BUDGET.  A check that raises ValueError or ArithmeticError fails,
+    with "raised <type>: <message>" as its detail, and the battery goes on.
     """
+    for name, check in _verify_checks(spec):
+        try:
+            passed, detail = check()
+        except (ValueError, ArithmeticError) as exc:
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        yield name, passed, detail
+
+
+def _verify_checks(spec):
+    """Yield (name, check) in battery order; check() gives (passed, detail)."""
     n = spec.n_states
     rows = min(n, 10)
     ev = finite_evaluator(spec, c_rows=rows)
@@ -564,84 +575,121 @@ def _verify_battery(spec):
     s = c.s
     lam = spec.lam_array()
     mu = spec.mu_array()
-
-    defect = max(
-        abs(float(pi[i + 1]) * mu[i] - float(pi[i]) * lam[i - 1])
-        for i in range(1, n)
-    ) if n > 1 else 0.0
-    scale = float(np.max(ev.pi * mu))
-    yield "speed-measure-balance", defect <= 1e-12 * scale, f"defect {defect:g}"
-
-    # a fixed test vector from numpy alone: a seeded generator would import
-    # numpy.random on the first verify job; the golden angle keeps the
-    # entries spread over [-1, 1] at every length
-    f = np.sin(1.0 + 2.399963229728653 * np.arange(n + 1))
-    q1 = np.asarray(apply_Q(spec, f))
-    q2 = np.asarray(apply_DpiDs(spec, pi, s, f))
-    d = float(np.max(np.abs(q1 - q2)))
-    sc = float(np.max(np.abs(q1))) + 1.0
-    yield "generator-factorization", d <= 1e-10 * sc, f"max diff {d:g}"
-
-    qs = np.asarray(apply_Q(spec, s.array()))
-    d = float(np.max(np.abs(qs[: n - 1]))) if n > 1 else 0.0
-    sc = float(np.max(mu * np.abs(s.array()).max() + 1.0))
-    yield "scale-harmonic", d <= 1e-10 * sc, f"max |Qs| {d:g} on 1..{n - 1}"
-
-    d = verify_columns(c)
-    sc = float(max(abs(float(v)) for row in c.rows for v in row)) + 1.0
-    yield "cmatrix-column-recursion", d <= 1e-10 * sc, f"defect {d:g}"
-
-    ok = bool(np.all(np.diff(ev.theta) > 0) and ev.theta[0] > 0)
-    yield "spectrum-atoms-positive-ascending", ok, f"theta[0] {ev.theta[0]:g}"
-
-    m = min(rows, 6)
-    d = max(
-        orthogonality_defect(ev, i, j)
-        for i in range(1, m + 1)
-        for j in range(i, m + 1)
-    )
-    yield "eigenfunction-orthogonality", d <= 1e-9, f"max defect {d:g}"
-
-    # total mass: the hitting CDF at t = inf, from every state
-    mass = spectral_sum(ev, (np.inf,), range(1, n + 1), transform="cdf")
-    d = float(np.max(np.abs(mass - 1.0)))
-    yield "density-total-mass", d <= 1e-9, f"max defect {d:g}"
-
     theta_min = float(ev.theta[0])
     nu = InitialDistribution({1: 1.0})
-    t_big = 40.0 / theta_min
-    cdf_vals = spectral_sum(ev, np.linspace(0.0, t_big, 20), nu, transform="cdf")
-    mono = bool(np.all(cdf_vals[1:] >= cdf_vals[:-1] - 1e-12))
-    ok = cdf_vals[0] == 0.0 and abs(cdf_vals[-1] - 1.0) <= 1e-6 and mono
-    yield "hitting-cdf-limits", ok, f"F(0) {cdf_vals[0]:g}, F(T) {cdf_vals[-1]:.9f}"
 
-    ts = (0.3, 1.0, 2.5)
-    mu1 = float(spec.mu[0])
-    starts = range(1, min(3, n) + 1)
-    f = spectral_sum(ev, ts, starts)
-    d = float(np.max(np.abs(f - mu1 * spectral_sum(ev, ts, starts, ("state", 1)))))
-    yield "density-transition-link", d <= 1e-12, f"max diff {d:g}"
+    def balance():
+        defect = max(
+            abs(float(pi[i + 1]) * mu[i] - float(pi[i]) * lam[i - 1])
+            for i in range(1, n)
+        ) if n > 1 else 0.0
+        scale = float(np.max(ev.pi * mu))
+        return defect <= 1e-12 * scale, f"defect {defect:g}"
 
-    k_sup = min(3, n)
-    nu2 = InitialDistribution({i: 1.0 / k_sup for i in range(1, k_sup + 1)})
-    report = recover_initial(ev, nu=nu2, j_max=min(4, n), mode="spectral")
-    d = report.max_abs_error
-    yield "spectral-reproduction", d <= 1e-9, f"max error {d:g}"
+    yield "speed-measure-balance", balance
 
-    k_max = min(4, rows - 1)
-    alpha = derivative_bound_sequence(c, k_max)
-    worst = 0.0
-    starts = range(1, min(n, 8) + 1)
-    for k in range(k_max + 1):
-        v = np.abs(spectral_sum(ev, (0.05, 0.3, 1.0, 3.0), starts, transform=k))
-        worst = max(worst, float(v.max()) - float(alpha[k]) * (1 + 1e-12))
-    yield "derivative-bounds", worst <= 1e-12, f"max excess {worst:g}"
+    def factorization():
+        # a fixed test vector from numpy alone: a seeded generator would
+        # import numpy.random on the first verify job; the golden angle
+        # keeps the entries spread over [-1, 1] at every length
+        f = np.sin(1.0 + 2.399963229728653 * np.arange(n + 1))
+        q1 = np.asarray(apply_Q(spec, f))
+        q2 = np.asarray(apply_DpiDs(spec, pi, s, f))
+        d = float(np.max(np.abs(q1 - q2)))
+        sc = float(np.max(np.abs(q1))) + 1.0
+        return d <= 1e-10 * sc, f"max diff {d:g}"
+
+    yield "generator-factorization", factorization
+
+    def harmonic():
+        qs = np.asarray(apply_Q(spec, s.array()))
+        d = float(np.max(np.abs(qs[: n - 1]))) if n > 1 else 0.0
+        sc = float(np.max(mu * np.abs(s.array()).max() + 1.0))
+        return d <= 1e-10 * sc, f"max |Qs| {d:g} on 1..{n - 1}"
+
+    yield "scale-harmonic", harmonic
+
+    def recursion():
+        d = verify_columns(c)
+        sc = float(max(abs(float(v)) for row in c.rows for v in row)) + 1.0
+        return d <= 1e-10 * sc, f"defect {d:g}"
+
+    yield "cmatrix-column-recursion", recursion
+
+    def atoms():
+        ok = bool(np.all(np.diff(ev.theta) > 0) and ev.theta[0] > 0)
+        return ok, f"theta[0] {ev.theta[0]:g}"
+
+    yield "spectrum-atoms-positive-ascending", atoms
+
+    def orthogonality():
+        m = min(rows, 6)
+        d = max(
+            orthogonality_defect(ev, i, j)
+            for i in range(1, m + 1)
+            for j in range(i, m + 1)
+        )
+        return d <= 1e-9, f"max defect {d:g}"
+
+    yield "eigenfunction-orthogonality", orthogonality
+
+    def total_mass():
+        # the hitting CDF at t = inf, from every state
+        mass = spectral_sum(ev, (np.inf,), range(1, n + 1), transform="cdf")
+        d = float(np.max(np.abs(mass - 1.0)))
+        return d <= 1e-9, f"max defect {d:g}"
+
+    yield "density-total-mass", total_mass
+
+    def cdf_limits():
+        t_big = 40.0 / theta_min
+        cdf_vals = spectral_sum(ev, np.linspace(0.0, t_big, 20), nu, transform="cdf")
+        mono = bool(np.all(cdf_vals[1:] >= cdf_vals[:-1] - 1e-12))
+        ok = cdf_vals[0] == 0.0 and abs(cdf_vals[-1] - 1.0) <= 1e-6 and mono
+        return ok, f"F(0) {cdf_vals[0]:g}, F(T) {cdf_vals[-1]:.9f}"
+
+    yield "hitting-cdf-limits", cdf_limits
+
+    def link():
+        ts = (0.3, 1.0, 2.5)
+        mu1 = float(spec.mu[0])
+        starts = range(1, min(3, n) + 1)
+        f = spectral_sum(ev, ts, starts)
+        d = float(np.max(np.abs(f - mu1 * spectral_sum(ev, ts, starts, ("state", 1)))))
+        return d <= 1e-12, f"max diff {d:g}"
+
+    yield "density-transition-link", link
+
+    def reproduction():
+        k_sup = min(3, n)
+        nu2 = InitialDistribution({i: 1.0 / k_sup for i in range(1, k_sup + 1)})
+        report = recover_initial(ev, nu=nu2, j_max=min(4, n), mode="spectral")
+        d = report.max_abs_error
+        return d <= 1e-9, f"max error {d:g}"
+
+    yield "spectral-reproduction", reproduction
+
+    def derivative_bounds():
+        k_max = min(4, rows - 1)
+        alpha = derivative_bound_sequence(c, k_max)
+        worst = 0.0
+        starts = range(1, min(n, 8) + 1)
+        for k in range(k_max + 1):
+            v = np.abs(spectral_sum(ev, (0.05, 0.3, 1.0, 3.0), starts, transform=k))
+            worst = max(worst, float(v.max()) - float(alpha[k]) * (1 + 1e-12))
+        return worst <= 1e-12, f"max excess {worst:g}"
+
+    yield "derivative-bounds", derivative_bounds
 
     if _is_constant_symmetric(spec):
         kappa = float(spec.mu[0])
-        ratios = [stieltjes_check(spec, th, max(n, 200)) for th in (0.5, 1.0, 4.0)]
-        d = max(abs(numeric - closed) for numeric, closed in ratios)
-        yield "stieltjes-ratio", d <= 1e-6, f"max diff {d:g}"
+
+        def stieltjes():
+            ratios = [stieltjes_check(spec, th, max(n, 200)) for th in (0.5, 1.0, 4.0)]
+            d = max(abs(numeric - closed) for numeric, closed in ratios)
+            return d <= 1e-6, f"max diff {d:g}"
+
+        yield "stieltjes-ratio", stieltjes
 
         gamma = kappa / 2
         try:
@@ -651,48 +699,58 @@ def _verify_battery(spec):
             # the tilted chain is out of reach (its speed measure leaves float
             # range from N = 513 on the kappa = 1 walk): both of its checks
             # fail, and the battery goes on
-            detail = f"tilted evaluator refused: {exc}"
-            yield "htransform-cmatrix-commutation", False, detail
-            yield "htransform-density-conjugacy", False, detail
+            refused = False, f"tilted evaluator refused: {exc}"
+            yield "htransform-cmatrix-commutation", lambda: refused
+            yield "htransform-density-conjugacy", lambda: refused
         else:
-            c2 = ev2.c
-            c2_direct = build_c_matrix(c2.spec, c.max_index, rational=False)
-            d = 0.0
-            for i in range(c.max_index + 1):
-                for j in range(i + 1):
-                    a = float(c2.rows[i][j])
-                    b = float(c2_direct.rows[i][j])
-                    d = max(d, abs(a - b) / max(1.0, abs(b)))
-            yield "htransform-cmatrix-commutation", d <= 1e-10, f"max rel diff {d:g}"
+            def commutation():
+                c2 = ev2.c
+                c2_direct = build_c_matrix(c2.spec, c.max_index, rational=False)
+                d = 0.0
+                for i in range(c.max_index + 1):
+                    for j in range(i + 1):
+                        a = float(c2.rows[i][j])
+                        b = float(c2_direct.rows[i][j])
+                        d = max(d, abs(a - b) / max(1.0, abs(b)))
+                return d <= 1e-10, f"max rel diff {d:g}"
 
-            x, t = min(2, n), 0.7
-            lhs = spectral_sum(ev2, (t,), x)[0]
-            # f'_x(t) = exp(-gamma t) f_x(t) / k(x)
-            f = spectral_sum(ev, (t,), x)[0]
-            rhs = math.exp(-float(plus.gamma) * t) * f / float(plus.k_values[x])
-            d = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-            yield "htransform-density-conjugacy", d <= 1e-9, f"rel diff {d:g}"
+            yield "htransform-cmatrix-commutation", commutation
 
-    horizon = 80.0 / theta_min
-    too_long = _over_budget(spec, nu, 2000, horizon)
-    if too_long:
-        yield "monte-carlo-ks", None, too_long
-    else:
+            def conjugacy():
+                x, t = min(2, n), 0.7
+                lhs = spectral_sum(ev2, (t,), x)[0]
+                # f'_x(t) = exp(-gamma t) f_x(t) / k(x)
+                f = spectral_sum(ev, (t,), x)[0]
+                rhs = math.exp(-float(plus.gamma) * t) * f / float(plus.k_values[x])
+                d = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+                return d <= 1e-9, f"rel diff {d:g}"
+
+            yield "htransform-density-conjugacy", conjugacy
+
+    def monte_carlo_ks():
+        horizon = 80.0 / theta_min
+        too_long = _over_budget(spec, nu, 2000, horizon)
+        if too_long:
+            return None, too_long
         config = SimConfig(n_paths=2000, t_horizon=horizon, seed=20260816, initial=nu)
         sample = empirical_hitting(spec, config)
         if sample.n_censored:
-            yield "monte-carlo-ks", False, f"{sample.n_censored} paths censored"
-        else:
-            ks, crit = _ks_gate(ev, sample, nu)
-            yield "monte-carlo-ks", ks < crit, f"D {ks:.5f} vs critical {crit:.5f}"
+            return False, f"{sample.n_censored} paths censored"
+        ks, crit = _ks_gate(ev, sample, nu)
+        return ks < crit, f"D {ks:.5f} vs critical {crit:.5f}"
 
-    too_long = _over_budget(spec, nu, 1, horizon)
-    if too_long:
-        yield "simulation-determinism", None, too_long
-    else:
+    yield "monte-carlo-ks", monte_carlo_ks
+
+    def determinism():
+        horizon = 80.0 / theta_min
+        too_long = _over_budget(spec, nu, 1, horizon)
+        if too_long:
+            return None, too_long
         traj_a, hit_a = sample_path(spec, 1, 99, horizon)
         traj_b, hit_b = sample_path(spec, 1, 99, horizon)
-        yield "simulation-determinism", (traj_a, hit_a) == (traj_b, hit_b), "replayed path"
+        return (traj_a, hit_a) == (traj_b, hit_b), "replayed path"
+
+    yield "simulation-determinism", determinism
 
 
 def _cmd_verify(args, parser):

@@ -172,8 +172,9 @@ class SpeedMeasure:
         Raises
         ------
         OverflowError
-            If an exact (rational) weight is too large for a float; the
-            message names the first such index.
+            If an exact (rational) weight is too large for a float, or so
+            small that its float is 0.0; the message names the first such
+            index.
         """
         return self._floats
 
@@ -189,6 +190,13 @@ class SpeedMeasure:
                     "the floating-point routes need every pi_i below 1.8e308 "
                     "(use fewer states)"
                 ) from None
+        zero = np.flatnonzero(out == 0.0)
+        if zero.size:
+            raise OverflowError(
+                f"speed measure underflows float range at pi[{zero[0] + 1}]; "
+                "the floating-point routes need every pi_i above 4.9e-324 "
+                "(use fewer states)"
+            )
         out.flags.writeable = False
         return out
 
@@ -219,8 +227,9 @@ def build_speed_measure(spec):
     Raises
     ------
     OverflowError
-        If the cumulative product leaves float range; the message names the
-        first bad index and suggests rational rates instead.
+        If the cumulative product leaves float range (overflows, or
+        underflows to 0.0); the message names the first bad index and
+        suggests rational rates instead.
     """
     exact = spec.is_rational
     p = Fraction(1) if exact else 1.0
@@ -231,6 +240,11 @@ def build_speed_measure(spec):
             raise OverflowError(
                 f"speed measure overflows at pi[{i + 1}]; "
                 "supply rational rates (exact mode) or rescale the chain"
+            )
+        if not exact and p == 0.0:
+            raise OverflowError(
+                f"speed measure underflows to 0 at pi[{i + 1}]; "
+                "supply rational rates (exact mode) or use fewer states"
             )
         out.append(p)
     return SpeedMeasure(tuple(out))

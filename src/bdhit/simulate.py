@@ -23,7 +23,12 @@ at a time: its work arrays stay a few MB whatever the number of paths.
 A block's step loop moves states only; the clock follows at the block's
 end, every holding time at once and then one running sum down the block.
 As the live set drains, blocks grow to _MAX_STEPS steps, so the last
-long paths take a few Philox calls rather than one per short block.
+long paths take a few Philox calls rather than one per short block.  Once
+at most _SCALAR paths are live, a numpy step costs more than stepping
+each path on its own over Python scalars, so the drain does that: each
+path stops at its absorption, and a block may grow to _CAP // paths
+steps.  Either loop writes the same branches, so the results do not
+depend on which one ran.
 Absorption times feed a Kolmogorov-Smirnov comparison against the
 spectral CDF (evaluated once, over the whole sorted sample), and
 checkpointed occupancy counts give empirical transition probabilities.
@@ -52,7 +57,10 @@ __all__ = [
 
 _CAP = 2**14  # uniforms drawn per block, one per step: bounds every work array
 _LIVE = _CAP // 8  # paths walked at once: 8 steps each per block
-_MAX_STEPS = 512  # steps per block once only a few paths are left
+_MAX_STEPS = 512  # steps per block of the numpy loop once the live set drains
+# live paths at or below which a block steps path by path: where the two
+# loops cost the same on a 2-vCPU x86 host when no path is absorbed
+_SCALAR = 32
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 # Philox4x64 round multipliers and key increments, for the words (x0, x2)
@@ -162,6 +170,22 @@ def _uniform(words, out=None):
     return np.multiply(words >> np.uint64(11), 2.0**-53, out=out)
 
 
+def _step_path(s2, u, up2, to2):
+    """The branches one path takes from doubled state s2, one per uniform
+    of u, up to and including the step that absorbs it: the numpy step
+    loop over Python scalars, with up2 and to2 as lists."""
+    branches = []
+    append = branches.append
+    for x in u:
+        if x < up2[s2]:
+            s2 += 1
+        append(s2)
+        s2 = to2[s2]
+        if not s2:
+            break
+    return branches
+
+
 def _walk(spec, nu, seed, n_paths, horizon):
     """Walk paths 0..n_paths-1 of `seed`, started from nu, to absorption or the horizon.
 
@@ -182,6 +206,7 @@ def _walk(spec, nu, seed, n_paths, horizon):
     p_up2 = np.repeat(p_up, 2)
     nxt2 = 2 * (np.repeat(np.arange(n + 1), 2) + np.tile([-1, 1], n + 1))
     nxt2[:2] = 0
+    up2, to2 = p_up2.tolist(), nxt2.tolist()
     # by branch: where its uniforms start and how wide they are, and minus
     # the rate, so that log1p(-v) / -rate is the holding time with no extra
     # negation; state 0 holds for no time
@@ -218,8 +243,13 @@ def _walk(spec, nu, seed, n_paths, horizon):
         if not path.size:
             return
         # 8 steps a block while the live set is full, more as it drains; a
-        # walk's first blocks stay short, so a short path costs little
-        steps = min(_MAX_STEPS, _CAP // path.size, 8 << blocks) & ~3
+        # walk's first blocks stay short, so a short path costs little.  A
+        # block of at most _SCALAR paths steps each path on its own, up to
+        # its absorption, so it may take _CAP // paths steps: its Philox
+        # call and clock are then its main cost
+        scalar = path.size <= _SCALAR
+        longest = _CAP // path.size if scalar else min(_MAX_STEPS, _CAP // path.size)
+        steps = min(longest, 8 << blocks) & ~3
         blocks += 1
         block = taken // 4 + np.arange(1, steps // 4 + 1, dtype=np.uint64)[:, None]
         # Philox gives words (x0, x2) and (x1, x3) of each block; interleaved,
@@ -230,11 +260,21 @@ def _walk(spec, nu, seed, n_paths, horizon):
         u = u.reshape(steps, path.size)
         times = np.empty((steps + 1, path.size))
         states = np.empty((steps + 1, path.size), dtype=np.intp)
-        branch = np.empty((steps, path.size), dtype=np.intp)
+        branch = np.zeros((steps, path.size), dtype=np.intp)
         np.multiply(s, 2, out=states[0])
-        for k in range(steps):
-            np.add(states[k], u[k] < p_up2.take(states[k]), out=branch[k])
-            np.take(nxt2, branch[k], out=states[k + 1])
+        if scalar:
+            # path by path: a numpy step costs about 5 us for 1 path or for
+            # _SCALAR of them, a scalar one about 0.15 us a path.  Steps
+            # after absorption keep branch 0, which leads to state 0, as in
+            # the numpy loop
+            for j, s2 in enumerate(states[0].tolist()):
+                walked = _step_path(s2, u[:, j].tolist(), up2, to2)
+                branch[: len(walked), j] = walked
+            nxt2.take(branch, out=states[1:])
+        else:
+            for k in range(steps):
+                np.add(states[k], u[k] < p_up2.take(states[k]), out=branch[k])
+                nxt2.take(branch[k], out=states[k + 1])
         states >>= 1
         # the clock after the loop: each step's u rescaled within its branch
         # (-v, kept above -1), every holding time at once, then one running

@@ -185,6 +185,22 @@ class TestSpectrumCommand:
         assert "pi[1025]" in err
         assert "integer division" not in err
 
+    @pytest.mark.parametrize("n", [1076, 1077])
+    def test_speed_measure_underflow_named(self, tmp_path, monkeypatch, capsys, n):
+        # pi_i = 2^(1 - i): pi_1076 = 2^-1075 rounds to 0.0, which once
+        # ended in "does not symmetrize the generator" (N = 1076) or a
+        # ZeroDivisionError in the scale function (N = 1077)
+        code = run(
+            ["spectrum", "--model", "asymmetric_rw", "--lambda", "1.0", "--mu", "2.0",
+             "--N", str(n)],
+            tmp_path, monkeypatch,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "underflows to 0 at pi[1076]" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_continuous_quadrature(self, tmp_path, monkeypatch):
         code = run(
             ["spectrum", "--continuous", "--model", "symmetric_rw", "--kappa", "2",
@@ -604,6 +620,33 @@ class TestVerifyCommand:
         assert [r["name"] for r in doc["results"]][-2:] == [
             "monte-carlo-ks", "simulation-determinism",
         ]
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_raising_check_fails_alone_and_battery_goes_on(
+        self, tmp_path, monkeypatch, capsys, error
+    ):
+        # kappa = 1e200 at N = 5 makes math.fsum raise "-inf + inf in fsum"
+        # in the orthogonality check, which once ended the whole battery
+        def raising(ev, i, j):
+            raise error("-inf + inf in fsum")
+
+        monkeypatch.setattr(b.cli, "orthogonality_defect", raising)
+        code = run(
+            ["verify", "--model", "symmetric_rw", "--kappa", "1", "--N", "6"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 2
+        out = capsys.readouterr().out
+        detail = f"raised {error.__name__}: -inf + inf in fsum"
+        assert f"FAIL eigenfunction-orthogonality ({detail})" in out
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        failed = [r for r in doc["results"] if not r["passed"]]
+        assert failed == [
+            {"name": "eigenfunction-orthogonality", "passed": False, "detail": detail}
+        ]
+        names = [r["name"] for r in doc["results"]]
+        assert names.index("eigenfunction-orthogonality") == 5
+        assert names[-2:] == ["monte-carlo-ks", "simulation-determinism"]
 
     def test_battery_passes_on_random_chain(self, tmp_path, monkeypatch, capsys):
         doc = {

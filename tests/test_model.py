@@ -1,6 +1,7 @@
 """Chain description, speed measure, scale function, generator application."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -116,11 +117,20 @@ class TestSpeedAndScale:
     def test_exact_weight_beyond_float_range_named(self):
         # pi_i = 2^(i-1) exactly: pi_1024 = 2^1023 is a float, pi_1025 is not.
         assert b.build_speed_measure(b.asymmetric_rw_spec(2, 1, 1024)).array()[-1] == 2.0**1023
-        spec = b.asymmetric_rw_spec(2, 1, 1025)
-        with pytest.raises(OverflowError, match=r"overflows float range at pi\[1025\]"):
-            b.build_speed_measure(spec).array()
-        with pytest.raises(OverflowError, match=r"pi\[1025\]"):
-            b.finite_evaluator(spec)
+        # pi_i = 2^(1 - i): pi_1075 = 2^-1074 is the least float, pi_1076
+        # rounds to 0.0, which once gave a total mass of 1.0237 at N = 1100
+        ev = b.finite_evaluator(b.asymmetric_rw_spec(1, 2, 1075))
+        assert ev.pi[-1] == 2.0**-1074
+        mass = b.spectral_sum(ev, (np.inf,), 1, transform="cdf")
+        assert abs(mass[0] - 1.0) <= 1e-12
+        for spec, message in [
+            (b.asymmetric_rw_spec(2, 1, 1025), "overflows float range at pi[1025]"),
+            (b.asymmetric_rw_spec(1, 2, 1100), "underflows float range at pi[1076]"),
+        ]:
+            with pytest.raises(OverflowError, match=re.escape(message)):
+                b.build_speed_measure(spec).array()
+            with pytest.raises(OverflowError, match=re.escape(message)):
+                b.finite_evaluator(spec)
 
     def test_scale_increments(self, rational_chain):
         pi = b.build_speed_measure(rational_chain)
@@ -140,12 +150,17 @@ class TestSpeedAndScale:
         assert max(abs(v) for v in qs[:-1]) < 1e-12
 
     def test_overflow_names_index_and_remedy(self):
-        n = 400
-        lam = [10.0] * n
-        lam[-1] = 0.0
-        spec = b.ProcessSpec(tuple(lam), tuple([1.0] * n))
-        with pytest.raises(OverflowError, match=r"pi\[\d+\].*rational"):
-            b.build_speed_measure(spec)
+        # float weights that overflow (pi_i = 10^(i - 1)) or underflow to
+        # 0.0 (pi_i = 2^(1 - i), from pi_1076 on)
+        for up, down, n, where in [
+            (10.0, 1.0, 400, r"overflows at pi\[\d+\]"),
+            (1.0, 2.0, 1077, r"underflows to 0 at pi\[1076\]"),
+        ]:
+            lam = [up] * n
+            lam[-1] = 0.0
+            spec = b.ProcessSpec(tuple(lam), tuple([down] * n))
+            with pytest.raises(OverflowError, match=where + ".*rational"):
+                b.build_speed_measure(spec)
 
     def test_rational_rates_never_overflow(self):
         n = 380

@@ -253,6 +253,31 @@ class TestStreams:
         monkeypatch.setattr(b.simulate, "_MAX_STEPS", 4)
         np.testing.assert_array_equal(b.empirical_hitting(spec, cfg).times, wide)
         np.testing.assert_array_equal(b.empirical_occupancy(spec, cfg, [0.5, 2.0]), counts)
+        # Blocks of at most _SCALAR live paths step path by path, the others
+        # as numpy rows: all numpy (0), the default mix and all path by path
+        # (_LIVE) agree bit for bit, also where the horizon censors paths in
+        # the middle of a block.
+        monkeypatch.undo()
+
+        def results():
+            short = b.SimConfig(300, 20.0, 21, nu)
+            cut = b.empirical_hitting(spec, short)
+            return [
+                b.empirical_hitting(spec, cfg).times.tolist(),
+                b.empirical_occupancy(spec, cfg, [0.5, 2.0, 30.0]).tolist(),
+                cut.times.tolist(),
+                cut.n_censored,
+                b.empirical_occupancy(spec, short, [0.5, 2.0, 19.9]).tolist(),
+                b.sample_path(spec, 6, 21, 1e4),
+                b.sample_path(spec, 6, 21, 8.0),
+            ]
+
+        mixed = results()
+        assert 0 < mixed[3] < 300  # some paths censored, not all
+        assert mixed[5][1] is not None and mixed[6][1] is None
+        for scalar in (0, b.simulate._LIVE):
+            monkeypatch.setattr(b.simulate, "_SCALAR", scalar)
+            assert results() == mixed
 
     def test_largest_uniform_holds_a_finite_time(self, monkeypatch):
         # Every word all ones: u = 1 - 2^-53 goes down from p = 0.3, where
@@ -271,8 +296,9 @@ class TestStreams:
 
     def test_blocks_grow_as_the_walk_drains(self, monkeypatch):
         # One live path: each block draws twice the steps of the one
-        # before, up to 512, in one Philox call, so a path of ~1900 jumps
-        # takes 9 calls, not one per short block.
+        # before, up to _CAP = 16384 (a path stepped on its own stops at
+        # absorption), in one Philox call, so a path of ~1900 jumps takes 8
+        # calls, not one per short block.
         calls = []
         philox = b.simulate._philox4x64
 
@@ -283,9 +309,9 @@ class TestStreams:
         monkeypatch.setattr(b.simulate, "_philox4x64", counted)
         traj, absorbed = b.sample_path(b.symmetric_rw_spec(1, 40), 20, 5, 1e6)
         assert absorbed is not None
-        assert calls == [min(8 << k, 512) for k in range(len(calls))]
+        assert calls == [min(8 << k, 2**14) for k in range(len(calls))]
         assert sum(calls[:-1]) < len(traj) - 1 <= sum(calls)
-        assert len(calls) <= 9
+        assert len(calls) <= 8
 
     def test_memory_stays_flat(self):
         # 1e4 paths walk in a live set of at most _LIVE paths: the work
