@@ -12,6 +12,12 @@ and _run_job writes them.  So outputs are written only after the job has
 computed everything, and a refused run writes nothing and creates no
 directory.
 
+CSV numbers are written as '%.17g' % x: 17 significant digits, which
+read back to the same float (0.1 is written 0.10000000000000001), and
+nan, inf and -inf spelled that way.  Tables of floats go through the
+vectorized formatter in _floatfmt, _CSV_BLOCK rows at a time; its bytes
+are those of '%' and do not depend on the block size.
+
 Exit codes: 0 success, 1 validation/usage error, 2 numerical failure
 (a failed check or a result flagged unreliable).
 """
@@ -30,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from ._floatfmt import FLOAT_FMT, format_rows
 from .cmatrix import build_c_matrix, verify_columns
 from .densities import (
     InitialDistribution,
@@ -61,8 +68,7 @@ from .simulate import (
 )
 from .spectral import orthogonality_defect, stieltjes_check
 
-_FLOAT_FMT = "%.17g"
-_CSV_BLOCK = 4096  # rows per write of an all-float table, which keeps its memory flat
+_CSV_BLOCK = 1024  # rows per write of an all-float table, which keeps its memory flat
 _KS_CRIT_1PCT = 1.6276  # sqrt(-ln(0.005)/2), asymptotic 1% point
 # Expected jumps one simulation may take over all its paths: about 10 s of
 # the sampler at 9-11 million jumps a second (2 vCPU, 1e5 paths at N = 10
@@ -155,7 +161,7 @@ def _fmt(value):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
-    return _FLOAT_FMT % float(value)
+    return FLOAT_FMT % float(value)
 
 
 def _jsonable(obj):
@@ -184,22 +190,23 @@ def _write_json(path, doc):
 def _write_table(path, header, columns):
     """CSV of equal-length columns under a header line.
 
-    A table of numpy float columns is interleaved by numpy and written
-    _CSV_BLOCK rows at a time in _FLOAT_FMT, which keeps memory flat on
-    long grids.  Any other table is formatted cell by cell with _fmt, a
-    None becoming an empty cell.  A table with no rows is its header.
+    A table of numpy float columns is widened to float64, interleaved by
+    numpy and formatted by format_rows _CSV_BLOCK rows at a time, which
+    keeps memory flat on long grids; its bytes are those of FLOAT_FMT
+    whatever the block size.  Any other table is formatted cell by cell
+    with _fmt, a None becoming an empty cell.  A table with no rows is its
+    header.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         if all(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns):
-            data = np.column_stack(columns)
-            row = ",".join([_FLOAT_FMT] * len(columns)) + "\n"
+            data = np.column_stack(columns).astype(np.float64, copy=False)
             for start in range(0, len(data), _CSV_BLOCK):
-                block = data[start:start + _CSV_BLOCK]
-                fh.write(row * len(block) % tuple(block.ravel().tolist()))
+                fh.write(format_rows(data[start:start + _CSV_BLOCK]))
         else:
             for cells in zip(*columns):
-                fh.write(",".join("" if v is None else _fmt(v) for v in cells) + "\n")
+                line = ",".join("" if v is None else _fmt(v) for v in cells) + "\n"
+                fh.write(line.encode("utf-8"))
 
 
 def _cmatrix_table(c):

@@ -212,7 +212,15 @@ class ScaleFunction:
     s: tuple
 
     def array(self):
-        return np.asarray([float(v) for v in self.s])
+        """The values as floats, converted once: every call returns the
+        same read-only array."""
+        return self._floats
+
+    @functools.cached_property
+    def _floats(self):
+        out = np.asarray([float(v) for v in self.s])
+        out.flags.writeable = False
+        return out
 
     def __getitem__(self, i):
         return self.s[i]
@@ -312,10 +320,17 @@ def apply_DpiDs(spec, pi, s, f):
     return out
 
 
+def _check_positive(value, name):
+    """Refuse a walk's rate parameter unless it is positive and finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name}: rate must be finite, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name}: must be positive, got {value}")
+
+
 def symmetric_rw_spec(kappa, n_states):
     """Truncated symmetric random walk: lambda_i = mu_i = kappa, top rate 0."""
-    if kappa <= 0:
-        raise ValueError(f"kappa: must be positive, got {kappa}")
+    _check_positive(kappa, "kappa")
     if n_states < 1:
         raise ValueError(f"N: must be a positive integer, got {n_states}")
     zero = 0 if _is_exact_number(kappa) else 0.0
@@ -326,10 +341,8 @@ def symmetric_rw_spec(kappa, n_states):
 
 def asymmetric_rw_spec(lam, mu, n_states):
     """Truncated constant-rate walk: birth rate lam, death rate mu."""
-    if lam <= 0:
-        raise ValueError(f"lambda: must be positive, got {lam}")
-    if mu <= 0:
-        raise ValueError(f"mu: must be positive, got {mu}")
+    _check_positive(lam, "lambda")
+    _check_positive(mu, "mu")
     if n_states < 1:
         raise ValueError(f"N: must be a positive integer, got {n_states}")
     zero = 0 if _is_exact_number(lam) else 0.0

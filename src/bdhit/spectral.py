@@ -192,7 +192,7 @@ def _check_balance(spec, pi):
     """
     lam = spec.lam_array()
     mu = spec.mu_array()
-    e = np.sqrt(lam[:-1] * mu[1:])
+    e = np.sqrt(lam[:-1]) * np.sqrt(mu[1:])  # the product itself can leave float range
     root = np.sqrt(pi)
     upper = root[:-1] * lam[:-1] / root[1:]
     lower = root[1:] * mu[1:] / root[:-1]
@@ -258,7 +258,11 @@ def finite_spectrum(c):
     one float copy of c.pi; the O(N) balance check refuses one that does
     not symmetrize the rates.  The recurrence values are cross-checked
     against Horner evaluation of the rows of c on a low state (the two
-    must agree: same polynomials).
+    must agree: same polynomials).  A weight sum that is 0 or not finite,
+    or whose reciprocal is not, is refused naming the first such atom: the
+    weights scale as the rates squared, so the walk with kappa = 1e200 or
+    1e-200 has none in float range, and a deep recurrence that overflows
+    (random chains from N of about 500) gives sums of inf or nan.
     """
     spec = c.spec
     pia = c.pi.array()
@@ -281,7 +285,16 @@ def finite_spectrum(c):
         np.multiply(row, pia[i], out=term)
         term *= row
         total += term
-    ev = DensityEvaluator(theta, 1.0 / total, _PsiRows(head, spec, neg_theta), c)
+    with np.errstate(divide="ignore", over="ignore"):
+        weights = 1.0 / total
+    bad = np.flatnonzero(~(np.isfinite(total) & np.isfinite(weights)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"weights: leave float range at atom {k} of {theta.size} "
+            f"(theta = {theta[k]:g}, weight = 1/{total[k]:g})"
+        )
+    ev = DensityEvaluator(theta, weights, _PsiRows(head, spec, neg_theta), c)
     i_chk = min(c.max_index, 10)
     rec = ev.psi_at((i_chk,))[:, 0]
     for k in (0, len(theta) - 1):

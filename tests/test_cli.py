@@ -4,6 +4,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -14,6 +17,9 @@ import pytest
 import bdhit as b
 from bdhit import cli
 from bdhit.cli import main
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(args, tmp_path, monkeypatch):
@@ -199,6 +205,33 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "underflows to 0 at pi[1076]" in err
         assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kappa", ["1e200", "1e-200"])
+    def test_rates_near_float_limits_refused(self, tmp_path, monkeypatch, capsys, kappa):
+        # lambda mu overflowed (1e200: every weight inf, exit 0) or underflowed
+        # (1e-200: "does not symmetrize"); the weights themselves leave range
+        code = run(
+            ["spectrum", "--model", "symmetric_rw", "--kappa", kappa, "--N", "5",
+             "--out-dir", "out"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "weights: leave float range at atom 0" in err
+        assert "symmetrize" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flags,name", [
+        (("--model", "symmetric_rw", "--N", "5", "--kappa={}"), "kappa"),
+        (("--model", "asymmetric_rw", "--N", "5", "--mu", "1", "--lambda={}"), "lambda"),
+        (("--model", "asymmetric_rw", "--N", "5", "--lambda", "1", "--mu={}"), "mu"),
+    ])
+    def test_nonfinite_rate_flag_named(self, tmp_path, monkeypatch, capsys, value, flags, name):
+        argv = ["spectrum", *flags[:-1], flags[-1].format(value), "--out-dir", "out"]
+        assert run(argv, tmp_path, monkeypatch) == 1
+        assert f"error: {name}: rate must be finite, got {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_continuous_quadrature(self, tmp_path, monkeypatch):
@@ -625,8 +658,9 @@ class TestVerifyCommand:
     def test_raising_check_fails_alone_and_battery_goes_on(
         self, tmp_path, monkeypatch, capsys, error
     ):
-        # kappa = 1e200 at N = 5 makes math.fsum raise "-inf + inf in fsum"
-        # in the orthogonality check, which once ended the whole battery
+        # kappa = 1e200 at N = 5 once made math.fsum raise "-inf + inf in
+        # fsum" in the orthogonality check, which ended the whole battery
+        # (that chain is now refused before the battery runs)
         def raising(ev, i, j):
             raise error("-inf + inf in fsum")
 
@@ -772,3 +806,98 @@ class TestWriteTable:
         assert path.read_text() == "t_hit\n"
         cli._write_table(path, ("j", "value"), ((), ()))
         assert path.read_text() == "j,value\n"
+
+    def test_float32_column_widened_exactly(self, tmp_path):
+        path = tmp_path / "t.csv"
+        t32 = np.array([0.1, 1 / 3, 2.5e-8], dtype=np.float32)
+        cli._write_table(path, ("t", "f"), (t32, np.array([0.1, 1.0, -2.0])))
+        assert path.read_text() == (
+            "t,f\n"
+            "0.10000000149011612,0.10000000000000001\n"
+            "0.3333333432674408,1\n"
+            "2.5000000292152436e-08,-2\n"
+        )
+        cli._write_table(path, ("t",), (t32,))
+        assert path.read_text() == percent_table(("t",), (t32,))
+
+
+def percent_table(header, columns):
+    """A float table as '%' formats it: the reference for format_rows."""
+    data = np.column_stack(columns)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(header) + "\n" + row * len(data) % tuple(data.ravel().tolist())
+
+
+def hard_doubles():
+    """About 1.3 M doubles over every exponent, sign and layout of %.17g."""
+    rng = np.random.default_rng(2024)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.array([1e-280, 1e280, 1e-5, 1e-4, 1e16, 1e17, 1e99, 1e100, 1e-99, 1e-100])
+    # x = 10^k + odd / 2^(17 - k) scales to 10^16 + odd 5^(16 - k) / 2, an
+    # exact tie between two 17-digit decimals, which '%' rounds half even
+    ties = np.array([10.0**k + (2 * j + 1) / 2.0 ** (17 - k)
+                     for k in range(16) for j in range(40)])
+    parts = [
+        rng.integers(0, 2**64, size=900_000, dtype=np.uint64).view(np.float64),
+        np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.225073858507201e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 1000000000000000.25]),
+        np.linspace(0.0, 20.0, 20001),
+        np.geomspace(1e-12, 20.0, 20000),
+        np.geomspace(1e-300, 1e300, 20000),
+        np.arange(-50_000.0, 50_000.0),
+        2.0**53 + np.arange(-100.0, 100.0),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+        rng.random(50_000) * 10.0 ** rng.integers(-20, 21, 50_000),
+    ]
+    x = np.concatenate(parts)
+    return np.concatenate([x, -x[900_000:]])
+
+
+class TestFloatFormatter:
+    """The all-float path writes exactly the bytes of '%.17g' % x."""
+
+    def test_bytes_equal_percent_on_a_million_doubles(self, tmp_path):
+        # a third of them each in a table of 1, 2 and 3 columns
+        for n_cols, x in zip((1, 2, 3), np.array_split(hard_doubles(), 3)):
+            x = x[: x.size // n_cols * n_cols].reshape(-1, n_cols)
+            columns = tuple(x[:, j] for j in range(n_cols))
+            header = tuple(f"c{j}" for j in range(n_cols))
+            path = tmp_path / "t.csv"
+            cli._write_table(path, header, columns)
+            assert path.read_bytes() == percent_table(header, columns).encode()
+
+    @pytest.mark.parametrize("n_cols", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [None, -1, 0, 1])
+    def test_row_counts_around_the_block(self, tmp_path, n_cols, shift):
+        n_rows = 0 if shift is None else cli._CSV_BLOCK + shift
+        x = np.random.default_rng(n_rows).standard_normal((n_rows or 1, n_cols))
+        x[::97] = np.nan  # rows that go through '%' on both sides of a block edge
+        x[1::89, 0] = 0.0
+        for rows in {n_rows, 1}:
+            columns = tuple(x[:rows, j] for j in range(n_cols))
+            header = tuple(f"c{j}" for j in range(n_cols))
+            path = tmp_path / "t.csv"
+            cli._write_table(path, header, columns)
+            assert path.read_bytes() == percent_table(header, columns).encode()
+
+    def test_tables_built_on_first_float_table_not_at_import(self, tmp_path):
+        # setup_s (import plus --version) must not pay for the lookup tables
+        code = (
+            "import numpy as np\n"
+            "from bdhit import _floatfmt\n"
+            "from bdhit.cli import _write_table, main\n"
+            "assert main(['--version']) == 0\n"
+            "print(_floatfmt._tables.cache_info().currsize)\n"
+            f"_write_table({str(tmp_path / 't.csv')!r}, ('j', 'v'), ([1], [0.5]))\n"
+            "print(_floatfmt._tables.cache_info().currsize)\n"
+            f"_write_table({str(tmp_path / 't.csv')!r}, ('v',), (np.ones(3),))\n"
+            "print(_floatfmt._tables.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split()[-3:] == ["0", "0", "1"]

@@ -114,6 +114,15 @@ class TestSpeedAndScale:
         pi = b.build_speed_measure(two_state_chain)
         np.testing.assert_allclose(pi.array(), [1.0, 1.0])
 
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_scale_function_array_converted_once(self, rational_chain, chain_factory, rational):
+        spec = rational_chain if rational else chain_factory(7)
+        s = b.build_scale_function(spec, b.build_speed_measure(spec))
+        first = s.array()
+        assert s.array() is first
+        assert not first.flags.writeable
+        assert first.tolist() == [float(v) for v in s.s]
+
     def test_exact_weight_beyond_float_range_named(self):
         # pi_i = 2^(i-1) exactly: pi_1024 = 2^1023 is a float, pi_1025 is not.
         assert b.build_speed_measure(b.asymmetric_rw_spec(2, 1, 1024)).array()[-1] == 2.0**1023

@@ -369,6 +369,19 @@ class TestFiniteSpectrum:
             total = math.fsum(m.weights * psi_i / m.theta)
             assert total == pytest.approx(1.0, abs=1e-11)
 
+    @pytest.mark.parametrize("kappa", [1e200, 1e-200])
+    def test_weights_beyond_float_range_refused(self, kappa):
+        # the weights scale as kappa^2: inf at 1e200, 0 at 1e-200
+        with pytest.raises(ValueError, match="weights: leave float range at atom 0"):
+            b.finite_evaluator(b.symmetric_rw_spec(kappa, 5))
+
+    def test_large_rates_keep_total_mass(self):
+        # near the top of the range the weights allow: they reach 2e299
+        spec = b.symmetric_rw_spec(1e150, 5)
+        ev = b.finite_evaluator(spec)
+        mass = math.fsum((ev.weights / (spec.mu[0] * ev.theta)).tolist())
+        assert mass == pytest.approx(1.0, abs=1e-12)
+
     def test_wrong_speed_measure_rejected(self, chain_factory):
         c = b.build_c_matrix(chain_factory(40), 10)
         wrong = dataclasses.replace(c, pi=b.build_speed_measure(chain_factory(41)))
