@@ -18,12 +18,12 @@ a Python-level step per value.  For each x with 1e-280 <= |x| < 1e280:
 3. The digits are laid out as bytes into a fixed 32-byte source record
    per value, eight 4-byte words each taken from a lookup table, and each
    cell is gathered from its record through an index template, padded to
-   25 slots with a zero byte of the record, which is then dropped.  A template is fixed by
-   the layout: sign, notation (fixed for -4 <= k <= 16, as %g chooses,
-   else exponent notation with 2 or 3 exponent digits) and the number of
-   significant digits left once %g strips trailing zeros: 2 x 23 x 17 =
-   782 layouts.  0.0 and -0.0 take the fixed layout of k = 0 with the
-   single digit 0.
+   25 slots with a zero byte of the record, which is then dropped.  A
+   template is fixed by the layout: sign, notation (fixed for
+   -4 <= k <= 16, as %g chooses, else exponent notation with 2 or 3
+   exponent digits) and the number of significant digits left once %g
+   strips trailing zeros: 2 x 23 x 17 = 782 layouts.  0.0 and -0.0 take
+   the fixed layout of k = 0 with the single digit 0.
 
 A row holding a value this cannot certify (NaN, +-inf, a subnormal or
 other |x| outside [1e-280, 1e280) but 0, or a y near a tie) is formatted
@@ -214,8 +214,6 @@ def _gather(src, code, t):
 def format_rows(data):
     """CSV bytes of a 2-D float64 array, each cell '%.17g' % x."""
     n_rows, n_cols = data.shape
-    if n_rows == 0:
-        return b""
     t = _tables()
     x = data.ravel()
     digits, k, ok = _digits(x, t)

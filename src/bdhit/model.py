@@ -218,9 +218,7 @@ class ScaleFunction:
 
     @functools.cached_property
     def _floats(self):
-        out = np.asarray([float(v) for v in self.s])
-        out.flags.writeable = False
-        return out
+        return _read_only_floats(self.s)
 
     def __getitem__(self, i):
         return self.s[i]

@@ -279,13 +279,14 @@ def finite_spectrum(c):
     head = np.empty((min(c.max_index, n), theta.size))
     total = np.zeros(theta.size)
     term = np.empty(theta.size)
-    for i, row in enumerate(_psi_rows(spec, neg_theta)):
-        if i < len(head):
-            head[i] = row
-        np.multiply(row, pia[i], out=term)
-        term *= row
-        total += term
-    with np.errstate(divide="ignore", over="ignore"):
+    # a sum that overflows, or a psi value that does, is refused below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, row in enumerate(_psi_rows(spec, neg_theta)):
+            if i < len(head):
+                head[i] = row
+            np.multiply(row, pia[i], out=term)
+            term *= row
+            total += term
         weights = 1.0 / total
     bad = np.flatnonzero(~(np.isfinite(total) & np.isfinite(weights)))
     if bad.size:
