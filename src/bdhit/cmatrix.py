@@ -19,6 +19,7 @@ Bareiss, 1968).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,13 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import (
-    ProcessSpec,
-    ScaleFunction,
-    SpeedMeasure,
-    build_scale_function,
-    build_speed_measure,
-)
+from .model import ProcessSpec, SpeedMeasure, build_scale_function, build_speed_measure
 
 __all__ = [
     "CMatrix",
@@ -49,25 +44,34 @@ class CMatrix:
 
     ``rows[i]`` holds (C(i,0), ..., C(i,i)); entries above the diagonal
     are identically zero and are not stored.  The originating chain and
-    its speed measure and scale function ride along: they are the one
-    copy of each that downstream consumers (spectra, orthogonality and
-    column checks, evaluators) read, so none of them takes its own.
+    its speed measure ride along, and its scale function is built from
+    them on first read: they are the one copy of each that downstream
+    consumers (spectra, orthogonality and column checks, evaluators)
+    read, so none of them takes its own.
     """
 
     rows: tuple
     rational: bool
     spec: ProcessSpec = field(repr=False)
     pi: SpeedMeasure = field(repr=False)
-    s: ScaleFunction = field(repr=False)
 
     @classmethod
     def from_rows(cls, rows, rational, spec):
-        """C-matrix of these rows for spec, with spec's speed measure and scale function.
+        """C-matrix of these rows for spec, with spec's speed measure.
 
-        The one place a C-matrix's pi and s are built.
+        The one place a C-matrix's pi is built; s follows from it.
         """
-        pi = build_speed_measure(spec)
-        return cls(rows, rational, spec, pi, build_scale_function(spec, pi))
+        return cls(rows, rational, spec, build_speed_measure(spec))
+
+    @functools.cached_property
+    def s(self):
+        """The scale function of spec, built from pi on first read.
+
+        Only the verify battery reads it, so a spectrum never builds it.
+        It is no field: equality and hashing see (rows, rational, spec,
+        pi), of which s is a function.
+        """
+        return build_scale_function(self.spec, self.pi)
 
     @property
     def max_index(self):
@@ -98,7 +102,8 @@ def build_c_matrix(spec, max_index, rational=None):
     seeded by C(1,1) = s(1) = 1/mu_1, with ghost zeros in column 0 and row
     0.  The j = 1 case of the same recursion regenerates the scale
     function, so one loop fills every column.  The result carries spec's
-    speed measure and scale function (CMatrix.from_rows).
+    speed measure (CMatrix.from_rows) and builds the scale function on
+    first read of its s.
 
     In exact mode the same recursion runs on integers: with L the lcm of
     the rate denominators, lambda_i = a_i / L and mu_i = b_i / L, and
@@ -112,12 +117,15 @@ def build_c_matrix(spec, max_index, rational=None):
 
     Parameters
     ----------
-    max_index : last row to build.  Rows beyond n_states need the zero top
-        birth rate as a divisor and cannot exist; the build truncates there
-        with a warning.
+    max_index : last row to build, an integer (bool excluded) >= 1.  Rows
+        beyond n_states need the zero top birth rate as a divisor and
+        cannot exist; the build truncates there with a warning.
     rational : force exact (True) or float (False) arithmetic.  Default is
         exact when the chain's rates are exact.
     """
+    if isinstance(max_index, bool) or not isinstance(max_index, (int, np.integer)):
+        raise ValueError(f"max_index: must be an integer, got {max_index!r}")
+    max_index = int(max_index)
     if max_index < 1:
         raise ValueError(f"max_index: must be >= 1, got {max_index}")
     if rational is None:

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _EXACT_TYPES = (int, np.integer, Fraction)
+# the least magnitude whose correctly rounded float overflows: 2^1024 - 2^970
+# lies halfway between the largest float and 2^1024, and rounds up
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def _is_exact_number(x):
@@ -180,16 +183,18 @@ class SpeedMeasure:
 
     @functools.cached_property
     def _floats(self):
-        out = np.empty(len(self.pi))
-        for i, p in enumerate(self.pi):
-            try:
-                out[i] = float(p)
-            except OverflowError:
-                raise OverflowError(
-                    f"speed measure overflows float range at pi[{i + 1}]; "
-                    "the floating-point routes need every pi_i below 1.8e308 "
-                    "(use fewer states)"
-                ) from None
+        try:
+            # int true division is correctly rounded: the bits of float(p)
+            out = np.array([p.numerator / p.denominator for p in self.pi])
+        except AttributeError:  # float weights have no numerator
+            out = np.array(self.pi, dtype=float)
+        except OverflowError:
+            i = next(i for i, p in enumerate(self.pi) if abs(p) >= _FLOAT_OVERFLOW)
+            raise OverflowError(
+                f"speed measure overflows float range at pi[{i + 1}]; "
+                "the floating-point routes need every pi_i below 1.8e308 "
+                "(use fewer states)"
+            ) from None
         zero = np.flatnonzero(out == 0.0)
         if zero.size:
             raise OverflowError(
@@ -201,7 +206,9 @@ class SpeedMeasure:
         return out
 
     def __getitem__(self, i):
-        # 1-based state index, matching the usual subscript.
+        """pi_i for a state i in 1..N (1-based, matching the usual subscript)."""
+        if not 1 <= i <= len(self.pi):
+            raise IndexError(f"pi[{i}]: state out of range 1..{len(self.pi)}")
         return self.pi[i - 1]
 
 
@@ -221,6 +228,9 @@ class ScaleFunction:
         return _read_only_floats(self.s)
 
     def __getitem__(self, i):
+        """s(i) for a state i in 0..N."""
+        if not 0 <= i < len(self.s):
+            raise IndexError(f"s[{i}]: state out of range 0..{len(self.s) - 1}")
         return self.s[i]
 
 
@@ -237,17 +247,28 @@ def build_speed_measure(spec):
         underflows to 0.0); the message names the first bad index and
         suggests rational rates instead.
     """
-    exact = spec.is_rational
-    p = Fraction(1) if exact else 1.0
+    if spec.is_rational:
+        # one normalization per state, where p * lambda / mu takes two;
+        # int() keeps numpy integer rates from wrapping
+        p = Fraction(1)
+        out = [p]
+        for lam, mu in zip(spec.lam, spec.mu[1:]):
+            p = Fraction(
+                p.numerator * int(lam.numerator) * int(mu.denominator),
+                p.denominator * int(lam.denominator) * int(mu.numerator),
+            )
+            out.append(p)
+        return SpeedMeasure(tuple(out))
+    p = 1.0
     out = [p]
     for i in range(1, spec.n_states):
         p = p * spec.lam[i - 1] / spec.mu[i]
-        if not exact and not math.isfinite(p):
+        if not math.isfinite(p):
             raise OverflowError(
                 f"speed measure overflows at pi[{i + 1}]; "
                 "supply rational rates (exact mode) or rescale the chain"
             )
-        if not exact and p == 0.0:
+        if p == 0.0:
             raise OverflowError(
                 f"speed measure underflows to 0 at pi[{i + 1}]; "
                 "supply rational rates (exact mode) or use fewer states"

@@ -257,8 +257,9 @@ def finite_spectrum(c):
     so no N x N array is built.  The speed measure is c.pi.array(), the
     one float copy of c.pi; the O(N) balance check refuses one that does
     not symmetrize the rates.  The recurrence values are cross-checked
-    against Horner evaluation of the rows of c on a low state (the two
-    must agree: same polynomials).  A weight sum that is 0 or not finite,
+    against Horner evaluation of the rows of c on a low state, the deepest
+    up to 10 whose C row is finite (the two must agree, a nan included:
+    same polynomials).  A weight sum that is 0 or not finite,
     or whose reciprocal is not, is refused naming the first such atom: the
     weights scale as the rates squared, so the walk with kappa = 1e200 or
     1e-200 has none in float range, and a deep recurrence that overflows
@@ -296,11 +297,15 @@ def finite_spectrum(c):
             f"(theta = {theta[k]:g}, weight = 1/{total[k]:g})"
         )
     ev = DensityEvaluator(theta, weights, _PsiRows(head, spec, neg_theta), c)
+    # the deepest low state whose C row is finite (exact rows always are):
+    # a row holding inf or nan gives a nan Horner value, refused below
     i_chk = min(c.max_index, 10)
+    while not c.rational and i_chk > 1 and not all(map(math.isfinite, c.rows[i_chk])):
+        i_chk -= 1
     rec = ev.psi_at((i_chk,))[:, 0]
     for k in (0, len(theta) - 1):
         horner = float(eval_psi_theta(c, i_chk, -theta[k]))
-        if abs(horner - rec[k]) > 1e-7 * max(1.0, abs(rec[k])):
+        if not abs(horner - rec[k]) <= 1e-7 * max(1.0, abs(rec[k])):
             raise ValueError(
                 "internal error: C-matrix row and recurrence disagree "
                 f"at state {i_chk} (|{horner:g} - {rec[k]:g}|)"

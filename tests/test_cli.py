@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,17 @@ class TestSpectrumCommand:
         assert "weights: leave float range at atom 0" in err
         assert "symmetrize" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_c_rows_warn_nothing(self, tmp_path, monkeypatch):
+        # the Horner cross-check once read a row holding inf and nan, with
+        # two "invalid value" warnings, and passed on the nan it gave
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["spectrum", "--model", "symmetric_rw", "--kappa", "1e-150", "--N", "5"],
+                tmp_path, monkeypatch,
+            )
+        assert code == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flags,name", [
@@ -780,6 +792,19 @@ class TestJobOutputs:
         written = {p.name for p in out.iterdir()} - {manifest}
         assert doc["outputs"] == sorted(written)
         assert written
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_verify_builds_the_scale_function(self, command, tmp_path, monkeypatch):
+        built = []
+        real = b.model.build_scale_function
+        for module in (b.model, b.cmatrix):
+            monkeypatch.setattr(
+                module, "build_scale_function", lambda *a: built.append(a) or real(*a)
+            )
+        code = run([command, *SMALL_WALK, *JOB_ARGV[command], "--out-dir", "out"],
+                   tmp_path, monkeypatch)
+        assert code in (0, 2)
+        assert len(built) == (1 if command == "verify" else 0)
 
 
 class TestWriteTable:

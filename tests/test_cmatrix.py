@@ -1,5 +1,6 @@
 """C-matrix recursion, column identities, polynomial evaluation."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,10 @@ class TestConstruction:
             assert c.pi == pi
             assert c.s == b.build_scale_function(spec, pi)
             assert all(isinstance(v, Fraction) == spec.is_rational for v in c.pi.pi)
+            # s is built from the fields on first read, so a replaced pi gets its own s
+            twice = b.SpeedMeasure(tuple(2 * p for p in pi.pi))
+            moved = dataclasses.replace(c, pi=twice)
+            assert moved.s == b.build_scale_function(spec, twice) != c.s
 
     def test_strictly_lower_triangular_structure(self, chain_factory):
         c = build(chain_factory(3))
@@ -98,6 +103,12 @@ class TestConstruction:
     def test_max_index_validation(self, two_state_chain):
         with pytest.raises(ValueError, match="max_index"):
             b.build_c_matrix(two_state_chain, 0)
+
+    @pytest.mark.parametrize("max_index", [2.5, "3", True])
+    def test_max_index_must_be_an_integer(self, two_state_chain, max_index):
+        # 2.5 and "3" once raised TypeError from a slice; True built one row
+        with pytest.raises(ValueError, match="max_index: must be an integer, got"):
+            b.build_c_matrix(two_state_chain, max_index)
 
     def test_rows_beyond_chain_warn_and_truncate(self, two_state_chain):
         # The recursion needs lambda_i > 0, so rows stop at the top state.

@@ -24,8 +24,8 @@ class TestProcessSpec:
         assert not spec.is_rational
 
     def test_exact_c_matrix_reads_each_rate_once(self, monkeypatch):
-        # is_rational is scanned once per spec; build_scale_function also
-        # checks the N exact speed-measure weights.
+        # is_rational is scanned once per spec; the scale function, built
+        # on first read of c.s, also checks the N exact speed-measure weights.
         n = 20
         lam = [Fraction(2 + i % 11, 4) for i in range(n - 1)] + [0]
         mu = [Fraction(2 + (3 * i) % 11, 4) for i in range(n)]
@@ -33,7 +33,10 @@ class TestProcessSpec:
         calls = []
         real = b.model._is_exact_number
         monkeypatch.setattr(b.model, "_is_exact_number", lambda x: calls.append(x) or real(x))
-        assert b.build_c_matrix(spec, n).rational
+        c = b.build_c_matrix(spec, n)
+        assert c.rational
+        assert len(calls) == 2 * n
+        assert c.s is c.s
         assert len(calls) == 2 * n + n
         # the cached flag is no field: equality and hashing see the rates only
         fresh = b.ProcessSpec(lam, mu)
@@ -95,13 +98,52 @@ class TestProcessSpec:
         assert b.spec_from_dict(spec.to_dict()) == spec
 
 
+def quarter_rate_chain(n):
+    """Exact rates k/4 with k in 2..12, top birth rate 0."""
+    lam = [Fraction(2 + (5 * i) % 11, 4) for i in range(n - 1)] + [0]
+    mu = [Fraction(2 + (7 * i + 3) % 11, 4) for i in range(n)]
+    return b.ProcessSpec(lam, mu)
+
+
 class TestSpeedAndScale:
-    def test_speed_measure_recursion_exact(self, rational_chain):
-        pi = b.build_speed_measure(rational_chain)
+    @pytest.mark.parametrize("make", [
+        None,
+        *(lambda n=n: quarter_rate_chain(n) for n in (1, 2, 30, 300)),
+        lambda: b.symmetric_rw_spec(1, 2000),
+        # numpy integer rates: pi_60 = 3^59 / 2^59 does not fit an int64
+        lambda: b.asymmetric_rw_spec(np.int64(3), np.int64(2), 60),
+    ], ids=["rational_chain", "k/4-1", "k/4-2", "k/4-30", "k/4-300", "walk-2000", "int64-60"])
+    def test_speed_measure_recursion_exact(self, rational_chain, make):
+        # each weight is one Fraction of the integer products; it equals the
+        # two-operation product pi_i lambda_i / mu_(i+1), and its float view
+        # has the bits of float(Fraction)
+        spec = rational_chain if make is None else make()
+        pi = b.build_speed_measure(spec)
         assert pi[1] == 1
-        lam, mu = rational_chain.lam, rational_chain.mu
-        for i in range(1, 4):
-            assert pi[i + 1] == pi[i] * lam[i - 1] / mu[i]
+        want = [Fraction(1)]
+        for lam, mu in zip(spec.lam, spec.mu[1:]):
+            # through str, so a numpy integer does not stay one and wrap
+            want.append(want[-1] * Fraction(str(lam)) / Fraction(str(mu)))
+        assert pi.pi == tuple(want)
+        assert all(type(p) is Fraction for p in pi.pi)
+        want = np.array([float(p) for p in pi.pi])
+        assert pi.array().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("read,i,message", [
+        (lambda c: c.pi, 0, "pi[0]: state out of range 1..4"),
+        (lambda c: c.pi, 5, "pi[5]: state out of range 1..4"),
+        (lambda c: c.pi, -1, "pi[-1]: state out of range 1..4"),
+        (lambda c: c.s, -1, "s[-1]: state out of range 0..4"),
+        (lambda c: c.s, 5, "s[5]: state out of range 0..4"),
+        (lambda c: b.ScaleFunction((0, 1, 3)), 3, "s[3]: state out of range 0..2"),
+    ])
+    def test_index_outside_the_states_refused(self, read, i, message):
+        # pi[0] once read pi_N (8 here) and s[-1] read s(N), by Python's
+        # negative indexes
+        c = b.build_c_matrix(b.asymmetric_rw_spec(2, 1, 4), 4)
+        assert (c.pi[1], c.pi[4], c.s[0], c.s[4]) == (1, 8, 0, Fraction(15, 8))
+        with pytest.raises(IndexError, match=re.escape(message)):
+            read(c)[i]
 
     def test_detailed_balance(self, chain_factory):
         spec = chain_factory(7)

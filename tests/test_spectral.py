@@ -328,6 +328,25 @@ class TestCRowCrossCheck:
         with pytest.raises(ValueError, match="C-matrix row and recurrence disagree"):
             b.finite_spectrum(dataclasses.replace(c, rows=rows))
 
+    def test_overflowing_rows_checked_at_the_deepest_finite_one(self, monkeypatch):
+        # kappa = 1e-150: float rows 3..5 hold inf and nan, so Horner gave
+        # nan there and the check passed without checking anything
+        c = b.build_c_matrix(b.symmetric_rw_spec(1e-150, 5), 5)
+        assert not all(map(math.isfinite, c.rows[3]))
+        assert all(map(math.isfinite, c.rows[2]))
+        states = []
+        real = b.spectral.eval_psi_theta
+        monkeypatch.setattr(
+            b.spectral, "eval_psi_theta", lambda c, i, t: states.append(i) or real(c, i, t)
+        )
+        b.finite_spectrum(c)
+        assert states == [2, 2]
+
+    def test_nan_horner_value_refused(self, monkeypatch):
+        monkeypatch.setattr(b.spectral, "eval_psi_theta", lambda c, i, t: math.nan)
+        with pytest.raises(ValueError, match="C-matrix row and recurrence disagree"):
+            spectrum(random_chain(63, n=6))
+
 
 class TestFiniteSpectrum:
     def test_atoms_match_dense_eigenvalues(self, chain_factory):
