@@ -51,13 +51,7 @@ from .htransform import (
     transform_cmatrix,
     transformed_evaluator,
 )
-from .model import (
-    apply_DpiDs,
-    apply_Q,
-    load_spec,
-    symmetric_rw_spec,
-    asymmetric_rw_spec,
-)
+from .model import _as_rate, apply_DpiDs, apply_Q, load_spec, spec_from_dict
 from .reproduce import derivative_bound_sequence, recover_initial
 from .simulate import (
     SimConfig,
@@ -86,13 +80,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_rate(text):
-    """Rate flag: int stays exact, "p/q" becomes a Fraction, else float."""
+    """Rate flag: int stays exact, "p/q" is read as in a JSON spec, else float."""
     try:
         return int(text)
     except ValueError:
         pass
     if "/" in text:
-        return Fraction(text)
+        return _as_rate(text, "rate")
     return float(text)
 
 
@@ -139,15 +133,12 @@ def _resolve_spec(args, parser):
         if not os.path.exists(args.spec):
             raise ValueError(f"spec file not found: {args.spec}")
         return load_spec(args.spec)
-    if args.model == "symmetric_rw":
-        if args.kappa is None or args.n_states is None:
-            parser.error("model symmetric_rw needs --kappa and --N")
-        return symmetric_rw_spec(args.kappa, args.n_states)
-    if args.model == "asymmetric_rw":
-        if args.lam_rate is None or args.mu_rate is None or args.n_states is None:
-            parser.error("model asymmetric_rw needs --lambda, --mu and --N")
-        return asymmetric_rw_spec(args.lam_rate, args.mu_rate, args.n_states)
-    parser.error("need --spec FILE or --model NAME")
+    if args.model is None:
+        parser.error("need --spec FILE or --model NAME")
+    flags = {"kappa": args.kappa, "lambda": args.lam_rate, "mu": args.mu_rate, "N": args.n_states}
+    return spec_from_dict(
+        {"model": args.model, **{k: v for k, v in flags.items() if v is not None}}
+    )
 
 
 def _out_dir(args):

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ProcessSpec, SpeedMeasure, build_scale_function, build_speed_measure
+from .model import ProcessSpec, SpeedMeasure, _as_int, build_scale_function, build_speed_measure
 
 __all__ = [
     "CMatrix",
@@ -123,9 +123,7 @@ def build_c_matrix(spec, max_index, rational=None):
     rational : force exact (True) or float (False) arithmetic.  Default is
         exact when the chain's rates are exact.
     """
-    if isinstance(max_index, bool) or not isinstance(max_index, (int, np.integer)):
-        raise ValueError(f"max_index: must be an integer, got {max_index!r}")
-    max_index = int(max_index)
+    max_index = _as_int(max_index, "max_index")
     if max_index < 1:
         raise ValueError(f"max_index: must be >= 1, got {max_index}")
     if rational is None:

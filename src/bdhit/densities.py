@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .cmatrix import build_c_matrix, diff_operator_coeffs
-from .model import symmetric_rw_spec
+from .model import _as_int, symmetric_rw_spec
 from .spectral import DensityEvaluator, _check_state, _PsiRows, finite_spectrum
 
 __all__ = [
@@ -109,7 +109,7 @@ def finite_evaluator(spec, c_rows=None):
     small enough for the integer sizes to stay sane.
     """
     n = spec.n_states
-    rows = min(n, 16) if c_rows is None else min(int(c_rows), n)
+    rows = min(n, 16) if c_rows is None else min(_as_int(c_rows, "c_rows"), n)
     rational = spec.is_rational and rows <= 24
     return finite_spectrum(build_c_matrix(spec, rows, rational=rational))
 
@@ -131,8 +131,10 @@ def rw_evaluator(kappa, n_nodes=128, n_states=64):
     kappa_f = float(kappa)
     if kappa_f <= 0:
         raise ValueError(f"kappa: must be positive, got {kappa_f}")
+    n_nodes = _as_int(n_nodes, "n_nodes")
     if n_nodes < 2:
         raise ValueError(f"n_nodes: must be at least 2, got {n_nodes}")
+    n_states = _as_int(n_states, "n_states")
     if n_states < 1:
         raise ValueError(f"n_states: must be at least 1, got {n_states}")
     if n_states >= n_nodes:
@@ -293,7 +295,7 @@ def time_grid(t_min, t_max, count, log=False):
     """
     t_min = float(t_min)
     t_max = float(t_max)
-    count = int(count)
+    count = _as_int(count, "count")
     for name, bound in (("t_min", t_min), ("t_max", t_max)):
         if not math.isfinite(bound):
             raise ValueError(f"grid: {name} must be finite, got {bound}")

@@ -61,7 +61,7 @@ class HTransform:
         for i, v in enumerate(k):
             if not v > 0 or not math.isfinite(float(v)):
                 raise ValueError(f"k_values: k({i}) must be positive and finite, got {v!r}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"gamma: must be nonnegative, got {self.gamma!r}")
         lam = self.base.lam
         mu = self.base.mu
@@ -93,9 +93,9 @@ def rw_alphas(kappa, gamma):
     """
     kappa = float(kappa)
     gamma = float(gamma)
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError(f"kappa: must be positive, got {kappa}")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma: must be nonnegative, got {gamma}")
     x = 1.0 + gamma / (2.0 * kappa)
     d = math.sqrt(x * x - 1.0)

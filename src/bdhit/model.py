@@ -8,9 +8,9 @@ a chain, the speed measure pi and the scale function s, and applies the
 generator Q together with its factorization through the difference
 operators D_pi and D_s.
 
-Arithmetic is dual-mode: rates supplied as ints, rational strings, or
-fractions.Fraction stay exact through every construction here, while any
-float rate switches the chain to 64-bit float mode.
+Arithmetic is dual-mode: rates supplied as Python or numpy ints, rational
+strings, or fractions.Fraction stay exact through every construction here,
+while any float rate switches the chain to 64-bit float mode.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, repeat
 
 import numpy as np
 
@@ -37,14 +38,13 @@ __all__ = [
     "asymmetric_rw_spec",
 ]
 
-_EXACT_TYPES = (int, np.integer, Fraction)
 # the least magnitude whose correctly rounded float overflows: 2^1024 - 2^970
 # lies halfway between the largest float and 2^1024, and rounds up
 _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def _is_exact_number(x):
-    return isinstance(x, _EXACT_TYPES) and not isinstance(x, bool)
+    return isinstance(x, (int, Fraction))
 
 
 def _read_only_floats(values):
@@ -53,24 +53,38 @@ def _read_only_floats(values):
     return out
 
 
-def _as_rate(value, field):
-    """Coerce a JSON-style value to int, Fraction, or float."""
-    if isinstance(value, bool):
-        raise ValueError(f"{field}: expected a number, got a bool")
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, Fraction):
+def _field(name, index):
+    return name if index is None else f"{name}[{index}]"
+
+
+def _rate(value, name, index=None):
+    """The one reader of a rate: an int or numpy integer as int, a Fraction
+    as is, a finite float (np.float64 too) as float; anything else is
+    refused naming ``name`` or ``name[index]``, formatted only then."""
+    if type(value) is int:  # the common exact case, with no conversion
         return value
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{field}: rate must be finite, got {value!r}")
+        if math.isfinite(value):
+            return float(value)
+        problem = f"rate must be finite, got {float(value)!r}"
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    elif isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{field}: cannot parse rational string {value!r}") from exc
-    raise ValueError(f"{field}: unsupported rate type {type(value).__name__}")
+    else:
+        problem = f"unsupported rate type {type(value).__name__}"
+    raise ValueError(f"{_field(name, index)}: {problem}")
+
+
+def _as_rate(value, name, index=None):
+    """A JSON-style rate: a rational string such as "3/2" becomes a
+    Fraction; any other value is left for _rate to read."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{_field(name, index)}: cannot parse rational string {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -80,35 +94,32 @@ class ProcessSpec:
     Interior states are 1..N.  ``lam[i-1]`` is the birth rate out of state
     i and ``mu[i-1]`` the death rate into state i-1.  The top birth rate
     ``lam[N-1]`` must be zero (finite-chain boundary); all other rates are
-    strictly positive and finite.
+    strictly positive and finite.  Python or numpy integers, Fractions and
+    floats are accepted, and stored as int, Fraction or float.
     """
 
     lam: tuple
     mu: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(self.lam))
-        object.__setattr__(self, "mu", tuple(self.mu))
-        n = len(self.lam)
+        lam = tuple(map(_rate, self.lam, repeat("lambda"), count()))
+        mu = tuple(map(_rate, self.mu, repeat("mu"), count()))
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+        n = len(lam)
         if n < 1:
             raise ValueError("lambda: need at least one interior state")
-        if len(self.mu) != n:
-            raise ValueError(f"mu: expected length {n}, got {len(self.mu)}")
-        for name, seq in (("lambda", self.lam), ("mu", self.mu)):
-            for i, r in enumerate(seq):
-                if isinstance(r, bool) or not isinstance(r, (*_EXACT_TYPES, float)):
-                    raise ValueError(f"{name}[{i}]: unsupported rate type {type(r).__name__}")
-                if isinstance(r, float) and not math.isfinite(r):
-                    raise ValueError(f"{name}[{i}]: rate must be finite, got {r!r}")
-        for i, r in enumerate(self.mu):
+        if len(mu) != n:
+            raise ValueError(f"mu: expected length {n}, got {len(mu)}")
+        for i, r in enumerate(mu):
             if r <= 0:
                 raise ValueError(f"mu[{i}]: death rate must be positive, got {r}")
-        for i, r in enumerate(self.lam[: n - 1]):
+        for i, r in enumerate(lam[: n - 1]):
             if r <= 0:
                 raise ValueError(f"lambda[{i}]: interior birth rate must be positive, got {r}")
-        if self.lam[n - 1] != 0:
+        if lam[n - 1] != 0:
             raise ValueError(
-                f"lambda[{n - 1}]: top birth rate must be 0 on a finite chain, got {self.lam[n - 1]}"
+                f"lambda[{n - 1}]: top birth rate must be 0 on a finite chain, got {lam[n - 1]}"
             )
 
     @property
@@ -151,8 +162,6 @@ class ProcessSpec:
         def enc(r):
             if isinstance(r, Fraction):
                 return f"{r.numerator}/{r.denominator}"
-            if isinstance(r, np.integer):
-                return int(r)
             return r
 
         return {
@@ -248,14 +257,13 @@ def build_speed_measure(spec):
         suggests rational rates instead.
     """
     if spec.is_rational:
-        # one normalization per state, where p * lambda / mu takes two;
-        # int() keeps numpy integer rates from wrapping
+        # one normalization per state, where p * lambda / mu takes two
         p = Fraction(1)
         out = [p]
         for lam, mu in zip(spec.lam, spec.mu[1:]):
             p = Fraction(
-                p.numerator * int(lam.numerator) * int(mu.denominator),
-                p.denominator * int(lam.denominator) * int(mu.numerator),
+                p.numerator * lam.numerator * mu.denominator,
+                p.denominator * lam.denominator * mu.numerator,
             )
             out.append(p)
         return SpeedMeasure(tuple(out))
@@ -283,8 +291,6 @@ def build_scale_function(spec, pi):
     one = Fraction(1) if exact else 1.0
     s = [one * 0, one / spec.mu[0]]
     for i in range(1, spec.n_states):
-        if spec.lam[i - 1] == 0:
-            break  # top of a finite chain: the next gap is infinite
         s.append(s[i] + one / (pi.pi[i - 1] * spec.lam[i - 1]))
     return ScaleFunction(tuple(s))
 
@@ -339,19 +345,18 @@ def apply_DpiDs(spec, pi, s, f):
     return out
 
 
-def _check_positive(value, name):
-    """Refuse a walk's rate parameter unless it is positive and finite."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name}: rate must be finite, got {value!r}")
+def _positive_rate(value, name):
+    """A walk's rate parameter read by _rate, refused unless positive."""
+    value = _rate(value, name)
     if value <= 0:
         raise ValueError(f"{name}: must be positive, got {value}")
+    return value
 
 
 def symmetric_rw_spec(kappa, n_states):
     """Truncated symmetric random walk: lambda_i = mu_i = kappa, top rate 0."""
-    _check_positive(kappa, "kappa")
-    if n_states < 1:
-        raise ValueError(f"N: must be a positive integer, got {n_states}")
+    kappa = _positive_rate(kappa, "kappa")
+    n_states = _as_n(n_states)
     zero = 0 if _is_exact_number(kappa) else 0.0
     lam = (kappa,) * (n_states - 1) + (zero,)
     mu = (kappa,) * n_states
@@ -360,20 +365,24 @@ def symmetric_rw_spec(kappa, n_states):
 
 def asymmetric_rw_spec(lam, mu, n_states):
     """Truncated constant-rate walk: birth rate lam, death rate mu."""
-    _check_positive(lam, "lambda")
-    _check_positive(mu, "mu")
-    if n_states < 1:
-        raise ValueError(f"N: must be a positive integer, got {n_states}")
+    lam = _positive_rate(lam, "lambda")
+    mu = _positive_rate(mu, "mu")
+    n_states = _as_n(n_states)
     zero = 0 if _is_exact_number(lam) else 0.0
     lam_seq = (lam,) * (n_states - 1) + (zero,)
     mu_seq = (mu,) * n_states
     return ProcessSpec(lam_seq, mu_seq)
 
 
-def _as_n(value, field="N"):
+def _as_int(value, field):
+    """value as an int, refused unless it is an integer (bool excluded)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{field}: must be a positive integer, got {value!r}")
-    n = int(value)
+        raise ValueError(f"{field}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_n(value, field="N"):
+    n = _as_int(value, field)
     if n < 1:
         raise ValueError(f"{field}: must be a positive integer, got {n}")
     return n
@@ -401,13 +410,13 @@ def spec_from_dict(doc):
         missing = [k for k in ("kappa", "N") if k not in doc]
         if missing:
             raise ValueError(f"{missing[0]}: required for model symmetric_rw")
-        return symmetric_rw_spec(_as_rate(doc["kappa"], "kappa"), _as_n(doc["N"]))
+        return symmetric_rw_spec(_as_rate(doc["kappa"], "kappa"), doc["N"])
     if model == "asymmetric_rw":
         missing = [k for k in ("lambda", "mu", "N") if k not in doc]
         if missing:
             raise ValueError(f"{missing[0]}: required for model asymmetric_rw")
         return asymmetric_rw_spec(
-            _as_rate(doc["lambda"], "lambda"), _as_rate(doc["mu"], "mu"), _as_n(doc["N"])
+            _as_rate(doc["lambda"], "lambda"), _as_rate(doc["mu"], "mu"), doc["N"]
         )
     if model is not None:
         raise ValueError(f"model: unknown model {model!r}")
@@ -421,8 +430,8 @@ def spec_from_dict(doc):
         raise ValueError(f"lambda: expected an array of length N={n}")
     if not isinstance(mu, (list, tuple)) or len(mu) != n:
         raise ValueError(f"mu: expected an array of length N={n}")
-    lam = tuple(_as_rate(r, f"lambda[{i}]") for i, r in enumerate(lam))
-    mu = tuple(_as_rate(r, f"mu[{i}]") for i, r in enumerate(mu))
+    lam = map(_as_rate, lam, repeat("lambda"), count())
+    mu = map(_as_rate, mu, repeat("mu"), count())
     return ProcessSpec(lam, mu)
 
 

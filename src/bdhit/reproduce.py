@@ -28,6 +28,7 @@ import numpy as np
 
 from .cmatrix import diff_operator_coeffs
 from .densities import spectral_sum
+from .model import _as_int
 
 __all__ = [
     "NumericApplication",
@@ -36,6 +37,10 @@ __all__ = [
     "recover_initial",
     "derivative_bound_sequence",
 ]
+
+# condition number of the scaled Vandermonde fit above which a numeric
+# application is flagged unreliable
+_COND_THRESHOLD = 1e8
 
 
 @dataclass(frozen=True)
@@ -101,14 +106,15 @@ def _as_sample_arrays(samples):
     return t[order], f[order]
 
 
-def apply_psi_dt_numeric(samples, coeffs, t_eval, cond_threshold=1e8):
+def apply_psi_dt_numeric(samples, coeffs, t_eval):
     """The row-j operator from density samples alone (no pi_j factor).
 
     Fits a polynomial of degree 2(j-1) to the 10j+1 sample points nearest
     t_eval by least squares on centered, h-scaled abscissas, reads the
     derivatives off the fitted coefficients, and contracts them with the
     C-row coefficients.  The reliable flag reflects the conditioning of
-    the scaled Vandermonde system.
+    the scaled Vandermonde system: it is False when the condition number
+    exceeds the module constant _COND_THRESHOLD (1e8).
     """
     coeffs = [float(c) for c in coeffs]
     j = len(coeffs)
@@ -147,7 +153,7 @@ def apply_psi_dt_numeric(samples, coeffs, t_eval, cond_threshold=1e8):
     return NumericApplication(
         value=value,
         condition=condition,
-        reliable=condition <= cond_threshold,
+        reliable=condition <= _COND_THRESHOLD,
         n_points=n_pts,
         degree=degree,
         h=h,
@@ -177,7 +183,6 @@ def recover_initial(
     t0=0.005,
     window_factor=0.4,
     force=False,
-    cond_threshold=1e8,
 ):
     """Reconstruct nu{1..j_max} from the absorption density.
 
@@ -195,15 +200,16 @@ def recover_initial(
     cancels the leading O(t) error of evaluating at positive time.  The
     residual is O(t0^2), so exact samples support a small default t0;
     noisy samples need a larger one (derivative noise scales like
-    (t0 window_factor)^(1-j)).  When nu is also given it is used purely
-    as reference for error reporting.
+    (t0 window_factor)^(1-j)).  A state whose fits have a condition
+    number above _COND_THRESHOLD (1e8) is flagged unreliable.  When nu is
+    also given it is used purely as reference for error reporting.
 
     States above j_max = 6 amplify sample noise through high derivatives;
     they are refused unless force=True.
     """
     if mode not in ("spectral", "numeric"):
         raise ValueError(f"mode: expected 'spectral' or 'numeric', got {mode!r}")
-    j_max = int(j_max)
+    j_max = _as_int(j_max, "j_max")
     if j_max < 1:
         raise ValueError(f"j_max: must be >= 1, got {j_max}")
     if j_max > ev.n_states:
@@ -260,7 +266,7 @@ def recover_initial(
                 else:
                     window = data
                 apps.append(
-                    apply_psi_dt_numeric(window, coeffs, tc, cond_threshold)
+                    apply_psi_dt_numeric(window, coeffs, tc)
                 )
             raw = 2.0 * apps[1].value - apps[0].value
             recovered.append(float(ev.pi[j - 1]) * raw)
@@ -314,7 +320,7 @@ def derivative_bound_sequence(c, k_max):
 
     Exact Fractions when the C-matrix is rational.
     """
-    k_max = int(k_max)
+    k_max = _as_int(k_max, "k_max")
     if k_max < 0:
         raise ValueError(f"k_max: must be nonnegative, got {k_max}")
     if k_max >= 1 and c.max_index < k_max + 1:

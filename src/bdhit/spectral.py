@@ -30,6 +30,7 @@ import numpy as np
 
 from ._lapack import dlasq1
 from .cmatrix import CMatrix, eval_psi_theta
+from .model import _as_int
 
 __all__ = [
     "DensityEvaluator",
@@ -354,8 +355,9 @@ def stieltjes_check(spec, theta, i_max):
     of spec are read, to confirm the pattern and take kappa.  Returns
     (numeric_ratio_at_i_max, closed_form).
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta: must be positive, got {theta}")
+    i_max = _as_int(i_max, "i_max")
     if i_max < 1:
         raise ValueError(f"i_max: must be >= 1, got {i_max}")
     kappa = float(spec.mu[0])

@@ -762,6 +762,20 @@ REFUSED = {
         ["reproduce", *SMALL_WALK, "--nu", "1:1", "--j-max", "5"],
         "j_max 5: evaluator covers states 1..4",
     ),
+    # a zero denominator once ended in a ZeroDivisionError traceback
+    "kappa-zero-denominator": (
+        ["spectrum", "--model", "symmetric_rw", "--kappa", "1/0", "--N", "3"],
+        "argument --kappa: invalid _parse_rate value: '1/0'",
+    ),
+    "target-lambda-zero-denominator": (
+        ["htransform", "--target-lambda", "2/0", "--target-mu", "1", "--N", "3"],
+        "argument --target-lambda: invalid _parse_rate value: '2/0'",
+    ),
+    # the named-model fields are checked by spec_from_dict, as in a JSON spec
+    "symmetric-rw-missing-kappa": (
+        ["spectrum", "--model", "symmetric_rw", "--N", "3"],
+        "error: kappa: required for model symmetric_rw",
+    ),
     # the flag is named, not the library's max_index
     "cmatrix-rows-negative": (
         ["cmatrix", *SMALL_WALK, "--rows", "-1"], "error: --rows: must be >= 1, got -1",

@@ -152,6 +152,13 @@ class TestIntegerRecurrence:
         )
         self.check(spec, 4)
 
+    def test_numpy_integer_walk_equals_int_walk(self):
+        # numpy integer rates once wrapped in the integer recursion from row
+        # 30 on: C(60, 1) = 1.989 against 1.4999999999592
+        c = b.build_c_matrix(b.asymmetric_rw_spec(np.int64(3), np.int64(2), 60), 60)
+        assert c.rows == b.build_c_matrix(b.asymmetric_rw_spec(3, 2, 60), 60).rows
+        assert b.verify_columns(c) == 0.0
+
     def test_integer_rates_forced_rational(self):
         self.check(b.ProcessSpec((2, 3, 1, 5, 0), (1, 4, 2, 5, 3)), 5, rational=True)
 

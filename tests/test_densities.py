@@ -61,6 +61,12 @@ class TestFiniteEvaluator:
         assert not ev.is_continuous
         assert ev.psi_at(range(1, 11)).shape == (10, 10)
 
+    @pytest.mark.parametrize("c_rows", [2.5, True])
+    def test_c_rows_must_be_an_integer(self, chain_factory, c_rows):
+        # 2.5 was truncated to 2 rows
+        with pytest.raises(ValueError, match=f"c_rows: must be an integer, got {c_rows}"):
+            b.finite_evaluator(chain_factory(51), c_rows=c_rows)
+
     def test_psi_is_the_table_the_weights_came_from(self, chain_factory):
         spec = chain_factory(52)
         ev = b.finite_evaluator(spec)
@@ -355,6 +361,16 @@ class TestRWEvaluator:
         assert ev.is_continuous
         assert ev.n_states == 16
 
+    @pytest.mark.parametrize("kwargs,message", [
+        # n_nodes = 4.5 once gave a 5-node rule at (m - 1/2) pi / 4.5
+        ({"n_nodes": 4.5, "n_states": 2}, "n_nodes: must be an integer, got 4.5"),
+        ({"n_nodes": True, "n_states": 1}, "n_nodes: must be an integer, got True"),
+        ({"n_nodes": 8, "n_states": 2.0}, "n_states: must be an integer, got 2.0"),
+    ])
+    def test_counts_must_be_integers(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            b.rw_evaluator(1, **kwargs)
+
     @pytest.mark.parametrize("kappa", [1.0, 2.0])
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
     def test_density_matches_bessel_form(self, kappa, t):
@@ -390,6 +406,12 @@ class TestTimeGrid:
 
     def test_single_point(self):
         np.testing.assert_allclose(b.time_grid(2.0, 2.0, 1), [2.0])
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_count_must_be_an_integer(self, count):
+        # 2.5 once gave 2 points
+        with pytest.raises(ValueError, match=f"count: must be an integer, got {count}"):
+            b.time_grid(0, 1, count)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="count"):

@@ -42,10 +42,12 @@ class TestHTransformValidation:
         with pytest.raises(ValueError, match="positive and finite"):
             b.HTransform(0.0, (1, -1, 1), base)
 
-    def test_rejects_negative_gamma(self):
+    # every comparison with nan is False, so a nan gamma once constructed
+    @pytest.mark.parametrize("gamma", [-0.5, float("nan")])
+    def test_rejects_negative_gamma(self, gamma):
         base = b.symmetric_rw_spec(1, 2)
-        with pytest.raises(ValueError, match="gamma"):
-            b.HTransform(-0.5, (1, 1, 1), base)
+        with pytest.raises(ValueError, match=f"gamma: must be nonnegative, got {gamma}"):
+            b.HTransform(gamma, (1, 1, 1), base)
 
 
 class TestRWAlphas:
@@ -70,6 +72,14 @@ class TestRWAlphas:
             b.rw_alphas(0.0, 1.0)
         with pytest.raises(ValueError, match="gamma"):
             b.rw_alphas(1.0, -1.0)
+
+    @pytest.mark.parametrize("kappa,gamma,message", [
+        (1.0, float("nan"), "gamma: must be nonnegative, got nan"),  # once (nan, nan)
+        (float("nan"), 1.0, "kappa: must be positive, got nan"),
+    ])
+    def test_nan_refused(self, kappa, gamma, message):
+        with pytest.raises(ValueError, match=message):
+            b.rw_alphas(kappa, gamma)
 
 
 class TestGammaEigenfunctions:

@@ -73,8 +73,15 @@ class TestProcessSpec:
             b.ProcessSpec((0, 1, 0), (1, 1, 1))
 
     def test_rejects_bool_rate(self):
-        with pytest.raises(ValueError, match="bool"):
+        with pytest.raises(ValueError, match=r"lambda\[0\]: unsupported rate type bool"):
             b.ProcessSpec((True, 0), (1, 1))
+
+    def test_numpy_rates_stored_as_python_numbers(self):
+        spec = b.ProcessSpec(np.array([2, 2, 0]), np.array([1, 1, 1]))
+        assert all(type(r) is int for r in spec.lam + spec.mu)
+        assert spec == b.ProcessSpec((2, 2, 0), (1, 1, 1))
+        spec = b.ProcessSpec(np.array([1.5, 0.0]), np.array([2.0, 1.0]))
+        assert all(type(r) is float for r in spec.lam + spec.mu)
 
     def test_rejects_nan_rate(self):
         with pytest.raises(ValueError, match="finite"):
@@ -122,8 +129,7 @@ class TestSpeedAndScale:
         assert pi[1] == 1
         want = [Fraction(1)]
         for lam, mu in zip(spec.lam, spec.mu[1:]):
-            # through str, so a numpy integer does not stay one and wrap
-            want.append(want[-1] * Fraction(str(lam)) / Fraction(str(mu)))
+            want.append(want[-1] * lam / mu)
         assert pi.pi == tuple(want)
         assert all(type(p) is Fraction for p in pi.pi)
         want = np.array([float(p) for p in pi.pi])
@@ -287,6 +293,19 @@ class TestNamedModels:
             b.symmetric_rw_spec(1, 0)
         with pytest.raises(ValueError, match="mu: must be positive"):
             b.asymmetric_rw_spec(1, 0, 4)
+
+    @pytest.mark.parametrize("build,message", [
+        # N = 2.5 raised a raw TypeError, N = True built a 1-state chain
+        (lambda: b.symmetric_rw_spec(1, 2.5), "N: must be an integer, got 2.5"),
+        (lambda: b.asymmetric_rw_spec(2, 1, 2.5), "N: must be an integer, got 2.5"),
+        (lambda: b.symmetric_rw_spec(1, True), "N: must be an integer, got True"),
+        (lambda: b.symmetric_rw_spec(True, 4), "kappa: unsupported rate type bool"),
+        (lambda: b.asymmetric_rw_spec(2, "1", 4), "mu: unsupported rate type str"),
+        (lambda: b.symmetric_rw_spec(np.float64("nan"), 4), "kappa: rate must be finite, got nan"),
+    ])
+    def test_rejects_bad_arguments(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestSpecFromDict:

@@ -140,12 +140,13 @@ class TestNumericOperator:
         with pytest.raises(ValueError, match="zero spread"):
             b.apply_psi_dt_numeric((t_grid, f), (1.0,), 0.5)
 
-    def test_conditioning_flag(self, chain_factory):
+    def test_conditioning_flag(self, chain_factory, monkeypatch):
+        monkeypatch.setattr(b.reproduce, "_COND_THRESHOLD", 1.0)
         ev = b.finite_evaluator(chain_factory(78))
         t_grid = np.linspace(0.3, 0.7, 41)
         f = b.spectral_sum(ev, t_grid, 1)
         coeffs = b.diff_operator_coeffs(ev.c, 3)
-        app = b.apply_psi_dt_numeric((t_grid, f), coeffs, 0.5, cond_threshold=1.0)
+        app = b.apply_psi_dt_numeric((t_grid, f), coeffs, 0.5)
         assert isinstance(app, b.NumericApplication)
         assert not app.reliable
         assert app.condition > 1.0
@@ -243,6 +244,14 @@ class TestNumericRecovery:
         with pytest.raises(ValueError, match="needs samples"):
             b.recover_initial(ev, nu=b.InitialDistribution({1: 1.0}), mode="numeric")
 
+    @pytest.mark.parametrize("j_max", [2.7, True])
+    def test_j_max_must_be_an_integer(self, chain_factory, j_max):
+        # 2.7 once recovered 2 states
+        ev = b.finite_evaluator(chain_factory(80))
+        nu = b.InitialDistribution({1: 1.0})
+        with pytest.raises(ValueError, match=f"j_max: must be an integer, got {j_max}"):
+            b.recover_initial(ev, nu=nu, j_max=j_max)
+
     def test_t0_validation(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(80))
         density = lambda t: 1.0
@@ -296,3 +305,9 @@ class TestDerivativeBounds:
         ev = b.finite_evaluator(chain_factory(82))
         with pytest.raises(ValueError, match="k_max"):
             b.derivative_bound_sequence(ev.c, -1)
+
+    @pytest.mark.parametrize("k_max", [1.5, True])
+    def test_k_max_must_be_an_integer(self, chain_factory, k_max):
+        ev = b.finite_evaluator(chain_factory(82))
+        with pytest.raises(ValueError, match=f"k_max: must be an integer, got {k_max}"):
+            b.derivative_bound_sequence(ev.c, k_max)

@@ -549,3 +549,14 @@ class TestStieltjesRatio:
             b.stieltjes_check(spec, 0.0, 10)
         with pytest.raises(ValueError, match="i_max"):
             b.stieltjes_check(spec, 1.0, 0)
+
+    @pytest.mark.parametrize("i_max", [2.5, True])
+    def test_i_max_must_be_an_integer(self, i_max):
+        # 2.5 once raised a raw TypeError from range()
+        with pytest.raises(ValueError, match=f"i_max: must be an integer, got {i_max}"):
+            b.stieltjes_check(b.symmetric_rw_spec(1, 20), 1.0, i_max)
+
+    def test_nan_theta_refused(self):
+        # once returned (nan, nan)
+        with pytest.raises(ValueError, match="theta: must be positive, got nan"):
+            b.stieltjes_check(b.symmetric_rw_spec(1, 20), float("nan"), 5)
