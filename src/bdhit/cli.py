@@ -51,7 +51,7 @@ from .htransform import (
     transform_cmatrix,
     transformed_evaluator,
 )
-from .model import _as_rate, apply_DpiDs, apply_Q, load_spec, spec_from_dict
+from .model import _as_int, _as_rate, apply_DpiDs, apply_Q, load_spec, spec_from_dict
 from .reproduce import derivative_bound_sequence, recover_initial
 from .simulate import (
     SimConfig,
@@ -80,14 +80,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_rate(text):
-    """Rate flag: int stays exact, "p/q" is read as in a JSON spec, else float."""
+    """Rate flag: int stays exact, "p/q" is read as in a JSON spec, else float.
+
+    A refusal is an ArgumentTypeError, whose message argparse prints after
+    the flag's name; any other exception would print this function's name.
+    """
     try:
         return int(text)
     except ValueError:
         pass
-    if "/" in text:
-        return _as_rate(text, "rate")
-    return float(text)
+    try:
+        return _as_rate(text, "rate") if "/" in text else float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_nu(text):
@@ -251,9 +256,7 @@ def _rows(args, default):
     """The --rows flag, or default when it is not given; refused below 1."""
     if args.rows is None:
         return default
-    if args.rows < 1:
-        raise ValueError(f"--rows: must be >= 1, got {args.rows}")
-    return args.rows
+    return _as_int(args.rows, "--rows", 1)
 
 
 def _cmd_cmatrix(args, parser):

@@ -123,9 +123,7 @@ def build_c_matrix(spec, max_index, rational=None):
     rational : force exact (True) or float (False) arithmetic.  Default is
         exact when the chain's rates are exact.
     """
-    max_index = _as_int(max_index, "max_index")
-    if max_index < 1:
-        raise ValueError(f"max_index: must be >= 1, got {max_index}")
+    max_index = _as_int(max_index, "max_index", 1)
     if rational is None:
         rational = spec.is_rational
     if rational and not spec.is_rational:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .cmatrix import build_c_matrix, diff_operator_coeffs
 from .model import _as_int, symmetric_rw_spec
-from .spectral import DensityEvaluator, _check_state, _PsiRows, finite_spectrum
+from .spectral import DensityEvaluator, _PsiRows, finite_spectrum
 
 __all__ = [
     "InitialDistribution",
@@ -53,10 +53,7 @@ class InitialDistribution:
         if not pairs:
             raise ValueError("nu: needs at least one state")
         for state, mass in pairs:
-            if not isinstance(state, (int, np.integer)) or isinstance(state, bool):
-                raise ValueError(f"nu: state {state!r} is not an integer")
-            if state < 1:
-                raise ValueError(f"nu: state {state} is outside the interior (>= 1)")
+            _as_int(state, "nu state", 1)
             if isinstance(mass, bool):
                 raise ValueError(
                     f"nu: mass at state {state} must be a positive number, got {mass!r}"
@@ -82,11 +79,16 @@ class InitialDistribution:
                 return m
         return 0.0
 
-    def as_vector(self, n_states):
+    def _check_support(self, n_states, field="nu"):
+        """Refuse the law unless its support lies within states 1..n_states."""
         if self.max_state > n_states:
             raise ValueError(
-                f"nu: support reaches state {self.max_state}, chain has {n_states} interior states"
+                f"{field}: support reaches state {self.max_state}, "
+                f"chain has {n_states} interior states"
             )
+
+    def as_vector(self, n_states):
+        self._check_support(n_states)
         v = np.zeros(n_states)
         for s, m in self.items:
             v[s - 1] = m
@@ -109,7 +111,7 @@ def finite_evaluator(spec, c_rows=None):
     small enough for the integer sizes to stay sane.
     """
     n = spec.n_states
-    rows = min(n, 16) if c_rows is None else min(_as_int(c_rows, "c_rows"), n)
+    rows = min(n, 16) if c_rows is None else min(_as_int(c_rows, "c_rows", 1), n)
     rational = spec.is_rational and rows <= 24
     return finite_spectrum(build_c_matrix(spec, rows, rational=rational))
 
@@ -131,12 +133,8 @@ def rw_evaluator(kappa, n_nodes=128, n_states=64):
     kappa_f = float(kappa)
     if kappa_f <= 0:
         raise ValueError(f"kappa: must be positive, got {kappa_f}")
-    n_nodes = _as_int(n_nodes, "n_nodes")
-    if n_nodes < 2:
-        raise ValueError(f"n_nodes: must be at least 2, got {n_nodes}")
-    n_states = _as_int(n_states, "n_states")
-    if n_states < 1:
-        raise ValueError(f"n_states: must be at least 1, got {n_states}")
+    n_nodes = _as_int(n_nodes, "n_nodes", 2)
+    n_states = _as_int(n_states, "n_states", 1)
     if n_states >= n_nodes:
         raise ValueError(
             f"n_states: must stay below n_nodes for the quadrature to be exact "
@@ -155,7 +153,7 @@ def _ascending_states(ev, start):
     """The states of the sequence start, refused unless strictly ascending in 1..N."""
     states = tuple(start)
     for i in states:
-        _check_state(ev, i, "start state")
+        _as_int(i, "start state", 1, ev.n_states)
     for i, j in zip(states, states[1:]):
         if j <= i:
             raise ValueError(f"start: states must be strictly ascending, got {j} after {i}")
@@ -198,15 +196,12 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
     nu = start if isinstance(start, InitialDistribution) else None
     many = nu is None and not isinstance(start, (int, np.integer)) and np.ndim(start) > 0
     if nu is not None:
-        if nu.max_state > ev.n_states:
-            raise ValueError(
-                f"nu: support reaches state {nu.max_state}, evaluator covers 1..{ev.n_states}"
-            )
+        nu._check_support(ev.n_states)
         reads = nu.states
     elif many:
         reads = _ascending_states(ev, start)
     else:
-        _check_state(ev, start)
+        _as_int(start, "state", 1, ev.n_states)
         reads = (start,)
     kind = None
     if target != "absorption":
@@ -216,11 +211,10 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
             raise ValueError(
                 f"target: expected 'absorption' or a (kind, state) pair, got {target!r}"
             ) from None
-        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-            raise ValueError(f"target: state must be an integer, got {j!r}")
         if kind == "state":
-            _check_state(ev, j, "target state")
+            j = _as_int(j, "target state", 1, ev.n_states)
         elif kind == "c_row":
+            j = _as_int(j, "target state", 1)
             if j > ev.c.max_index:
                 raise ValueError(
                     f"state {j}: evaluator keeps C-matrix rows up to {ev.c.max_index}"
@@ -243,12 +237,7 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
             )
         decay = np.expm1
     else:
-        if isinstance(transform, bool) or not isinstance(transform, (int, np.integer)):
-            raise ValueError(
-                f"transform: expected 'cdf' or an integer order, got {transform!r}"
-            )
-        if transform < 0:
-            raise ValueError(f"transform order: must be nonnegative, got {transform}")
+        transform = _as_int(transform, "transform order", 0)
         power = neg_theta**transform
         decay = np.exp
     if kind == "state":
@@ -295,12 +284,10 @@ def time_grid(t_min, t_max, count, log=False):
     """
     t_min = float(t_min)
     t_max = float(t_max)
-    count = _as_int(count, "count")
+    count = _as_int(count, "count", 1)
     for name, bound in (("t_min", t_min), ("t_max", t_max)):
         if not math.isfinite(bound):
             raise ValueError(f"grid: {name} must be finite, got {bound}")
-    if count < 1:
-        raise ValueError(f"count: must be >= 1, got {count}")
     if t_max < t_min:
         raise ValueError(f"grid: t_max {t_max} below t_min {t_min}")
     if count == 1:

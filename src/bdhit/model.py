@@ -356,7 +356,7 @@ def _positive_rate(value, name):
 def symmetric_rw_spec(kappa, n_states):
     """Truncated symmetric random walk: lambda_i = mu_i = kappa, top rate 0."""
     kappa = _positive_rate(kappa, "kappa")
-    n_states = _as_n(n_states)
+    n_states = _as_int(n_states, "N", 1)
     zero = 0 if _is_exact_number(kappa) else 0.0
     lam = (kappa,) * (n_states - 1) + (zero,)
     mu = (kappa,) * n_states
@@ -367,25 +367,27 @@ def asymmetric_rw_spec(lam, mu, n_states):
     """Truncated constant-rate walk: birth rate lam, death rate mu."""
     lam = _positive_rate(lam, "lambda")
     mu = _positive_rate(mu, "mu")
-    n_states = _as_n(n_states)
+    n_states = _as_int(n_states, "N", 1)
     zero = 0 if _is_exact_number(lam) else 0.0
     lam_seq = (lam,) * (n_states - 1) + (zero,)
     mu_seq = (mu,) * n_states
     return ProcessSpec(lam_seq, mu_seq)
 
 
-def _as_int(value, field):
-    """value as an int, refused unless it is an integer (bool excluded)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{field}: must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_n(value, field="N"):
-    n = _as_int(value, field)
-    if n < 1:
-        raise ValueError(f"{field}: must be a positive integer, got {n}")
-    return n
+def _as_int(value, field, lo=None, hi=None):
+    """The one reader of an integer argument (a count, order, seed or state):
+    an int or numpy integer as int, refused below lo, or outside lo..hi when
+    both are given.  A bool or any other type is refused; the message names
+    ``field`` and is formatted only then."""
+    if type(value) is not int:  # the common case needs no conversion
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{field}: must be an integer, got {value!r}")
+        value = int(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        if hi is None:
+            raise ValueError(f"{field}: must be >= {lo}, got {value}")
+        raise ValueError(f"{field} {value}: outside {lo}..{hi}")
+    return value
 
 
 def spec_from_dict(doc):
@@ -423,7 +425,7 @@ def spec_from_dict(doc):
     missing = [k for k in ("N", "lambda", "mu") if k not in doc]
     if missing:
         raise ValueError(f"{missing[0]}: required field missing from spec")
-    n = _as_n(doc["N"])
+    n = _as_int(doc["N"], "N", 1)
     lam = doc["lambda"]
     mu = doc["mu"]
     if not isinstance(lam, (list, tuple)) or len(lam) != n:

@@ -209,9 +209,7 @@ def recover_initial(
     """
     if mode not in ("spectral", "numeric"):
         raise ValueError(f"mode: expected 'spectral' or 'numeric', got {mode!r}")
-    j_max = _as_int(j_max, "j_max")
-    if j_max < 1:
-        raise ValueError(f"j_max: must be >= 1, got {j_max}")
+    j_max = _as_int(j_max, "j_max", 1)
     if j_max > ev.n_states:
         raise ValueError(
             f"j_max {j_max}: evaluator covers states 1..{ev.n_states}"
@@ -246,7 +244,7 @@ def recover_initial(
             raise ValueError(
                 f"evaluator keeps only {ev.c.max_index} C-matrix rows, need {j_max}"
             )
-        if t0 <= 0:
+        if not t0 > 0:
             raise ValueError(f"t0: must be positive, got {t0}")
         if not 0 < window_factor < 1:
             raise ValueError(
@@ -320,9 +318,7 @@ def derivative_bound_sequence(c, k_max):
 
     Exact Fractions when the C-matrix is rational.
     """
-    k_max = _as_int(k_max, "k_max")
-    if k_max < 0:
-        raise ValueError(f"k_max: must be nonnegative, got {k_max}")
+    k_max = _as_int(k_max, "k_max", 0)
     if k_max >= 1 and c.max_index < k_max + 1:
         raise ValueError(
             f"c: row {k_max + 1} needed for alpha_{k_max}, matrix keeps {c.max_index}"

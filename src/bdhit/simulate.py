@@ -43,6 +43,7 @@ from itertools import accumulate
 import numpy as np
 
 from .densities import InitialDistribution
+from .model import _as_int
 
 __all__ = [
     "SimConfig",
@@ -62,6 +63,7 @@ _MAX_STEPS = 512  # steps per block of the numpy loop once the live set drains
 # loops cost the same on a 2-vCPU x86 host when no path is absorbed
 _SCALAR = 32
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
+_SEED_MAX = 2**64 - 1  # a seed is one Philox key: an integer in 0..2^64 - 1
 
 # Philox4x64 round multipliers and key increments, for the words (x0, x2)
 # that each round multiplies and the key words (k0, k1)
@@ -72,26 +74,9 @@ _HALF = np.uint64(32)
 _MULT_LO, _MULT_HI = _MULT & _LO32, _MULT >> _HALF
 
 
-def _check_seed(seed):
-    if (
-        not isinstance(seed, (int, np.integer))
-        or isinstance(seed, bool)
-        or not 0 <= seed < 2**64
-    ):
-        raise ValueError(f"seed: must be an integer in [0, 2^64), got {seed!r}")
-
-
 def _check_horizon(t_horizon):
     if isinstance(t_horizon, bool) or not t_horizon > 0:
         raise ValueError(f"t_horizon: must be a positive number, got {t_horizon!r}")
-
-
-def _check_index(state, name, n):
-    """Refuse state unless it is an integer (bool excluded) in 0..n."""
-    if isinstance(state, bool) or not isinstance(state, (int, np.integer)):
-        raise ValueError(f"{name}: state must be an integer, got {state!r}")
-    if not 0 <= state <= n:
-        raise ValueError(f"{name}: state must lie in 0..{n}, got {state}")
 
 
 @dataclass(frozen=True)
@@ -104,11 +89,9 @@ class SimConfig:
     initial: InitialDistribution
 
     def __post_init__(self):
-        n = self.n_paths
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n_paths: must be a positive integer, got {n!r}")
+        _as_int(self.n_paths, "n_paths", 1)
         _check_horizon(self.t_horizon)
-        _check_seed(self.seed)
+        _as_int(self.seed, "seed", 0, _SEED_MAX)
         if not isinstance(self.initial, InitialDistribution):
             raise ValueError("initial: must be an InitialDistribution")
 
@@ -306,9 +289,9 @@ def sample_path(spec, start, seed, t_horizon):
     starts with (0.0, start) and the absorption time is None when the path
     outlives t_horizon.
     """
-    _check_index(start, "start", spec.n_states)
+    _as_int(start, "start", 0, spec.n_states)
     _check_horizon(t_horizon)
-    _check_seed(seed)
+    _as_int(seed, "seed", 0, _SEED_MAX)
     if start == 0:
         return [], 0.0
     horizon = float(t_horizon)
@@ -323,14 +306,6 @@ def sample_path(spec, start, seed, t_horizon):
     return traj, absorbed
 
 
-def _check_support(spec, nu):
-    if nu.max_state > spec.n_states:
-        raise ValueError(
-            f"initial: support reaches state {nu.max_state}, chain has "
-            f"{spec.n_states} interior states"
-        )
-
-
 def expected_jumps(spec, nu):
     """Expected number of jumps before absorption, from the initial law nu.
 
@@ -340,7 +315,7 @@ def expected_jumps(spec, nu):
     d_{i+1}) from d_N = 1 (lambda_N = 0).  Every term is positive, so
     nothing cancels; a count beyond the float range comes out inf.
     """
-    _check_support(spec, nu)
+    nu._check_support(spec.n_states, "initial")
     lam = spec.lam_array().tolist()
     mu = spec.mu_array().tolist()
     d = [0.0] * spec.n_states
@@ -357,7 +332,7 @@ def empirical_hitting(spec, config):
     Each path draws its start from config.initial with the first uniform
     of its own stream, then walks to absorption or the horizon.
     """
-    _check_support(spec, config.initial)
+    config.initial._check_support(spec.n_states, "initial")
     horizon = float(config.t_horizon)
     times = []
     censored = 0
@@ -382,7 +357,7 @@ def empirical_occupancy(spec, config, t_values):
     per-path streams as empirical_hitting, so the two views agree path
     by path for equal (seed, n_paths).
     """
-    _check_support(spec, config.initial)
+    config.initial._check_support(spec.n_states, "initial")
     t_values = [float(t) for t in t_values]
     for t in t_values:
         if not math.isfinite(t):
@@ -412,7 +387,7 @@ def empirical_occupancy(spec, config, t_values):
 
 def empirical_transition(spec, config, t, j):
     """Empirical P_nu[X_t = j] with its binomial standard error."""
-    _check_index(j, "j", spec.n_states)
+    _as_int(j, "j", 0, spec.n_states)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t: must be finite, got {t}")

@@ -130,7 +130,7 @@ class DensityEvaluator:
         an integer in 1..n_states is refused.
         """
         for i in states:
-            _check_state(self, i)
+            _as_int(i, "state", 1, self.n_states)
         return self.psi_rows.at(states).T
 
 
@@ -314,14 +314,6 @@ def finite_spectrum(c):
     return ev
 
 
-def _check_state(ev, i, name="state"):
-    """Refuse i unless it is an integer (bool excluded) in 1..n_states."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise ValueError(f"{name}: must be an integer, got {i!r}")
-    if not 1 <= i <= ev.n_states:
-        raise ValueError(f"{name} {i}: outside 1..{ev.n_states}")
-
-
 def orthogonality_defect(ev, i, j):
     """| sum_k w_k psi_k(i) psi_k(j)  -  delta_ij / pi_j |, from ev alone.
 
@@ -333,8 +325,8 @@ def orthogonality_defect(ev, i, j):
     verify_columns), for the walk the closed form on the quadrature
     nodes, where pi_j = 1.
     """
-    _check_state(ev, i, "state i")
-    _check_state(ev, j, "state j")
+    _as_int(i, "state i", 1, ev.n_states)
+    _as_int(j, "state j", 1, ev.n_states)
     psi_i, psi_j = ev.psi_at((i, j)).T
     acc = math.fsum(ev.weights * psi_i * psi_j)
     target = 1.0 / float(ev.pi[j - 1]) if i == j else 0.0
@@ -357,9 +349,7 @@ def stieltjes_check(spec, theta, i_max):
     """
     if not theta > 0:
         raise ValueError(f"theta: must be positive, got {theta}")
-    i_max = _as_int(i_max, "i_max")
-    if i_max < 1:
-        raise ValueError(f"i_max: must be >= 1, got {i_max}")
+    i_max = _as_int(i_max, "i_max", 1)
     kappa = float(spec.mu[0])
     lam = spec.lam_array()
     mu = spec.mu_array()

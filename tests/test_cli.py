@@ -262,7 +262,7 @@ class TestSpectrumCommand:
         assert run([*argv, "2"], tmp_path, monkeypatch) == 0
         assert len(read_csv(tmp_path / "spectrum.csv")[1]) == 2
         assert run([*argv, "1"], tmp_path, monkeypatch) == 1
-        assert "n_nodes: must be at least 2, got 1" in capsys.readouterr().err
+        assert "n_nodes: must be >= 2, got 1" in capsys.readouterr().err
 
 
 class TestDensityCommand:
@@ -762,14 +762,25 @@ REFUSED = {
         ["reproduce", *SMALL_WALK, "--nu", "1:1", "--j-max", "5"],
         "j_max 5: evaluator covers states 1..4",
     ),
-    # a zero denominator once ended in a ZeroDivisionError traceback
+    # a zero denominator once ended in a ZeroDivisionError traceback, and
+    # then in argparse's "invalid _parse_rate value", naming no cause
     "kappa-zero-denominator": (
         ["spectrum", "--model", "symmetric_rw", "--kappa", "1/0", "--N", "3"],
-        "argument --kappa: invalid _parse_rate value: '1/0'",
+        "argument --kappa: rate: cannot parse rational string '1/0'",
     ),
     "target-lambda-zero-denominator": (
         ["htransform", "--target-lambda", "2/0", "--target-mu", "1", "--N", "3"],
-        "argument --target-lambda: invalid _parse_rate value: '2/0'",
+        "argument --target-lambda: rate: cannot parse rational string '2/0'",
+    ),
+    "kappa-not-a-number": (
+        ["spectrum", "--model", "symmetric_rw", "--kappa", "abc", "--N", "3"],
+        "argument --kappa: could not convert string to float: 'abc'",
+    ),
+    # nan passed the t0 <= 0 test and was refused downstream as t
+    "reproduce-t0-nan": (
+        ["reproduce", *SMALL_WALK, "--nu", "1:1", "--j-max", "2", "--mode", "numeric",
+         "--t0", "nan"],
+        "error: t0: must be positive, got nan",
     ),
     # the named-model fields are checked by spec_from_dict, as in a JSON spec
     "symmetric-rw-missing-kappa": (

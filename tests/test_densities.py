@@ -46,11 +46,11 @@ class TestInitialDistribution:
             b.InitialDistribution({1: True})
 
     def test_rejects_bad_states(self):
-        with pytest.raises(ValueError, match="not an integer"):
+        with pytest.raises(ValueError, match="nu state: must be an integer, got 1.5"):
             b.InitialDistribution({1.5: 1.0})
-        with pytest.raises(ValueError, match="not an integer"):
+        with pytest.raises(ValueError, match="nu state: must be an integer, got True"):
             b.InitialDistribution({True: 1.0})
-        with pytest.raises(ValueError, match="outside the interior"):
+        with pytest.raises(ValueError, match="nu state: must be >= 1, got 0"):
             b.InitialDistribution({0: 1.0})
 
 
@@ -61,10 +61,11 @@ class TestFiniteEvaluator:
         assert not ev.is_continuous
         assert ev.psi_at(range(1, 11)).shape == (10, 10)
 
-    @pytest.mark.parametrize("c_rows", [2.5, True])
+    @pytest.mark.parametrize("c_rows", [2.5, True, 0])
     def test_c_rows_must_be_an_integer(self, chain_factory, c_rows):
-        # 2.5 was truncated to 2 rows
-        with pytest.raises(ValueError, match=f"c_rows: must be an integer, got {c_rows}"):
+        # 2.5 was truncated to 2 rows; 0 was refused naming max_index
+        problem = "must be >= 1" if c_rows == 0 else "must be an integer"
+        with pytest.raises(ValueError, match=f"c_rows: {problem}, got {c_rows}"):
             b.finite_evaluator(chain_factory(51), c_rows=c_rows)
 
     def test_psi_is_the_table_the_weights_came_from(self, chain_factory):
@@ -323,11 +324,15 @@ class TestSpectralSum:
             b.spectral_sum(rw, [1.0, 0.0], 1)
         with pytest.raises(ValueError, match="target state 11: outside 1..10"):
             b.spectral_sum(ev, [1.0], 1, ("state", 11))
+        # c_row 0 and -1 once fell through to an IndexError
+        for j in (0, -1):
+            with pytest.raises(ValueError, match=f"target state: must be >= 1, got {j}"):
+                b.spectral_sum(ev, [1.0], 1, ("c_row", j))
         with pytest.raises(ValueError, match="expected 'state' or 'c_row'"):
             b.spectral_sum(ev, [1.0], 1, ("row", 2))
         with pytest.raises(ValueError, match="loses the 1/theta tail"):
             b.spectral_sum(rw, [1.0], 1, transform="cdf")
-        with pytest.raises(ValueError, match="order: must be nonnegative"):
+        with pytest.raises(ValueError, match="transform order: must be >= 0, got -1"):
             b.spectral_sum(ev, [1.0], 1, transform=-1)
         assert b.spectral_sum(ev, [], 1).shape == (0,)
         # +inf stays allowed: verify reads the total mass as the CDF there.
@@ -337,12 +342,12 @@ class TestSpectralSum:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"transform": 1.5}, "transform: expected 'cdf' or an integer order, got 1.5"),
-            ({"transform": True}, "transform: expected 'cdf' or an integer order, got True"),
-            ({"transform": "CDF"}, "transform: expected 'cdf' or an integer order, got 'CDF'"),
+            ({"transform": 1.5}, "transform order: must be an integer, got 1.5"),
+            ({"transform": True}, "transform order: must be an integer, got True"),
+            ({"transform": "CDF"}, "transform order: must be an integer, got 'CDF'"),
             ({"target": "absorb"},
              "target: expected 'absorption' or a (kind, state) pair, got 'absorb'"),
-            ({"target": ("state", 2.0)}, "target: state must be an integer, got 2.0"),
+            ({"target": ("state", 2.0)}, "target state: must be an integer, got 2.0"),
             ({"start": 1.5}, "state: must be an integer, got 1.5"),
             ({"start": True}, "state: must be an integer, got True"),
         ],

@@ -1,6 +1,7 @@
 """Every name a bdhit module imports is read somewhere in that module,
 every name it exports is read somewhere else, and the package exports each
-module's public names once.
+module's public names once; only model.py words the refusal of a
+non-integer argument.
 
 An AST scan stands in for a linter: a module that imports a name and
 never reads it fails here.  __init__.py is exempt (its imports are the
@@ -138,3 +139,34 @@ def test_top_level_scan_sees_defs_classes_and_constants():
         "    hidden = 1\n"
     )
     assert top_level_names(source) == {"LIMIT", "_width", "f", "C"}
+
+
+def texts_containing(source, phrase):
+    """Line numbers of the string constants (f-string parts too) holding phrase."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and phrase in node.value
+    ]
+
+
+def test_one_module_reads_integers():
+    # model._as_int is the one integer reader: a module that words the
+    # refusal itself has grown a copy of it
+    copies = [
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "model.py"
+        for line in texts_containing(path.read_text(encoding="utf-8"), "must be an integer")
+    ]
+    assert copies == []
+
+
+def test_text_scan_sees_plain_and_formatted_strings():
+    source = (
+        "def f(x, n):\n"
+        "    'x must be an integer'\n"
+        "    raise ValueError(f'{n}: must be an integer, got {x!r}')\n"
+        "g = 'must be positive'\n"
+    )
+    assert texts_containing(source, "must be an integer") == [2, 3]

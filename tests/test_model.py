@@ -289,7 +289,7 @@ class TestNamedModels:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="kappa: must be positive"):
             b.symmetric_rw_spec(0, 4)
-        with pytest.raises(ValueError, match="N: must be a positive integer"):
+        with pytest.raises(ValueError, match="N: must be >= 1, got 0"):
             b.symmetric_rw_spec(1, 0)
         with pytest.raises(ValueError, match="mu: must be positive"):
             b.asymmetric_rw_spec(1, 0, 4)

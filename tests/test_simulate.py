@@ -127,7 +127,7 @@ class TestSamplePath:
         with pytest.raises(ValueError, match="start"):
             b.sample_path(two_state_chain, 5, 1, 1.0)
         for start in (1.5, True):
-            with pytest.raises(ValueError, match="start: state must be an integer"):
+            with pytest.raises(ValueError, match="start: must be an integer"):
                 b.sample_path(two_state_chain, start, 1, 1.0)
         with pytest.raises(ValueError, match="t_horizon"):
             b.sample_path(two_state_chain, 1, 1, 0.0)
@@ -449,10 +449,10 @@ class TestEmpiricalTransition:
 
     def test_state_validation(self, two_state_chain):
         cfg = b.SimConfig(10, 1.0, 3, b.InitialDistribution({1: 1.0}))
-        with pytest.raises(ValueError, match="j: state"):
+        with pytest.raises(ValueError, match="j 9: outside 0..2"):
             b.empirical_transition(two_state_chain, cfg, 0.5, 9)
         for j in (2.5, True):
-            with pytest.raises(ValueError, match="j: state must be an integer"):
+            with pytest.raises(ValueError, match="j: must be an integer"):
                 b.empirical_transition(two_state_chain, cfg, 0.5, j)
         with pytest.raises(ValueError, match="t: must be finite"):
             b.empirical_transition(two_state_chain, cfg, math.nan, 0)

@@ -513,9 +513,9 @@ class TestRWSpectrum:
         # kappa and n_nodes are refused before n_states is looked at
         with pytest.raises(ValueError, match="kappa: must be positive"):
             b.rw_evaluator(-1.0, n_nodes=8, n_states=64)
-        with pytest.raises(ValueError, match="n_nodes: must be at least 2"):
+        with pytest.raises(ValueError, match="n_nodes: must be >= 2, got 1"):
             b.rw_evaluator(1.0, n_nodes=1, n_states=64)
-        with pytest.raises(ValueError, match="n_states: must be at least 1"):
+        with pytest.raises(ValueError, match="n_states: must be >= 1, got 0"):
             b.rw_evaluator(1.0, n_nodes=8, n_states=0)
         ev = b.rw_evaluator(1.0, n_nodes=2, n_states=1)
         assert (ev.n_atoms, ev.n_states) == (2, 1)
