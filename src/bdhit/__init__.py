@@ -11,14 +11,13 @@ symmetric and asymmetric walks, and a Monte Carlo oracle.
 
 __version__ = "0.1.0"
 
-# _lapack comes first, before any module that imports numpy.  Loading its
-# extension starts the thread pool of scipy's bundled OpenBLAS, whose
-# start-up spin was seen to stall the main thread for about 60 ms within
-# the next 150 ms (2-vCPU host).  Loaded first, the library is mapped
-# before the extension's init imports scipy and numpy, so the stall falls
-# inside numpy's import; loaded after numpy, 20-30 ms of it fell into a
-# run's first job.  On the same host, importing bdhit.cli took 0.27 s this
-# way and 0.30-0.32 s with numpy imported first.
+# _lapack comes first, before any module that imports numpy: it loads
+# scipy's and numpy's bundled OpenBLAS, with one BLAS thread only while
+# numpy is not yet imported (see its docstring).  Imported after numpy, it
+# leaves both libraries their thread pools: on a 2-vCPU host the median
+# `import bdhit.cli` took about as long (0.114 s against 0.115 s) but twice
+# the CPU time (0.29 s against 0.14 s), and its upper quartile rose from
+# 0.125 s to 0.157 s.
 from . import _lapack  # noqa: F401
 from . import cmatrix, densities, htransform, model, reproduce, simulate, spectral
 from .model import *  # noqa: F401,F403

@@ -12,15 +12,22 @@ is taken out again: left there, a later `import scipy.linalg` would not
 bind it as the package attribute (scipy.linalg.cython_lapack raises
 AttributeError); taken out, that import binds the same module object.
 
-bdhit/__init__.py imports this module before any module that imports
-numpy.  Loading the extension starts the thread pool of scipy's bundled
-OpenBLAS, whose start-up spin was seen to stall the main thread for about
-60 ms within the next 150 ms on a 2-vCPU host.  Loaded first, the library
-is mapped before the extension's own init imports scipy and numpy, so the
-stall falls inside numpy's import; loaded after numpy, the first job of a
-run absorbed 20-30 ms of it.
+Loading the extension also loads scipy's bundled OpenBLAS, and its init
+imports numpy, which loads numpy's own.  Each library starts a pool of
+worker threads, sized to the CPUs, as it loads.  bdhit uses neither pool
+(dlasq1 is serial and its lstsq systems are small), and their start-up
+competes with the import for the CPUs: on a 2-vCPU host the median
+`import bdhit.cli` took 0.18 s and 0.34 s of CPU time with both pools,
+0.12 s and 0.14 s with neither.  So when bdhit is the first to load BLAS
+(numpy is not yet imported, and none of OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS and OMP_NUM_THREADS is set), both libraries load with
+OPENBLAS_NUM_THREADS=1, which is deleted again once they are loaded:
+os.environ and child processes see what the caller set.  A caller who
+sets one of those variables, or imports numpy first, gets OpenBLAS's
+default pools.
 """
 
+import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -28,6 +35,7 @@ import os
 import sys
 
 _MODULE = "scipy.linalg.cython_lapack"
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _linalg_dirs():
@@ -56,6 +64,19 @@ def _load(linalg_dirs):
     return module
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OPENBLAS_NUM_THREADS=1 inside the block, if no BLAS is loaded or asked for yet."""
+    if "numpy" in sys.modules or any(var in os.environ for var in _THREAD_VARS):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
 def _dlasq1(module):
     """dlasq1 as a ctypes function, from the module's capsule."""
     try:
@@ -77,5 +98,6 @@ def _dlasq1(module):
     return ctypes.CFUNCTYPE(None, int_p, dbl_p, dbl_p, dbl_p, int_p)(address)
 
 
-_cython_lapack = _load(_linalg_dirs())
+with _one_blas_thread():
+    _cython_lapack = _load(_linalg_dirs())
 dlasq1 = _dlasq1(_cython_lapack)

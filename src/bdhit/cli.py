@@ -108,6 +108,8 @@ def _parse_nu(text):
             mass = float(mass_s)
         except ValueError as exc:
             raise ValueError(f"nu: cannot parse {part!r}") from exc
+        if not 0 < mass <= 1 + 1e-9:  # also refuses nan and inf before fsum meets them
+            raise ValueError(f"nu: mass in {part!r} must lie in (0, 1]")
         if state in items:
             raise ValueError(f"nu: state {state} listed twice")
         items[state] = mass

@@ -22,6 +22,7 @@ same t inside a long array.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -43,27 +44,30 @@ _BLOCK_ENTRIES = 1 << 17  # spectral_sum's t-by-atoms work array: 1 MiB of float
 class InitialDistribution:
     """Probability masses nu{i} on interior states i >= 1.
 
-    Masses must be positive and sum to 1 within 1e-12.
+    States are integers >= 1; masses are real numbers in (0, 1] that sum
+    to 1 within 1e-12.
     """
 
     __slots__ = ("items",)
 
     def __init__(self, weights):
-        pairs = sorted(dict(weights).items())
+        # states are read first, so sorting compares ints only
+        pairs = sorted((_as_int(s, "nu state", 1), m) for s, m in dict(weights).items())
         if not pairs:
             raise ValueError("nu: needs at least one state")
         for state, mass in pairs:
-            _as_int(state, "nu state", 1)
-            if isinstance(mass, bool):
+            if isinstance(mass, bool) or not isinstance(mass, numbers.Real):
                 raise ValueError(
                     f"nu: mass at state {state} must be a positive number, got {mass!r}"
                 )
-            if not mass > 0:
-                raise ValueError(f"nu: mass at state {state} must be positive, got {mass}")
+            if not 0 < mass <= 1:  # also refuses nan and inf before fsum meets them
+                raise ValueError(
+                    f"nu: mass at state {state} must be positive and at most 1, got {mass}"
+                )
         total = math.fsum(m for _, m in pairs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"nu: masses sum to {total!r}, not 1")
-        self.items = tuple((int(s), float(m)) for s, m in pairs)
+        self.items = tuple((s, float(m)) for s, m in pairs)
 
     @property
     def states(self):

@@ -246,6 +246,8 @@ def recover_initial(
             )
         if not t0 > 0:
             raise ValueError(f"t0: must be positive, got {t0}")
+        if t0 == math.inf:
+            raise ValueError(f"t0: must be finite, got {t0}")
         if not 0 < window_factor < 1:
             raise ValueError(
                 f"window_factor: must lie in (0, 1), got {window_factor}"

@@ -782,6 +782,21 @@ REFUSED = {
          "--t0", "nan"],
         "error: t0: must be positive, got nan",
     ),
+    # inf passed the t0 > 0 test and was refused downstream as t = nan
+    "reproduce-t0-inf": (
+        ["reproduce", *SMALL_WALK, "--nu", "1:1", "--j-max", "2", "--mode", "numeric",
+         "--t0", "inf"],
+        "error: t0: must be finite, got inf",
+    ),
+    # non-finite or overflowing masses reached math.fsum, whose error named neither
+    "density-nu-not-finite": (
+        ["density", *SMALL_WALK, "--nu", "1:inf,2:-inf"],
+        "error: nu: mass in '1:inf' must lie in (0, 1]",
+    ),
+    "density-nu-overflowing-sum": (
+        ["density", *SMALL_WALK, "--nu", "1:1e308,2:1e308"],
+        "error: nu: mass in '1:1e308' must lie in (0, 1]",
+    ),
     # the named-model fields are checked by spec_from_dict, as in a JSON spec
     "symmetric-rw-missing-kappa": (
         ["spectrum", "--model", "symmetric_rw", "--N", "3"],

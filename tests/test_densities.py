@@ -1,7 +1,9 @@
 """Transition probabilities and hitting-time densities from the spectral data."""
 
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +46,27 @@ class TestInitialDistribution:
             b.InitialDistribution({})
         with pytest.raises(ValueError, match="mass at state 1 must be a positive number, got True"):
             b.InitialDistribution({1: True})
+
+    @pytest.mark.parametrize("mass", ["1", None, 1j], ids=["str", "none", "complex"])
+    def test_rejects_non_numeric_mass(self, mass):
+        # these raised a bare TypeError from the comparison with 0
+        with pytest.raises(ValueError, match=re.escape(f"nu: mass at state 1 must be a positive number, got {mass!r}")):
+            b.InitialDistribution({1: mass})
+
+    @pytest.mark.parametrize("mass", [math.inf, math.nan, 1.5, 1e308], ids=str)
+    def test_rejects_mass_outside_unit_interval(self, mass):
+        # 1e308 twice overflowed math.fsum; inf reached it as well
+        with pytest.raises(ValueError, match=re.escape(f"nu: mass at state 2 must be positive and at most 1, got {mass}")):
+            b.InitialDistribution({1: 0.5, 2: mass})
+
+    def test_accepts_exact_and_numpy_masses(self):
+        nu = b.InitialDistribution({1: Fraction(1, 4), 2: np.float64(0.25), np.int64(3): 0.5})
+        assert nu.items == ((1, 0.25), (2, 0.25), (3, 0.5))
+
+    def test_mixed_state_types_refused_naming_nu(self):
+        # a str beside an int state failed inside sorted
+        with pytest.raises(ValueError, match="nu state: must be an integer, got 'a'"):
+            b.InitialDistribution({"a": 0.5, 1: 0.5})
 
     def test_rejects_bad_states(self):
         with pytest.raises(ValueError, match="nu state: must be an integer, got 1.5"):

@@ -255,8 +255,9 @@ class TestNumericRecovery:
     def test_t0_validation(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(80))
         density = lambda t: 1.0
-        for t0 in (0.0, math.nan):  # nan was refused downstream, naming t
-            with pytest.raises(ValueError, match=f"t0: must be positive, got {t0}"):
+        # nan was refused downstream, naming t; inf reached the windows as nan
+        for t0, cause in ((0.0, "positive"), (math.nan, "positive"), (math.inf, "finite")):
+            with pytest.raises(ValueError, match=f"t0: must be {cause}, got {t0}"):
                 b.recover_initial(ev, samples=density, mode="numeric", t0=t0)
         with pytest.raises(ValueError, match="window_factor"):
             b.recover_initial(ev, samples=density, mode="numeric", window_factor=1.5)
