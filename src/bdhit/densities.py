@@ -28,7 +28,7 @@ import numpy as np
 
 from .cmatrix import build_c_matrix, diff_operator_coeffs
 from .model import _as_int, symmetric_rw_spec
-from .spectral import DensityEvaluator, _PsiRows, finite_spectrum
+from .spectral import DensityEvaluator, finite_spectrum
 
 __all__ = [
     "InitialDistribution",
@@ -150,7 +150,7 @@ def rw_evaluator(kappa, n_nodes=128, n_states=64):
     weights = (2.0 * kappa_f**2 / n_nodes) * sin_u**2
     psi = np.sin(np.arange(1, n_states + 1)[:, None] * u) / (kappa_f * sin_u)
     c = build_c_matrix(symmetric_rw_spec(kappa, n_states), min(n_states, 16))
-    return DensityEvaluator(theta, weights, _PsiRows(psi, c.spec, -theta), c, is_continuous=True)
+    return DensityEvaluator(theta, weights, c, psi)
 
 
 def _ascending_states(ev, start):
@@ -187,14 +187,13 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
 
     Returns shape (len(t),), or (len(states), len(t)) for a sequence of
     states.  psi at the start states comes from one pass
-    (_PsiRows.stream), so a call over every state makes one recurrence
+    (ev.psi_stream), so a call over every state makes one recurrence
     walk, not one per state, and holds one coefficient row at a time,
     never a states x atoms array; psi_j of a ("state", j) target is read
-    first, by a pass of its own that walks only when j lies above the
-    kept rows.  A row's coefficients are formed as w psi_i, then times
-    psi_j or the C-row polynomial, then pi_j, then over -theta or times
-    (-theta)^k, and reduced by the same t-blocked kernel, so every row
-    has the bits of its one-state call.
+    first, by a pass of its own up to j.  A row's coefficients are
+    formed as w psi_i, then times psi_j or the C-row polynomial, then
+    pi_j, then over -theta or times (-theta)^k, and reduced by the same
+    t-blocked kernel, so every row has the bits of its one-state call.
     """
     neg_theta = -ev.theta
     nu = start if isinstance(start, InitialDistribution) else None
@@ -245,11 +244,11 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
         power = neg_theta**transform
         decay = np.exp
     if kind == "state":
-        factor = next(ev.psi_rows.stream((j,)))
+        factor = next(ev.psi_stream((j,)))
     elif kind == "c_row":
         c_row = [float(v) for v in diff_operator_coeffs(ev.c, j)]
         factor = np.polyval(c_row[::-1], neg_theta)
-    rows = ev.psi_rows.stream(reads)
+    rows = ev.psi_stream(reads)
     if nu is not None:
         (_, mass), *rest = nu.items
         coef = mass * next(rows)

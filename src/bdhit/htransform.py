@@ -17,7 +17,7 @@ inherits the Bessel closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +63,8 @@ class HTransform:
                 raise ValueError(f"k_values: k({i}) must be positive and finite, got {v!r}")
         if not self.gamma >= 0:
             raise ValueError(f"gamma: must be nonnegative, got {self.gamma!r}")
+        if not self.gamma < math.inf:
+            raise ValueError(f"gamma: must be finite, got {self.gamma!r}")
         lam = self.base.lam
         mu = self.base.mu
         g = self.gamma
@@ -71,7 +73,8 @@ class HTransform:
                 lam[i - 1] + mu[i - 1] + g
             ) * k[i]
             scale = (lam[i - 1] + mu[i - 1] + g) * k[i]
-            if abs(resid) > 1e-12 * float(scale):
+            # a nan residual, or a scale that overflowed, proves nothing and fails
+            if not abs(resid) <= 1e-12 * float(scale) < math.inf:
                 raise ValueError(
                     f"k_values: Q k = gamma k fails at state {i} "
                     f"(residual {float(resid):g} against scale {float(scale):g})"
@@ -97,6 +100,9 @@ def rw_alphas(kappa, gamma):
         raise ValueError(f"kappa: must be positive, got {kappa}")
     if not gamma >= 0:
         raise ValueError(f"gamma: must be nonnegative, got {gamma}")
+    for name, value in (("kappa", kappa), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: must be finite, got {value}")
     x = 1.0 + gamma / (2.0 * kappa)
     d = math.sqrt(x * x - 1.0)
     plus = x + d
@@ -217,15 +223,13 @@ def transformed_evaluator(ev, ht):
 
         theta' = theta + gamma,  w' = w / k(1)^2,  psi' = k(1)^2 psi / k.
 
-    psi' is not built: the result reads the base evaluator's psi on demand
-    (psi_at) and applies the factor k(1)^2 / k(i) per state.  The chain
-    and its speed measure come with transform_cmatrix's result.
+    psi' needs no copy of the base chain: on states 1..N it is the
+    transformed chain's own recurrence at -theta', the walk the result
+    reads on demand (psi_at) like any finite evaluator.  The chain and
+    its speed measure come with transform_cmatrix's result.
     """
     if ev.is_continuous:
         raise ValueError("transformed_evaluator: needs a finite-chain evaluator")
     c2 = transform_cmatrix(ev.c, ht)  # refuses an ht of another base chain
-    k = ht.k_array()
-    k1 = k[1]
-    rows = ev.psi_rows
-    psi = replace(rows, scales=(*rows.scales, k1**2 / k[1 : ev.n_states + 1]))
-    return DensityEvaluator(ev.theta + float(ht.gamma), ev.weights / k1**2, psi, c2)
+    k1 = float(ht.k_values[1])
+    return DensityEvaluator(ev.theta + float(ht.gamma), ev.weights / k1**2, c2)

@@ -8,10 +8,10 @@ bidiagonal factor of the negated symmetrized generator, whose singular
 values square to the atoms with high relative accuracy, however small.
 They come from LAPACK's dqds routine dlasq1, which _lapack takes from
 scipy's bundled LAPACK without importing scipy.linalg.  The weights come
-from one pass of the psi recurrence over the states, which keeps psi only
-for the states the C rows cover, so the spectrum path holds O(N) memory
-and no N x N array; a read of psi at deeper states, one state or all of
-them, continues that recurrence in one more pass.  The constant-rate
+from one pass of the psi recurrence over the states, which keeps no psi
+row, so the spectrum path holds O(N) memory and no N x N array; a read of
+psi, at one state or at all of them, runs the recurrence of the
+evaluator's own chain again, in one pass from state 1.  The constant-rate
 symmetric walk has a closed-form continuous spectral density;
 densities.rw_evaluator discretizes it by a trigonometric quadrature rule
 that is exact on the eigenfunction products it is used for, into the
@@ -22,7 +22,6 @@ serves as an independent cross-check of the whole spectral setup.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,71 +40,29 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class _PsiRows:
-    """psi_k(i) at any interior state i, from the first rows and the recurrence.
-
-    head[i - 1] is the row psi_k(i) over the atoms for states i = 1..len(head).
-    Deeper states continue the recurrence of spec at theta from the last
-    two head rows, so they get the bits a walk over every state would give,
-    and nothing between is stored.  scales are per-state column factors
-    (indexed by state - 1), applied in order to every value read.
-    """
-
-    head: np.ndarray
-    spec: object
-    theta: np.ndarray
-    scales: tuple = ()
-
-    def stream(self, states):
-        """Yield the row psi_k(i) over the atoms for each i of the ascending states.
-
-        All rows come from one pass: head, then one _psi_rows walk that
-        goes no deeper than the last state.  A yielded row is read-only
-        and is valid until the next one is drawn.
-        """
-        walk = _psi_rows(self.spec, self.theta, self.head)
-        rows = enumerate(itertools.chain(self.head, walk), start=1)
-        for i in states:
-            for state, row in rows:
-                if state == i:
-                    break
-            for factors in self.scales:
-                row = row * factors[i - 1]
-            yield row
-
-    def at(self, states):
-        """One row per state, in any order: an array of shape (len(states), atoms)."""
-        order = sorted(set(states))
-        out = np.empty((len(order), self.theta.size))
-        for m, row in enumerate(self.stream(order)):
-            out[m] = row
-        return out[np.searchsorted(order, states)]
-
-
-@dataclass(frozen=True)
 class DensityEvaluator:
     """A chain's one spectral representation: atoms, weights, psi, C-matrix.
 
     theta and weights are the atoms theta_k and weights w_k of the
     spectral measure: the exact discrete spectrum of a finite chain
     (theta ascending and positive), or the nodes and weights of
-    rw_evaluator's quadrature rule for the symmetric walk when
-    is_continuous.  psi_at(states) reads the eigenfunctions
-    psi_k(i) = psi_{-theta_k}(i) at the given interior states, on demand:
-    a finite chain keeps them only for the states its C rows cover and
-    continues the recurrence the weights came from for any deeper one, so
-    it holds O(N) memory, not an N x N table; for the walk they are its
-    closed form.  c carries the rows of the C-matrix, so the
-    differential-operator coefficients are at hand, and is the one holder
-    of the chain (spec) and its speed measure (pi, as floats over the same
-    states as psi).
+    rw_evaluator's quadrature rule for the symmetric walk, whose
+    closed-form eigenfunctions at the nodes psi_table holds (row i - 1
+    for state i; is_continuous is whether there is a table).  psi_stream
+    and psi_at read the eigenfunctions psi_k(i) = psi_{-theta_k}(i) at
+    interior states: for a finite chain by the recurrence of its own
+    chain at -theta, from state 1 and only as deep as the deepest state
+    read, so it holds O(N) memory, not an N x N table; for the walk as
+    rows of its table.  c carries the rows of the C-matrix, so the
+    differential-operator coefficients are at hand, and is the one
+    holder of the chain (spec) and its speed measure (pi, as floats over
+    the same states as psi).
     """
 
     theta: np.ndarray
     weights: np.ndarray
-    psi_rows: _PsiRows = field(repr=False)
     c: CMatrix = field(repr=False)
-    is_continuous: bool = False
+    psi_table: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def spec(self):
@@ -123,6 +80,26 @@ class DensityEvaluator:
     def n_atoms(self):
         return len(self.theta)
 
+    @property
+    def is_continuous(self):
+        return self.psi_table is not None
+
+    def psi_stream(self, states):
+        """Yield the row psi_k(i) over the atoms for each i of the ascending states.
+
+        All rows come from one pass over the states, which stops at the
+        last one: for a finite chain one _psi_rows walk of its chain at
+        -theta.  A yielded row is read-only and is valid until the next
+        one is drawn.
+        """
+        table = self.psi_table
+        rows = enumerate(_psi_rows(self.spec, -self.theta) if table is None else table, start=1)
+        for i in states:
+            for state, row in rows:
+                if state == i:
+                    break
+            yield row
+
     def psi_at(self, states):
         """psi_k(i) for each interior state i in states: shape (atoms, len(states)).
 
@@ -131,10 +108,14 @@ class DensityEvaluator:
         """
         for i in states:
             _as_int(i, "state", 1, self.n_states)
-        return self.psi_rows.at(states).T
+        order = sorted(set(states))
+        out = np.empty((len(order), self.n_atoms))
+        for m, row in enumerate(self.psi_stream(order)):
+            out[m] = row
+        return out[np.searchsorted(order, states)].T
 
 
-def _psi_rows(spec, theta, head=None):
+def _psi_rows(spec, theta):
     """Yield the rows psi_theta(i) over the thetas, state by state up to N.
 
     The defining three-term recurrence (the C-matrix row polynomials
@@ -144,9 +125,7 @@ def _psi_rows(spec, theta, head=None):
         psi(0) = 0,  psi(1) = 1/mu_1,
         lambda_i psi(i+1) = (lambda_i + mu_i + theta) psi(i) - mu_i psi(i-1).
 
-    With no head the walk yields states 1..N; with head, the rows of
-    states 1..len(head) already known, it continues from their last two
-    and yields states len(head)+1..N.  A step is taken only when its row
+    The walk yields states 1..N, and a step is taken only when its row
     is drawn, so a caller that needs fewer states stops drawing.  Every
     row advances as one numpy vector through exactly the floating-point
     operations of the scalar recurrence for its theta alone, in the same
@@ -158,19 +137,12 @@ def _psi_rows(spec, theta, head=None):
     lam = spec.lam_array()
     mu = spec.mu_array()
     prev, cur, nxt = (np.zeros(theta.size) for _ in range(3))
-    if head is None:
-        cur.fill(1.0 / mu[0])
-        yield cur
-        start = 1
-    else:
-        start = len(head)
-        cur[:] = head[-1]
-        if start > 1:
-            prev[:] = head[-2]
+    cur.fill(1.0 / mu[0])
+    yield cur
     diag = (lam + mu).tolist()
     lam = lam.tolist()
     mu = mu.tolist()
-    for i in range(start, spec.n_states):
+    for i in range(1, spec.n_states):
         np.add(diag[i - 1], theta, out=nxt)
         nxt *= cur
         np.multiply(mu[i - 1], prev, out=prev)
@@ -251,13 +223,13 @@ def finite_spectrum(c):
     eigenvector-scaling ambiguity.  One recurrence walk over the states,
     vectorized across the atoms, adds pi_i psi_k(i)^2 to the sums state by
     state, in the order (and so with the bits) of a reduction over the
-    whole (states x atoms) table, and keeps the rows of states
-    1..c.max_index, the states the C rows cover.  psi at deeper states is
-    recomputed when read, by one walk per read however many states it
-    covers (_PsiRows.stream, which spectral_sum and psi_at read through),
-    so no N x N array is built.  The speed measure is c.pi.array(), the
-    one float copy of c.pi; the O(N) balance check refuses one that does
-    not symmetrize the rates.  The recurrence values are cross-checked
+    whole (states x atoms) table, and keeps no row.  psi is recomputed
+    when read, with the bits of this walk, by one walk from state 1 per
+    read however many states it covers (DensityEvaluator.psi_stream,
+    which spectral_sum and psi_at read through), so no N x N array is
+    built.  The speed measure is c.pi.array(), the one float copy of
+    c.pi; the O(N) balance check refuses one that does not symmetrize
+    the rates.  The recurrence values are cross-checked
     against Horner evaluation of the rows of c on a low state, the deepest
     up to 10 whose C row is finite (the two must agree, a nan included:
     same polynomials).  A weight sum that is 0 or not finite,
@@ -276,16 +248,11 @@ def finite_spectrum(c):
         raise ValueError(
             f"internal error: nonpositive spectral atom {theta[0]!r} for an absorbed chain"
         )
-    neg_theta = -theta
-    n = spec.n_states
-    head = np.empty((min(c.max_index, n), theta.size))
     total = np.zeros(theta.size)
     term = np.empty(theta.size)
     # a sum that overflows, or a psi value that does, is refused below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, row in enumerate(_psi_rows(spec, neg_theta)):
-            if i < len(head):
-                head[i] = row
+        for i, row in enumerate(_psi_rows(spec, -theta)):
             np.multiply(row, pia[i], out=term)
             term *= row
             total += term
@@ -297,7 +264,7 @@ def finite_spectrum(c):
             f"weights: leave float range at atom {k} of {theta.size} "
             f"(theta = {theta[k]:g}, weight = 1/{total[k]:g})"
         )
-    ev = DensityEvaluator(theta, weights, _PsiRows(head, spec, neg_theta), c)
+    ev = DensityEvaluator(theta, weights, c)
     # the deepest low state whose C row is finite (exact rows always are):
     # a row holding inf or nan gives a nan Horner value, refused below
     i_chk = min(c.max_index, 10)
@@ -318,12 +285,12 @@ def orthogonality_defect(ev, i, j):
     """| sum_k w_k psi_k(i) psi_k(j)  -  delta_ij / pi_j |, from ev alone.
 
     Reads psi at i and j and the speed measure from the evaluator itself
-    (psi_at), so no table is rebuilt: for a finite chain the recurrence
-    values the weights came from (Horner summation of the C-matrix rows
-    cancels catastrophically for states around 10; the row-vs-recurrence
-    agreement is enforced separately in finite_spectrum and
-    verify_columns), for the walk the closed form on the quadrature
-    nodes, where pi_j = 1.
+    (psi_at), so no table is built: for a finite chain one walk up to
+    max(i, j) gives the recurrence values the weights came from (Horner
+    summation of the C-matrix rows cancels catastrophically for states
+    around 10; the row-vs-recurrence agreement is enforced separately in
+    finite_spectrum and verify_columns), for the walk the closed form on
+    the quadrature nodes, where pi_j = 1.
     """
     _as_int(i, "state i", 1, ev.n_states)
     _as_int(j, "state j", 1, ev.n_states)
@@ -349,6 +316,8 @@ def stieltjes_check(spec, theta, i_max):
     """
     if not theta > 0:
         raise ValueError(f"theta: must be positive, got {theta}")
+    if not theta < math.inf:
+        raise ValueError(f"theta: must be finite, got {theta}")
     i_max = _as_int(i_max, "i_max", 1)
     kappa = float(spec.mu[0])
     lam = spec.lam_array()

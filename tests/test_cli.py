@@ -806,6 +806,11 @@ REFUSED = {
     "cmatrix-rows-negative": (
         ["cmatrix", *SMALL_WALK, "--rows", "-1"], "error: --rows: must be >= 1, got -1",
     ),
+    # inf became k(1) = inf, and the refusal named k_values
+    "htransform-gamma-inf": (
+        ["htransform", "--model", "symmetric_rw", "--kappa", "1", "--N", "4", "--gamma", "inf"],
+        "error: gamma: must be finite, got inf",
+    ),
     "htransform-rows-zero": (
         ["htransform", "--target-lambda", "2", "--target-mu", "1", "--N", "4", "--rows", "0"],
         "error: --rows: must be >= 1, got 0",

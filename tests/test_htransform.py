@@ -49,6 +49,20 @@ class TestHTransformValidation:
         with pytest.raises(ValueError, match=f"gamma: must be nonnegative, got {gamma}"):
             b.HTransform(gamma, (1, 1, 1), base)
 
+    def test_rejects_infinite_gamma(self):
+        # once accepted: the residual was -inf against a scale of inf
+        with pytest.raises(ValueError, match="gamma: must be finite, got inf"):
+            b.HTransform(math.inf, (1, 1, 1), b.symmetric_rw_spec(1, 2))
+
+    # both were accepted: no comparison with nan holds, and inf <= 1e-12 * inf does
+    @pytest.mark.parametrize("kappa, k, residual", [
+        (4, (1, 1e308, 1e308), "nan"),  # 4 k(2) and 8 k(1) overflow: inf - inf
+        (1, (1, 1e308, 1.7e308), "-inf"),  # only 2 k(1) overflows
+    ])
+    def test_overflowing_residual_refused(self, kappa, k, residual):
+        with pytest.raises(ValueError, match=rf"state 1 \(residual {residual} against scale inf"):
+            b.HTransform(0, k, b.symmetric_rw_spec(kappa, 2))
+
 
 class TestRWAlphas:
     def test_product_is_one(self):
@@ -76,8 +90,10 @@ class TestRWAlphas:
     @pytest.mark.parametrize("kappa,gamma,message", [
         (1.0, float("nan"), "gamma: must be nonnegative, got nan"),  # once (nan, nan)
         (float("nan"), 1.0, "kappa: must be positive, got nan"),
+        (float("inf"), 1.0, "kappa: must be finite, got inf"),  # once (1.0, 1.0)
+        (1.0, float("inf"), "gamma: must be finite, got inf"),
     ])
-    def test_nan_refused(self, kappa, gamma, message):
+    def test_non_finite_refused(self, kappa, gamma, message):
         with pytest.raises(ValueError, match=message):
             b.rw_alphas(kappa, gamma)
 

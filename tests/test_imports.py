@@ -72,15 +72,20 @@ def test_package_exports_every_module_name_once():
     assert set(bdhit.__all__) == exported
 
 
-def names_read(source):
-    """Names a source loads, bare or as an attribute."""
+def loads(nodes):
+    """Names the AST nodes load, bare or as an attribute."""
     read = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
     return read
+
+
+def names_read(source):
+    """Names a source loads, bare or as an attribute."""
+    return loads(ast.walk(ast.parse(source)))
 
 
 def test_every_export_is_read_elsewhere():
@@ -139,6 +144,85 @@ def test_top_level_scan_sees_defs_classes_and_constants():
         "    hidden = 1\n"
     )
     assert top_level_names(source) == {"LIMIT", "_width", "f", "C"}
+
+
+def private_bindings(tree):
+    """(name, statement) for each private name a module binds at module level.
+
+    Bindings by def, class and assignment count, tuple targets and the
+    bodies of module-level if, try, with and for blocks included; dunder
+    names do not.
+    """
+    found = []
+    todo = list(tree.body)
+    while todo:
+        stmt = todo.pop()
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [
+                n.id
+                for t in targets
+                for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            ]
+        else:
+            names = []
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                todo.extend(getattr(stmt, block, ()))
+        found += [(n, stmt) for n in names if n.startswith("_") and not n.startswith("__")]
+    return found
+
+
+def stranded_private_names(tree, read_elsewhere):
+    """Private module-level names read neither in read_elsewhere nor in the
+    module outside the statement that binds them."""
+    stranded = set()
+    for name, stmt in private_bindings(tree):
+        inside = {id(node) for node in ast.walk(stmt)}
+        own = loads(node for node in ast.walk(tree) if id(node) not in inside)
+        if name not in own and name not in read_elsewhere:
+            stranded.add(name)
+    return sorted(stranded)
+
+
+def test_every_private_name_is_read_outside_its_binding():
+    # catches a private class or helper a refactor strands, even one that
+    # still reads itself (a recursive helper, a class naming itself)
+    files = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+    reads = {p: loads(ast.walk(tree)) for p, tree in trees.items()}
+    stranded = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in stranded_private_names(
+            trees[path], set().union(*(r for p, r in reads.items() if p != path))
+        )
+    ]
+    assert stranded == []
+
+
+def test_private_scan_sees_tuples_blocks_and_self_reads():
+    source = (
+        "__all__ = []\n"
+        "_LOW, _HIGH = 1, 2\n"
+        "with open('f') as fh:\n"
+        "    _kept = fh\n"
+        "class _Rows:\n"
+        "    def at(self):\n"
+        "        return _Rows()\n"
+        "def _walk(n):\n"
+        "    return _walk(n - 1) + _LOW\n"
+        "def f():\n"
+        "    _inner = 1\n"
+        "    return _inner\n"
+    )
+    tree = ast.parse(source)
+    bound = sorted(name for name, _ in private_bindings(tree))
+    assert bound == ["_HIGH", "_LOW", "_Rows", "_kept", "_walk"]
+    assert stranded_private_names(tree, set()) == ["_HIGH", "_Rows", "_kept", "_walk"]
+    assert stranded_private_names(tree, {"_HIGH", "_kept"}) == ["_Rows", "_walk"]
 
 
 def texts_containing(source, phrase):

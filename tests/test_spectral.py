@@ -74,13 +74,6 @@ class TestPsiTable:
         assert np.array_equal(m.psi_at(range(1, spec.n_states + 1)), table)
 
 
-def full_table_twin(ev):
-    """ev holding psi as the whole walk table, so that nothing is recomputed on a read."""
-    table = walk_table(ev.spec, -ev.theta)
-    rows = dataclasses.replace(ev.psi_rows, head=np.ascontiguousarray(table.T))
-    return dataclasses.replace(ev, psi_rows=rows)
-
-
 def forward_eigenfunction(spec, gamma):
     """Q k = gamma k with k(0) = k(1) = 1, run forward: positive for gamma >= 0."""
     lam, mu = spec.lam_array(), spec.mu_array()
@@ -94,13 +87,13 @@ def forward_eigenfunction(spec, gamma):
 @pytest.mark.parametrize(
     "spec", [b.symmetric_rw_spec(1, 60), random_chain(64, n=40)], ids=["walk-60", "random-40"]
 )
-class TestPsiBelowTheKeptRows:
-    """A finite evaluator keeps psi for states 1..c_rows and recomputes deeper
-    ones; every value read there has the bits of a full walk table."""
+class TestPsiReads:
+    """A finite evaluator keeps no psi row: every read walks its own chain's
+    recurrence from state 1 and has the bits of a full walk table, whatever
+    the number of C rows."""
 
-    def test_keeps_only_the_c_rows_states(self, spec, c_rows):
+    def test_reads_match_the_walk_table(self, spec, c_rows):
         ev = b.finite_evaluator(spec, c_rows=c_rows)
-        assert ev.psi_rows.head.shape == (c_rows, spec.n_states)
         table = walk_table(spec, -ev.theta)
         assert np.array_equal(ev.psi_at(range(1, spec.n_states + 1)), table)
         states = (spec.n_states, 1, c_rows + 1, spec.n_states, c_rows)
@@ -116,53 +109,22 @@ class TestPsiBelowTheKeptRows:
         with pytest.raises(ValueError, match="state: must be an integer, got 2.5"):
             ev.psi_at((2.5,))
 
-    def test_spectral_sums(self, spec, c_rows):
-        ev = b.finite_evaluator(spec, c_rows=c_rows)
-        full = full_table_twin(ev)
-        n = spec.n_states
-        ts = np.array([0.0, 0.3, 2.0, 40.0])
-        for i in (1, c_rows + 1, n // 2, n):
-            for j in (n, c_rows + 1):
-                got = b.spectral_sum(ev, ts, i, ("state", j))
-                assert np.array_equal(got, b.spectral_sum(full, ts, i, ("state", j)))
-        nu = b.InitialDistribution({2: 0.25, n // 2: 0.25, n: 0.5})
-        for transform in (0, 2, "cdf"):
-            got = b.spectral_sum(ev, ts, nu, transform=transform)
-            assert np.array_equal(got, b.spectral_sum(full, ts, nu, transform=transform))
-        got = b.spectral_sum(ev, ts, nu, ("c_row", c_rows))
-        assert np.array_equal(got, b.spectral_sum(full, ts, nu, ("c_row", c_rows)))
-
-    def test_orthogonality_defect(self, spec, c_rows):
-        ev = b.finite_evaluator(spec, c_rows=c_rows)
-        full = full_table_twin(ev)
-        n = spec.n_states
-        for i, j in ((1, n), (c_rows + 1, n // 2), (n, n)):
-            assert b.orthogonality_defect(ev, i, j) == b.orthogonality_defect(full, i, j)
-
-    def test_verify_total_mass_loop(self, spec, c_rows):
-        ev = b.finite_evaluator(spec, c_rows=c_rows)
-        full = full_table_twin(ev)
-        for i in range(1, spec.n_states + 1):
-            got = b.spectral_sum(ev, (np.inf,), i, transform="cdf")
-            assert np.array_equal(got, b.spectral_sum(full, (np.inf,), i, transform="cdf"))
-
     def test_transformed_evaluator(self, spec, c_rows):
+        # psi' is the tilted chain's own walk, and equals k(1)^2 psi / k to rounding
         ev = b.finite_evaluator(spec, c_rows=c_rows)
-        ht = forward_eigenfunction(spec, 0.25)
-        tilted = b.transformed_evaluator(ev, ht)
-        twin = b.transformed_evaluator(full_table_twin(ev), ht)
-        k = ht.k_array()
         n = spec.n_states
         every = range(1, n + 1)
-        want = walk_table(spec, -ev.theta) * (k[1] ** 2 / k[1 : n + 1])[None, :]
-        assert np.array_equal(tilted.psi_at(every), want)
-        ts = np.array([0.3, 2.0])
-        for i in (1, c_rows + 1, n):
-            got = b.spectral_sum(tilted, ts, i, ("state", n))
-            assert np.array_equal(got, b.spectral_sum(twin, ts, i, ("state", n)))
-        twice = b.transformed_evaluator(tilted, forward_eigenfunction(tilted.spec, 0.5))
-        k2 = forward_eigenfunction(tilted.spec, 0.5).k_array()
-        assert np.array_equal(twice.psi_at(every), want * (k2[1] ** 2 / k2[1 : n + 1])[None, :])
+        base = walk_table(spec, -ev.theta)
+        for gamma in (0.25, 0.5):
+            ht = forward_eigenfunction(ev.spec, gamma)
+            tilted = b.transformed_evaluator(ev, ht)
+            got = tilted.psi_at(every)
+            assert np.array_equal(got, walk_table(tilted.spec, -tilted.theta))
+            k = ht.k_array()
+            want = base * (k[1] ** 2 / k[1 : n + 1])[None, :]
+            scale = np.max(np.abs(got), axis=0)
+            assert np.all(np.abs(got - want) <= 1e-11 * scale)
+            ev, base = tilted, got
 
 
 MANY_START_CHAINS = {
@@ -217,6 +179,25 @@ class TestManyStarts:
             for i, row in zip(states, rows):
                 assert np.array_equal(row, b.spectral_sum(ev, ts, i, target, transform)), i
 
+    @pytest.mark.parametrize("transform", [0, 2])
+    @pytest.mark.parametrize("target", ["absorption", "state-1", "state-N", "c_row"])
+    def test_walk_evaluator_rows_bit_identical_to_one_state_calls(self, target, transform):
+        # the rows of the walk's closed-form table, read in one pass
+        ev = b.rw_evaluator(1, 512, 64)
+        n = ev.n_states
+        target = {
+            "absorption": "absorption",
+            "state-1": ("state", 1),
+            "state-N": ("state", n),
+            "c_row": ("c_row", ev.c.max_index),
+        }[target]
+        ts = np.array([0.3, 2.0, 40.0])
+        states = range(1, n + 1)
+        rows = b.spectral_sum(ev, ts, states, target, transform)
+        assert rows.shape == (n, len(ts))
+        for i, row in zip(states, rows):
+            assert np.array_equal(row, b.spectral_sum(ev, ts, i, target, transform)), i
+
     def test_a_subset_and_a_single_state(self):
         ev = b.finite_evaluator(MANY_START_CHAINS["random-40"], c_rows=4)
         ts = np.array([0.1, 1.0])
@@ -234,14 +215,14 @@ class TestManyStarts:
         ev = b.finite_evaluator(b.symmetric_rw_spec(1, n), c_rows=10)
         walks = counted_walks(monkeypatch)
         b.spectral_sum(ev, (0.1, 1.0, np.inf), range(1, n + 1), transform="cdf")
-        assert walks == [n - 10]  # states 11..n, once each
+        assert walks == [n]  # states 1..n, once each
         walks.clear()
-        b.spectral_sum(ev, (1.0,), range(1, 11))  # the kept rows: no walk at all
-        assert walks == []
+        b.spectral_sum(ev, (1.0,), range(1, 11))  # stops at the last state read
+        assert walks == [10]
         walks.clear()
         for i in (11, 12, 13):
             b.spectral_sum(ev, (1.0,), i)
-        assert walks == [1, 2, 3]
+        assert walks == [11, 12, 13]
 
     def test_verify_total_mass_is_one_walk(self, monkeypatch):
         from bdhit.cli import _verify_battery
@@ -255,7 +236,7 @@ class TestManyStarts:
             if name == "density-total-mass":
                 assert passed
                 break
-        assert walks == [20]  # states 11..30 above the 10 kept rows
+        assert walks == [30]  # states 1..30, once each
 
     def test_all_states_at_n_2000_hold_o_n_memory(self):
         # an N x N coefficient or psi array would be 31 MiB
@@ -445,14 +426,10 @@ class TestOrthogonality:
 
     def test_defect_reads_the_evaluators_own_table(self, chain_factory, monkeypatch):
         ev = b.finite_spectrum(b.build_c_matrix(chain_factory(43), 10))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("orthogonality_defect walked the recurrence")
-            yield
-
-        # states 3 and 5 are among the 10 kept rows: no walk is taken
-        monkeypatch.setattr(b.spectral, "_psi_rows", refuse)
+        walks = counted_walks(monkeypatch)
+        # psi at 3 and 5 from one walk that stops at state 5
         assert b.orthogonality_defect(ev, 3, 5) < 1e-10
+        assert walks == [5]
 
     def test_rw_quadrature_defect(self):
         m = b.rw_evaluator(1.0, n_nodes=16, n_states=6)
@@ -560,3 +537,8 @@ class TestStieltjesRatio:
         # once returned (nan, nan)
         with pytest.raises(ValueError, match="theta: must be positive, got nan"):
             b.stieltjes_check(b.symmetric_rw_spec(1, 20), float("nan"), 5)
+
+    def test_infinite_theta_refused(self):
+        # once returned (nan, nan)
+        with pytest.raises(ValueError, match="theta: must be finite, got inf"):
+            b.stieltjes_check(b.symmetric_rw_spec(1, 20), math.inf, 10)
