@@ -74,6 +74,20 @@ class TestPsiTable:
         assert np.array_equal(m.psi_at(range(1, spec.n_states + 1)), table)
 
 
+class TableReads(b.DensityEvaluator):
+    """The evaluator with psi read by index from its whole walk table, not
+    streamed: every other step of a spectral sum is the evaluator's own."""
+
+    def psi_stream(self, states):
+        table = walk_table(self.spec, -self.theta)
+        for i in states:
+            yield table[:, i - 1]
+
+
+def table_twin(ev):
+    return TableReads(ev.theta, ev.weights, ev.c)
+
+
 def forward_eigenfunction(spec, gamma):
     """Q k = gamma k with k(0) = k(1) = 1, run forward: positive for gamma >= 0."""
     lam, mu = spec.lam_array(), spec.mu_array()
@@ -108,6 +122,45 @@ class TestPsiReads:
                 ev.psi_at((1, bad))
         with pytest.raises(ValueError, match="state: must be an integer, got 2.5"):
             ev.psi_at((2.5,))
+
+    def test_spectral_sums(self, spec, c_rows):
+        # the one pass over the start states, the target's own pass and
+        # the mass-weighted nu pass read the rows of the walk table
+        ev = b.finite_evaluator(spec, c_rows=c_rows)
+        full = table_twin(ev)
+        n = spec.n_states
+        ts = np.array([0.0, 0.3, 2.0, 40.0])
+        for i in (1, c_rows + 1, n // 2, n):
+            for j in (n, c_rows + 1):
+                got = b.spectral_sum(ev, ts, i, ("state", j))
+                assert np.array_equal(got, b.spectral_sum(full, ts, i, ("state", j)))
+        nu = b.InitialDistribution({2: 0.25, n // 2: 0.25, n: 0.5})
+        for transform in (0, 2, "cdf"):
+            got = b.spectral_sum(ev, ts, nu, transform=transform)
+            assert np.array_equal(got, b.spectral_sum(full, ts, nu, transform=transform))
+        got = b.spectral_sum(ev, ts, nu, ("c_row", c_rows))
+        assert np.array_equal(got, b.spectral_sum(full, ts, nu, ("c_row", c_rows)))
+        states = (1, c_rows + 1, n // 2, n)
+        got = b.spectral_sum(ev, ts, states, ("state", c_rows + 1))
+        assert np.array_equal(got, b.spectral_sum(full, ts, states, ("state", c_rows + 1)))
+
+    def test_orthogonality_defect(self, spec, c_rows):
+        ev = b.finite_evaluator(spec, c_rows=c_rows)
+        full = table_twin(ev)
+        n = spec.n_states
+        for i, j in ((1, n), (c_rows + 1, n // 2), (n, n), (n // 2, 1)):
+            assert b.orthogonality_defect(ev, i, j) == b.orthogonality_defect(full, i, j)
+
+    def test_verify_total_mass_loop(self, spec, c_rows):
+        # verify's total-mass check in one call over every state, and one state at a time
+        ev = b.finite_evaluator(spec, c_rows=c_rows)
+        full = table_twin(ev)
+        every = range(1, spec.n_states + 1)
+        rows = b.spectral_sum(ev, (np.inf,), every, transform="cdf")
+        assert np.array_equal(rows, b.spectral_sum(full, (np.inf,), every, transform="cdf"))
+        for i in every:
+            got = b.spectral_sum(ev, (np.inf,), i, transform="cdf")
+            assert np.array_equal(got, b.spectral_sum(full, (np.inf,), i, transform="cdf"))
 
     def test_transformed_evaluator(self, spec, c_rows):
         # psi' is the tilted chain's own walk, and equals k(1)^2 psi / k to rounding
