@@ -22,12 +22,11 @@ same t inside a long array.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .cmatrix import build_c_matrix, diff_operator_coeffs
-from .model import _as_int, symmetric_rw_spec
+from .model import _as_int, _as_real, symmetric_rw_spec
 from .spectral import DensityEvaluator, finite_spectrum
 
 __all__ = [
@@ -55,19 +54,14 @@ class InitialDistribution:
         pairs = sorted((_as_int(s, "nu state", 1), m) for s, m in dict(weights).items())
         if not pairs:
             raise ValueError("nu: needs at least one state")
-        for state, mass in pairs:
-            if isinstance(mass, bool) or not isinstance(mass, numbers.Real):
-                raise ValueError(
-                    f"nu: mass at state {state} must be a positive number, got {mass!r}"
-                )
-            if not 0 < mass <= 1:  # also refuses nan and inf before fsum meets them
-                raise ValueError(
-                    f"nu: mass at state {state} must be positive and at most 1, got {mass}"
-                )
-        total = math.fsum(m for _, m in pairs)
+        items = tuple((s, _as_real(m, f"nu: mass at state {s}", "positive")) for s, m in pairs)
+        for state, mass in items:
+            if mass > 1:  # before fsum meets it: 1e308 twice overflows
+                raise ValueError(f"nu: mass at state {state}: must be at most 1, got {mass}")
+        total = math.fsum(m for _, m in items)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"nu: masses sum to {total!r}, not 1")
-        self.items = tuple((s, float(m)) for s, m in pairs)
+        self.items = items
 
     @property
     def states(self):
@@ -134,9 +128,7 @@ def rw_evaluator(kappa, n_nodes=128, n_states=64):
     bounds the eigenfunction table and the truncation used for the C rows,
     whose entries do not depend on the truncation level.
     """
-    kappa_f = float(kappa)
-    if kappa_f <= 0:
-        raise ValueError(f"kappa: must be positive, got {kappa_f}")
+    kappa_f = _as_real(kappa, "kappa", "positive")
     n_nodes = _as_int(n_nodes, "n_nodes", 2)
     n_states = _as_int(n_states, "n_states", 1)
     if n_states >= n_nodes:
@@ -281,16 +273,13 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
 def time_grid(t_min, t_max, count, log=False):
     """Evaluation grid on [t_min, t_max], linear by default, log on request.
 
-    Its points are strictly increasing: count > 1 points on equal
-    endpoints, or on endpoints too close to give count distinct floats,
-    are refused.
+    Non-finite bounds are refused, and its points are strictly increasing:
+    count > 1 points on equal endpoints, or on endpoints too close to give
+    count distinct floats, are refused.
     """
-    t_min = float(t_min)
-    t_max = float(t_max)
+    t_min = _as_real(t_min, "grid: t_min")
+    t_max = _as_real(t_max, "grid: t_max")
     count = _as_int(count, "count", 1)
-    for name, bound in (("t_min", t_min), ("t_max", t_max)):
-        if not math.isfinite(bound):
-            raise ValueError(f"grid: {name} must be finite, got {bound}")
     if t_max < t_min:
         raise ValueError(f"grid: t_max {t_max} below t_min {t_min}")
     if count == 1:

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cmatrix import CMatrix
-from .model import ProcessSpec, asymmetric_rw_spec, symmetric_rw_spec
+from .model import ProcessSpec, _as_real, asymmetric_rw_spec, symmetric_rw_spec
 from .spectral import DensityEvaluator
 
 __all__ = [
@@ -41,8 +41,10 @@ __all__ = [
 class HTransform:
     """Eigenfunction data (gamma, k(0..N)) for a base chain; k(0) = 1.
 
-    The eigenvalue equation Q k = gamma k is validated on the interior
-    states 1..N-1 at relative tolerance 1e-12 on construction.
+    gamma must be a finite number >= 0 and each k(i) a finite positive
+    one; both are stored as given, so exact values keep the transform
+    exact.  The eigenvalue equation Q k = gamma k is validated on the
+    interior states 1..N-1 at relative tolerance 1e-12 on construction.
     """
 
     gamma: object
@@ -56,15 +58,11 @@ class HTransform:
             raise ValueError(
                 f"k_values: expected {n + 1} values k(0..{n}), got {len(k)}"
             )
+        for i, v in enumerate(k):
+            _as_real(v, f"k_values: k({i})", "positive")
         if float(k[0]) != 1.0:
             raise ValueError(f"k_values: k(0) must be 1, got {k[0]!r}")
-        for i, v in enumerate(k):
-            if not v > 0 or not math.isfinite(float(v)):
-                raise ValueError(f"k_values: k({i}) must be positive and finite, got {v!r}")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma: must be nonnegative, got {self.gamma!r}")
-        if not self.gamma < math.inf:
-            raise ValueError(f"gamma: must be finite, got {self.gamma!r}")
+        _as_real(self.gamma, "gamma", "nonnegative")
         lam = self.base.lam
         mu = self.base.mu
         g = self.gamma
@@ -93,19 +91,21 @@ def rw_alphas(kappa, gamma):
 
     These are the geometric ratios of the two positive eigenfunctions
     a^i of the constant-rate walk at eigenvalue gamma; alpha_+ alpha_- = 1.
+    kappa must be a finite positive number and gamma a finite one >= 0,
+    and a gamma so large against kappa that alpha_+ leaves float range is
+    refused.
     """
-    kappa = float(kappa)
-    gamma = float(gamma)
-    if not kappa > 0:
-        raise ValueError(f"kappa: must be positive, got {kappa}")
-    if not gamma >= 0:
-        raise ValueError(f"gamma: must be nonnegative, got {gamma}")
-    for name, value in (("kappa", kappa), ("gamma", gamma)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name}: must be finite, got {value}")
+    kappa = _as_real(kappa, "kappa", "positive")
+    gamma = _as_real(gamma, "gamma", "nonnegative")
     x = 1.0 + gamma / (2.0 * kappa)
     d = math.sqrt(x * x - 1.0)
+    if d == math.inf:  # x * x overflowed, where x itself may not have
+        d = math.sqrt(x - 1.0) * math.sqrt(x + 1.0)
     plus = x + d
+    if plus == math.inf:
+        raise ValueError(
+            f"gamma: {gamma} on the kappa = {kappa} walk puts alpha_+ beyond float range"
+        )
     # the stable form of x - d: avoids cancellation for large gamma
     minus = 1.0 / plus
     return plus, minus
@@ -119,14 +119,20 @@ def rw_gamma_eigenfunctions(kappa, gamma, n_states):
     (k = 1 exactly).
     """
     base = symmetric_rw_spec(kappa, n_states)
+    gamma = _as_real(gamma, "gamma", "nonnegative")
     if gamma == 0:
         ones = (1,) * (n_states + 1)
         ident = HTransform(0, ones, base)
         return ident, ident
     plus, minus = rw_alphas(kappa, gamma)
-    k_plus = tuple(plus**i for i in range(n_states + 1))
+    try:
+        k_plus = tuple(plus**i for i in range(n_states + 1))
+    except OverflowError:
+        raise ValueError(
+            f"gamma: alpha_+^i at gamma = {gamma} on the kappa = {kappa} walk "
+            f"leaves float range by state N = {n_states}"
+        ) from None
     k_minus = tuple(minus**i for i in range(n_states + 1))
-    gamma = float(gamma)
     return HTransform(gamma, k_plus, base), HTransform(gamma, k_minus, base)
 
 
@@ -205,8 +211,8 @@ def asymmetric_rw(lam, mu, n_states):
     if lam == mu:
         ht = rw_gamma_eigenfunctions(lam, 0, n_states)[0]
         return spec, ht
-    lf = float(lam)
-    mf = float(mu)
+    lf = _as_real(lam, "lambda")
+    mf = _as_real(mu, "mu")
     kappa = math.sqrt(lf * mf)
     gamma = (math.sqrt(lf) - math.sqrt(mf)) ** 2
     ht_plus, ht_minus = rw_gamma_eigenfunctions(kappa, gamma, n_states)

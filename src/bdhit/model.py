@@ -47,8 +47,17 @@ def _is_exact_number(x):
     return isinstance(x, (int, Fraction))
 
 
-def _read_only_floats(values):
-    out = np.array([float(v) for v in values])
+def _read_only_floats(values, name):
+    """The values as a read-only float array; an exact value beyond float
+    range is refused as an OverflowError naming the first, as name[index]."""
+    try:
+        out = np.array([float(v) for v in values])
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if abs(v) >= _FLOAT_OVERFLOW)
+        raise OverflowError(
+            f"{name}[{i}]: beyond float range; the floating-point routes need "
+            "it below 1.8e308 in magnitude (exact routes such as cmatrix still run)"
+        ) from None
     out.flags.writeable = False
     return out
 
@@ -57,23 +66,56 @@ def _field(name, index):
     return name if index is None else f"{name}[{index}]"
 
 
+# Fraction last: an isinstance test against it (an ABC) is the slow one
+_NUMBER_TYPES = (float, np.floating, int, np.integer, Fraction)
+
+
+def _is_number(value):
+    """What counts as a number, to a rate or a real argument alike."""
+    return isinstance(value, _NUMBER_TYPES) and not isinstance(value, bool)
+
+
 def _rate(value, name, index=None):
     """The one reader of a rate: an int or numpy integer as int, a Fraction
-    as is, a finite float (np.float64 too) as float; anything else is
+    as is, a finite float (numpy floats too) as float; anything else is
     refused naming ``name`` or ``name[index]``, formatted only then."""
     if type(value) is int:  # the common exact case, with no conversion
         return value
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         if math.isfinite(value):
             return float(value)
         problem = f"rate must be finite, got {float(value)!r}"
-    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
+    elif not _is_number(value):
+        problem = f"unsupported rate type {type(value).__name__}"
     elif isinstance(value, Fraction):
         return value
     else:
-        problem = f"unsupported rate type {type(value).__name__}"
+        return int(value)
     raise ValueError(f"{_field(name, index)}: {problem}")
+
+
+def _as_real(value, field, sign=None, inf=False):
+    """The one reader of a real argument (a time, horizon, eigenvalue,
+    eigenfunction value, walk rate or mass): an int, numpy integer,
+    Fraction, float or numpy float as float.  Refused, naming ``field``:
+    a bool or any other type, an exact value beyond float range, a value
+    not ``sign`` ("positive" or "nonnegative") when one is given, NaN,
+    and +-inf, save +inf when ``inf`` is true."""
+    if type(value) is not float:  # the common case needs no conversion
+        if not _is_number(value):
+            raise ValueError(f"{field}: must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(
+                f"{field}: must lie within float range (below 1.8e308 in magnitude)"
+            ) from None
+    # nan fails both tests below
+    if sign == "positive" and not value > 0 or sign == "nonnegative" and not value >= 0:
+        raise ValueError(f"{field}: must be {sign}, got {value}")
+    if not (math.isfinite(value) or inf and value == math.inf):
+        raise ValueError(f"{field}: must be finite, got {value}")
+    return value
 
 
 def _as_rate(value, name, index=None):
@@ -140,21 +182,23 @@ class ProcessSpec:
 
     def lam_array(self):
         """Birth rates as floats, converted once per spec: every call
-        returns the same read-only array."""
+        returns the same read-only array.  An exact rate beyond float range
+        raises OverflowError naming the first."""
         return self._lam_floats
 
     def mu_array(self):
         """Death rates as floats, converted once per spec: every call
-        returns the same read-only array."""
+        returns the same read-only array.  An exact rate beyond float range
+        raises OverflowError naming the first."""
         return self._mu_floats
 
     @functools.cached_property
     def _lam_floats(self):
-        return _read_only_floats(self.lam)
+        return _read_only_floats(self.lam, "lambda")
 
     @functools.cached_property
     def _mu_floats(self):
-        return _read_only_floats(self.mu)
+        return _read_only_floats(self.mu, "mu")
 
     def to_dict(self):
         """JSON-ready document; exact rates become "p/q" strings."""
@@ -234,7 +278,7 @@ class ScaleFunction:
 
     @functools.cached_property
     def _floats(self):
-        return _read_only_floats(self.s)
+        return _read_only_floats(self.s, "s")
 
     def __getitem__(self, i):
         """s(i) for a state i in 0..N."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cmatrix import diff_operator_coeffs
 from .densities import spectral_sum
-from .model import _as_int
+from .model import _as_int, _as_real
 
 __all__ = [
     "NumericApplication",
@@ -205,7 +205,9 @@ def recover_initial(
     also given it is used purely as reference for error reporting.
 
     States above j_max = 6 amplify sample noise through high derivatives;
-    they are refused unless force=True.
+    they are refused unless force=True.  In numeric mode t0 must be a
+    positive finite number and window_factor lie in (0, 1); a ValueError
+    naming the argument refuses anything else.
     """
     if mode not in ("spectral", "numeric"):
         raise ValueError(f"mode: expected 'spectral' or 'numeric', got {mode!r}")
@@ -244,14 +246,10 @@ def recover_initial(
             raise ValueError(
                 f"evaluator keeps only {ev.c.max_index} C-matrix rows, need {j_max}"
             )
-        if not t0 > 0:
-            raise ValueError(f"t0: must be positive, got {t0}")
-        if t0 == math.inf:
-            raise ValueError(f"t0: must be finite, got {t0}")
-        if not 0 < window_factor < 1:
-            raise ValueError(
-                f"window_factor: must lie in (0, 1), got {window_factor}"
-            )
+        t0 = _as_real(t0, "t0", "positive")
+        window_factor = _as_real(window_factor, "window_factor", "positive")
+        if window_factor >= 1:
+            raise ValueError(f"window_factor: must lie in (0, 1), got {window_factor}")
         centers = (t0, 0.5 * t0)
         data = None if callable(samples) else _as_sample_arrays(samples)
         recovered = []

@@ -43,7 +43,7 @@ from itertools import accumulate
 import numpy as np
 
 from .densities import InitialDistribution
-from .model import _as_int
+from .model import _as_int, _as_real
 
 __all__ = [
     "SimConfig",
@@ -74,14 +74,12 @@ _HALF = np.uint64(32)
 _MULT_LO, _MULT_HI = _MULT & _LO32, _MULT >> _HALF
 
 
-def _check_horizon(t_horizon):
-    if isinstance(t_horizon, bool) or not t_horizon > 0:
-        raise ValueError(f"t_horizon: must be a positive number, got {t_horizon!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
-    """How many paths, how long, which seed, started from which law."""
+    """How many paths, how long, which seed, started from which law.
+
+    t_horizon is a positive number, or inf for no horizon.
+    """
 
     n_paths: int
     t_horizon: float
@@ -90,7 +88,7 @@ class SimConfig:
 
     def __post_init__(self):
         _as_int(self.n_paths, "n_paths", 1)
-        _check_horizon(self.t_horizon)
+        _as_real(self.t_horizon, "t_horizon", "positive", inf=True)
         _as_int(self.seed, "seed", 0, _SEED_MAX)
         if not isinstance(self.initial, InitialDistribution):
             raise ValueError("initial: must be an InitialDistribution")
@@ -287,14 +285,13 @@ def sample_path(spec, start, seed, t_horizon):
 
     The path is path 0 of the integer seed's streams.  The jump list
     starts with (0.0, start) and the absorption time is None when the path
-    outlives t_horizon.
+    outlives t_horizon, a positive number or inf.
     """
     _as_int(start, "start", 0, spec.n_states)
-    _check_horizon(t_horizon)
+    horizon = _as_real(t_horizon, "t_horizon", "positive", inf=True)
     _as_int(seed, "seed", 0, _SEED_MAX)
     if start == 0:
         return [], 0.0
-    horizon = float(t_horizon)
     blocks = list(_walk(spec, InitialDistribution({start: 1.0}), seed, 1, horizon))
     t = np.concatenate([times[1:, 0] for times, _, _ in blocks])
     s = np.concatenate([states[1:, 0] for _, states, _ in blocks])
@@ -358,10 +355,7 @@ def empirical_occupancy(spec, config, t_values):
     by path for equal (seed, n_paths).
     """
     config.initial._check_support(spec.n_states, "initial")
-    t_values = [float(t) for t in t_values]
-    for t in t_values:
-        if not math.isfinite(t):
-            raise ValueError(f"t_values: checkpoint {t} is not finite")
+    t_values = [_as_real(t, f"t_values[{i}]", "nonnegative") for i, t in enumerate(t_values)]
     if any(b < a for a, b in zip(t_values, t_values[1:])):
         raise ValueError("t_values: must be ascending")
     if t_values and t_values[-1] > config.t_horizon:
@@ -369,8 +363,6 @@ def empirical_occupancy(spec, config, t_values):
             f"t_values: checkpoint {t_values[-1]} lies beyond the horizon "
             f"{config.t_horizon}"
         )
-    if t_values and t_values[0] < 0:
-        raise ValueError(f"t_values: checkpoint {t_values[0]} is negative")
     n = spec.n_states
     counts = np.zeros((len(t_values), n + 1), dtype=np.int64)
     if not t_values:
@@ -388,9 +380,7 @@ def empirical_occupancy(spec, config, t_values):
 def empirical_transition(spec, config, t, j):
     """Empirical P_nu[X_t = j] with its binomial standard error."""
     _as_int(j, "j", 0, spec.n_states)
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t: must be finite, got {t}")
+    t = _as_real(t, "t", "nonnegative")
     counts = empirical_occupancy(spec, config, (t,))
     freq = counts[0, j] / config.n_paths
     stderr = math.sqrt(freq * (1.0 - freq) / config.n_paths)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._lapack import dlasq1
 from .cmatrix import CMatrix, eval_psi_theta
-from .model import _as_int
+from .model import _as_int, _as_real
 
 __all__ = [
     "DensityEvaluator",
@@ -314,10 +314,7 @@ def stieltjes_check(spec, theta, i_max):
     of spec are read, to confirm the pattern and take kappa.  Returns
     (numeric_ratio_at_i_max, closed_form).
     """
-    if not theta > 0:
-        raise ValueError(f"theta: must be positive, got {theta}")
-    if not theta < math.inf:
-        raise ValueError(f"theta: must be finite, got {theta}")
+    theta = _as_real(theta, "theta", "positive")
     i_max = _as_int(i_max, "i_max", 1)
     kappa = float(spec.mu[0])
     lam = spec.lam_array()
@@ -331,7 +328,6 @@ def stieltjes_check(spec, theta, i_max):
             "spec: the Stieltjes ratio check needs the constant-rate symmetric "
             "pattern lambda_i = mu_i = kappa"
         )
-    theta = float(theta)
     # pairs (value at i, value at i+1), advanced jointly and renormalized
     psi_a, psi_b = 0.0, 1.0 / kappa
     phi_a, phi_b = 1.0, 1.0

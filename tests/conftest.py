@@ -1,5 +1,6 @@
 """Shared fixtures: seeded random chains and small exactly solvable ones."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,15 @@ def walk_table(spec, theta):
     """
     theta = np.asarray(theta, dtype=float)
     return np.array([row.copy() for row in _psi_rows(spec, theta)]).T
+
+
+@pytest.fixture(
+    params=[True, "1", None, math.nan, 10**400], ids=["bool", "str", "none", "nan", "1e400"]
+)
+def bad_real(request):
+    """A value every real argument refuses: a bool, a string, None, NaN and
+    an exact int beyond float range."""
+    return request.param
 
 
 @pytest.fixture

@@ -155,6 +155,22 @@ class TestCMatrixCommand:
         for r, col, val in rows[1:]:
             assert Fraction(val) == c.value(int(r), int(col))
 
+    def test_exact_rate_beyond_float_range(self, tmp_path, monkeypatch):
+        # only the floating-point routes refuse it (spectrum names lambda[0])
+        kappa = 10**400
+        code = run(
+            ["cmatrix", "--model", "symmetric_rw", "--kappa", str(kappa), "--N", "3"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        with open(tmp_path / "cmatrix.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        c = b.build_c_matrix(b.symmetric_rw_spec(kappa, 3), 3)
+        assert [Fraction(val) for _, _, val in rows] == [
+            c.value(int(r), int(col)) for r, col, _ in rows
+        ]
+        assert Fraction(rows[2][2]) == Fraction(1, kappa)
+
     def test_manifest_written(self, tmp_path, monkeypatch):
         run(
             ["cmatrix", "--model", "symmetric_rw", "--kappa", "1", "--N", "4"],
@@ -319,7 +335,7 @@ class TestDensityCommand:
         args[args.index(flag) + 1] = "nan"
         assert run(args, tmp_path, monkeypatch) == 1
         name = flag[2:].replace("-", "_")
-        assert f"grid: {name} must be finite, got nan" in capsys.readouterr().err
+        assert f"grid: {name}: must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "density.csv").exists()
 
 
@@ -810,6 +826,17 @@ REFUSED = {
     "htransform-gamma-inf": (
         ["htransform", "--model", "symmetric_rw", "--kappa", "1", "--N", "4", "--gamma", "inf"],
         "error: gamma: must be finite, got inf",
+    ),
+    # a raw OverflowError, "error: (34, 'Numerical result out of range')"
+    "htransform-eigenfunction-beyond-float-range": (
+        ["htransform", "--model", "symmetric_rw", "--kappa", "1", "--N", "200", "--gamma", "100"],
+        "error: gamma: alpha_+^i at gamma = 100.0 on the kappa = 1 walk leaves float range "
+        "by state N = 200",
+    ),
+    # "error: int too large to convert to float", naming no rate
+    "spectrum-exact-rate-beyond-float-range": (
+        ["spectrum", "--model", "symmetric_rw", "--kappa", "1" + "0" * 400, "--N", "3"],
+        "error: lambda[0]: beyond float range",
     ),
     "htransform-rows-zero": (
         ["htransform", "--target-lambda", "2", "--target-mu", "1", "--N", "4", "--rows", "0"],

@@ -44,20 +44,29 @@ class TestInitialDistribution:
             b.InitialDistribution({1: 0.4, 2: 0.4})
         with pytest.raises(ValueError, match="at least one state"):
             b.InitialDistribution({})
-        with pytest.raises(ValueError, match="mass at state 1 must be a positive number, got True"):
+        with pytest.raises(ValueError, match="nu: mass at state 1: must be a real number, got True"):
             b.InitialDistribution({1: True})
 
     @pytest.mark.parametrize("mass", ["1", None, 1j], ids=["str", "none", "complex"])
     def test_rejects_non_numeric_mass(self, mass):
         # these raised a bare TypeError from the comparison with 0
-        with pytest.raises(ValueError, match=re.escape(f"nu: mass at state 1 must be a positive number, got {mass!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"nu: mass at state 1: must be a real number, got {mass!r}")):
             b.InitialDistribution({1: mass})
 
-    @pytest.mark.parametrize("mass", [math.inf, math.nan, 1.5, 1e308], ids=str)
-    def test_rejects_mass_outside_unit_interval(self, mass):
+    @pytest.mark.parametrize("mass, problem", [
+        (math.inf, "must be finite"), (math.nan, "must be positive"),
+        (1.5, "must be at most 1"), (1e308, "must be at most 1"),
+    ], ids=["inf", "nan", "1.5", "1e+308"])
+    def test_rejects_mass_outside_unit_interval(self, mass, problem):
         # 1e308 twice overflowed math.fsum; inf reached it as well
-        with pytest.raises(ValueError, match=re.escape(f"nu: mass at state 2 must be positive and at most 1, got {mass}")):
+        with pytest.raises(ValueError, match=re.escape(f"nu: mass at state 2: {problem}, got {mass}")):
             b.InitialDistribution({1: 0.5, 2: mass})
+
+    def test_mass_read_as_a_real(self, bad_real):
+        # "1" and None raised a bare TypeError from the comparison with 0,
+        # 10**400 an OverflowError from math.fsum
+        with pytest.raises(ValueError, match="^nu: mass at state 2: must "):
+            b.InitialDistribution({1: 0.5, 2: bad_real})
 
     def test_accepts_exact_and_numpy_masses(self):
         nu = b.InitialDistribution({1: Fraction(1, 4), 2: np.float64(0.25), np.int64(3): 0.5})
@@ -419,6 +428,12 @@ class TestRWEvaluator:
         with pytest.raises(ValueError, match="needs t > 0"):
             b.spectral_sum(ev, (0.0,), 1)
 
+    def test_kappa_read_as_a_real(self, bad_real):
+        # "1" and None raised a bare TypeError, 10**400 an OverflowError;
+        # True was a kappa = 1 walk
+        with pytest.raises(ValueError, match="^kappa: must "):
+            b.rw_evaluator(bad_real, n_nodes=8, n_states=4)
+
     def test_node_count_must_exceed_states(self):
         with pytest.raises(ValueError, match="below n_nodes"):
             b.rw_evaluator(1.0, n_nodes=16, n_states=16)
@@ -449,13 +464,20 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="log spacing needs t_min > 0"):
             b.time_grid(0.0, 1.0, 5, log=True)
 
+    @pytest.mark.parametrize("name", ["t_min", "t_max"])
+    def test_bound_read_as_a_real(self, name, bad_real):
+        # True was the bound 1.0; "1" and None raised a bare TypeError
+        bounds = {"t_min": 0.0, "t_max": 2.0, name: bad_real}
+        with pytest.raises(ValueError, match=f"^grid: {name}: must "):
+            b.time_grid(bounds["t_min"], bounds["t_max"], 3)
+
     @pytest.mark.parametrize(
         "t_min, t_max, name",
         [(np.nan, 1.0, "t_min"), (0.0, np.nan, "t_max"), (0.0, np.inf, "t_max"),
          (-np.inf, 1.0, "t_min")],
     )
     def test_non_finite_bound_named(self, t_min, t_max, name):
-        with pytest.raises(ValueError, match=f"grid: {name} must be finite"):
+        with pytest.raises(ValueError, match=f"grid: {name}: must be finite"):
             b.time_grid(t_min, t_max, 3)
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Exponential tilting by a gamma-eigenfunction: rates, C-matrix, densities."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ class TestHTransformValidation:
 
     def test_rejects_nonpositive_k(self):
         base = b.symmetric_rw_spec(1, 2)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=r"k_values: k\(1\): must be positive, got -1.0"):
             b.HTransform(0.0, (1, -1, 1), base)
 
     # every comparison with nan is False, so a nan gamma once constructed
@@ -62,6 +63,20 @@ class TestHTransformValidation:
     def test_overflowing_residual_refused(self, kappa, k, residual):
         with pytest.raises(ValueError, match=rf"state 1 \(residual {residual} against scale inf"):
             b.HTransform(0, k, b.symmetric_rw_spec(kappa, 2))
+
+    @pytest.mark.parametrize("k_values, field", [
+        ((1, None, 1), "k_values: k(1)"), ((1, 1, None), "k_values: k(2)"),
+    ], ids=["k1", "k2"])
+    def test_k_read_as_a_real(self, k_values, field, bad_real):
+        # 10**400 raised an OverflowError, "1" a bare TypeError; True was k = 1
+        k_values = tuple(bad_real if v is None else v for v in k_values)
+        with pytest.raises(ValueError, match="^" + re.escape(field) + ": must "):
+            b.HTransform(0, k_values, b.symmetric_rw_spec(1, 2))
+
+    def test_gamma_read_as_a_real(self, bad_real):
+        # 10**400 raised an OverflowError, "1" and None a bare TypeError
+        with pytest.raises(ValueError, match="^gamma: must "):
+            b.HTransform(bad_real, (1, 1, 1), b.symmetric_rw_spec(1, 2))
 
 
 class TestRWAlphas:
@@ -97,6 +112,24 @@ class TestRWAlphas:
         with pytest.raises(ValueError, match=message):
             b.rw_alphas(kappa, gamma)
 
+    @pytest.mark.parametrize("name", ["kappa", "gamma"])
+    def test_read_as_reals(self, name, bad_real):
+        # "1" was accepted as 1.0, and True as 1.0
+        args = {"kappa": 1.0, "gamma": 0.5, name: bad_real}
+        with pytest.raises(ValueError, match=f"^{name}: must "):
+            b.rw_alphas(args["kappa"], args["gamma"])
+
+    def test_overflowing_ratio_refused(self):
+        # once returned (inf, 0.0)
+        with pytest.raises(ValueError, match=r"^gamma: 1e\+300 on the kappa = 1e-300 walk"):
+            b.rw_alphas(1e-300, 1e300)
+
+    def test_large_ratio_stays_finite(self):
+        # x * x overflows from x = 1.3e154, alpha_+ = 2 x only near 9e307
+        plus, minus = b.rw_alphas(1.0, 1e300)
+        assert plus == pytest.approx(1e300, rel=1e-15)
+        assert minus == pytest.approx(1e-300, rel=1e-15)
+
 
 class TestGammaEigenfunctions:
     def test_geometric_branches(self):
@@ -109,6 +142,28 @@ class TestGammaEigenfunctions:
         assert plus.k_values == (1,) * 6
         assert minus.k_values == (1,) * 6
         assert plus.gamma == 0
+
+    def test_gamma_read_as_a_real(self, bad_real):
+        # False passed the gamma == 0 test as an identity transform, and
+        # True reached rw_alphas as gamma = 1
+        with pytest.raises(ValueError, match="^gamma: must "):
+            b.rw_gamma_eigenfunctions(1, bad_real, 3)
+        with pytest.raises(ValueError, match="^gamma: must be a real number, got False"):
+            b.rw_gamma_eigenfunctions(1, False, 3)
+
+    @pytest.mark.parametrize("make, message", [
+        # a raw OverflowError from alpha_+^i
+        (lambda: b.rw_gamma_eigenfunctions(1, 100, 200),
+         "gamma: alpha_+^i at gamma = 100.0 on the kappa = 1 walk "
+         "leaves float range by state N = 200"),
+        # once refused as k_values: k(1) must be positive and finite, got inf
+        (lambda: b.asymmetric_rw(1e300, 1e-300, 3),
+         "gamma: alpha_+^i at gamma = 9.999999999999999e+299 on the kappa = 1.0 walk "
+         "leaves float range by state N = 3"),
+    ], ids=["walk", "asymmetric"])
+    def test_eigenfunction_beyond_float_range_refused(self, make, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            make()
 
 
 class TestTransformRates:

@@ -1,7 +1,7 @@
 """Every name a bdhit module imports is read somewhere in that module,
 every name it exports is read somewhere else, and the package exports each
 module's public names once; only model.py words the refusal of a
-non-integer argument.
+non-integer or non-real argument.
 
 An AST scan stands in for a linter: a module that imports a name and
 never reads it fails here.  __init__.py is exempt (its imports are the
@@ -234,16 +234,27 @@ def texts_containing(source, phrase):
     ]
 
 
-def test_one_module_reads_integers():
-    # model._as_int is the one integer reader: a module that words the
-    # refusal itself has grown a copy of it
-    copies = [
+def wordings_outside_model(phrase):
+    """(module, line) of each string outside model.py that holds phrase."""
+    return [
         (path.name, line)
         for path in sorted(SRC.glob("*.py"))
         if path.name != "model.py"
-        for line in texts_containing(path.read_text(encoding="utf-8"), "must be an integer")
+        for line in texts_containing(path.read_text(encoding="utf-8"), phrase)
     ]
-    assert copies == []
+
+
+def test_one_module_reads_integers():
+    # model._as_int is the one integer reader: a module that words the
+    # refusal itself has grown a copy of it
+    assert wordings_outside_model("must be an integer") == []
+
+
+@pytest.mark.parametrize("phrase", ["must be a real number", "must be finite"])
+def test_one_module_reads_reals(phrase):
+    # likewise model._as_real for times, horizons, theta, gamma, k(i),
+    # walk rates and masses
+    assert wordings_outside_model(phrase) == []
 
 
 def test_text_scan_sees_plain_and_formatted_strings():

@@ -1,6 +1,7 @@
 """Chain description, speed measure, scale function, generator application."""
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -82,6 +83,19 @@ class TestProcessSpec:
         assert spec == b.ProcessSpec((2, 2, 0), (1, 1, 1))
         spec = b.ProcessSpec(np.array([1.5, 0.0]), np.array([2.0, 1.0]))
         assert all(type(r) is float for r in spec.lam + spec.mu)
+        spec = b.ProcessSpec(np.array([1.5, 0.0], dtype=np.float32), (2.0, 1.0))
+        assert spec.lam == (1.5, 0.0) and type(spec.lam[0]) is float
+
+    @pytest.mark.parametrize("lam, mu, floats, field", [
+        ((10**400, 10**400, 0), (1, 1, 1), "lam_array", r"lambda\[0\]"),
+        ((1, Fraction(10**400, 3), 0), (1, 1, 1), "lam_array", r"lambda\[1\]"),
+        ((1, 1, 0), (1, 1, 10**400), "mu_array", r"mu\[2\]"),
+    ])
+    def test_exact_rate_beyond_float_range_named(self, lam, mu, floats, field):
+        # once a raw "int too large to convert to float", naming no rate
+        spec = b.ProcessSpec(lam, mu)
+        with pytest.raises(OverflowError, match=f"^{field}: beyond float range"):
+            getattr(spec, floats)()
 
     def test_rejects_nan_rate(self):
         with pytest.raises(ValueError, match="finite"):
@@ -110,6 +124,49 @@ def quarter_rate_chain(n):
     lam = [Fraction(2 + (5 * i) % 11, 4) for i in range(n - 1)] + [0]
     mu = [Fraction(2 + (7 * i + 3) % 11, 4) for i in range(n)]
     return b.ProcessSpec(lam, mu)
+
+
+class TestRealReader:
+    # model._as_real reads every real argument: times, horizons, theta,
+    # gamma, k(i), walk rates and masses
+    @pytest.mark.parametrize("value, want", [
+        (3, 3.0), (np.int64(-3), -3.0), (Fraction(1, 4), 0.25), (0.5, 0.5),
+        (np.float32(0.25), 0.25), (np.float64(-2.0), -2.0), (10**300, 1e300),
+        (Fraction(1, 10**400), 0.0),
+    ], ids=["int", "np.int64", "Fraction", "float", "np.float32", "np.float64",
+            "large-int", "tiny-Fraction"])
+    def test_accepts_numbers_as_float(self, value, want):
+        got = b.model._as_real(value, "x")
+        assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("value, kwargs, message", [
+        (True, {}, "must be a real number, got True"),
+        (np.bool_(False), {}, f"must be a real number, got {np.bool_(False)!r}"),
+        ("1", {}, "must be a real number, got '1'"),
+        (None, {}, "must be a real number, got None"),
+        (1j, {}, "must be a real number, got 1j"),
+        (math.nan, {}, "must be finite, got nan"),
+        (math.nan, {"sign": "positive"}, "must be positive, got nan"),
+        (math.nan, {"inf": True}, "must be finite, got nan"),
+        (math.inf, {}, "must be finite, got inf"),
+        (-math.inf, {"inf": True}, "must be finite, got -inf"),
+        (-math.inf, {"sign": "nonnegative", "inf": True}, "must be nonnegative, got -inf"),
+        (10**400, {}, "must lie within float range"),
+        (-(10**400), {"inf": True}, "must lie within float range"),
+        (Fraction(10**400, 3), {}, "must lie within float range"),
+        (0, {"sign": "positive"}, "must be positive, got 0.0"),
+        (-1e-300, {"sign": "nonnegative"}, "must be nonnegative, got -1e-300"),
+    ], ids=["bool", "np.bool_", "str", "none", "complex", "nan", "nan-positive",
+            "nan-inf-allowed", "inf", "-inf-inf-allowed", "-inf-nonnegative", "int-1e400",
+            "-int-1e400", "Fraction-1e400", "zero-positive", "negative-nonnegative"])
+    def test_refusal_names_the_field(self, value, kwargs, message):
+        with pytest.raises(ValueError, match="^" + re.escape(f"x: {message}")):
+            b.model._as_real(value, "x", **kwargs)
+
+    def test_signs_and_allowed_inf(self):
+        assert b.model._as_real(0, "x", "nonnegative") == 0.0
+        assert b.model._as_real(-1, "x") == -1.0
+        assert b.model._as_real(math.inf, "x", "positive", inf=True) == math.inf
 
 
 class TestSpeedAndScale:

@@ -262,6 +262,14 @@ class TestNumericRecovery:
         with pytest.raises(ValueError, match="window_factor"):
             b.recover_initial(ev, samples=density, mode="numeric", window_factor=1.5)
 
+    @pytest.mark.parametrize("name", ["t0", "window_factor"])
+    def test_window_read_as_a_real(self, name, bad_real):
+        # True was read as t0 = 1; "1" and None raised a bare TypeError
+        ev = b.finite_evaluator(b.symmetric_rw_spec(1, 4))
+        with pytest.raises(ValueError, match=f"^{name}: must "):
+            b.recover_initial(ev, samples=np.ones_like, j_max=2, mode="numeric",
+                              **{name: bad_real})
+
     def test_unknown_mode(self, chain_factory):
         ev = b.finite_evaluator(chain_factory(80))
         with pytest.raises(ValueError, match="expected 'spectral' or 'numeric'"):

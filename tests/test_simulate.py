@@ -79,7 +79,7 @@ class TestSimConfig:
             b.SimConfig(True, 10.0, 1, nu)
         with pytest.raises(ValueError, match="t_horizon"):
             b.SimConfig(10, 0.0, 1, nu)
-        with pytest.raises(ValueError, match="t_horizon: must be a positive number, got True"):
+        with pytest.raises(ValueError, match="t_horizon: must be a real number, got True"):
             b.SimConfig(10, True, 1, nu)
         with pytest.raises(ValueError, match="seed"):
             b.SimConfig(10, 1.0, -1, nu)
@@ -87,6 +87,15 @@ class TestSimConfig:
             b.SimConfig(10, 1.0, 2**64, nu)
         with pytest.raises(ValueError, match="InitialDistribution"):
             b.SimConfig(10, 1.0, 1, {1: 1.0})
+
+    def test_horizon_read_as_a_real(self, bad_real):
+        # True was a horizon of 1; "1" and None raised a bare TypeError
+        with pytest.raises(ValueError, match="^t_horizon: must "):
+            b.SimConfig(10, bad_real, 1, b.InitialDistribution({1: 1.0}))
+
+    def test_infinite_horizon_accepted(self):
+        # no horizon at all: the jump budget guards the run instead
+        assert b.SimConfig(10, math.inf, 1, b.InitialDistribution({1: 1.0})).t_horizon == math.inf
 
 
 class TestSamplePath:
@@ -131,10 +140,15 @@ class TestSamplePath:
                 b.sample_path(two_state_chain, start, 1, 1.0)
         with pytest.raises(ValueError, match="t_horizon"):
             b.sample_path(two_state_chain, 1, 1, 0.0)
-        with pytest.raises(ValueError, match="t_horizon: must be a positive number, got True"):
+        with pytest.raises(ValueError, match="t_horizon: must be a real number, got True"):
             b.sample_path(two_state_chain, 1, 3, True)
         with pytest.raises(ValueError, match="seed"):
             b.sample_path(two_state_chain, 1, np.random.default_rng(1), 1.0)
+
+    def test_horizon_read_as_a_real(self, two_state_chain, bad_real):
+        # 10**400 raised an OverflowError, "1" and None a bare TypeError
+        with pytest.raises(ValueError, match="^t_horizon: must "):
+            b.sample_path(two_state_chain, 1, 3, bad_real)
 
 
 class TestEmpiricalHitting:
@@ -428,12 +442,20 @@ class TestEmpiricalOccupancy:
             b.empirical_occupancy(two_state_chain, cfg, [1.0, 0.5])
         with pytest.raises(ValueError, match="beyond the horizon"):
             b.empirical_occupancy(two_state_chain, cfg, [0.5, 2.0])
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=r"t_values\[0\]: must be nonnegative, got -0.5"):
             b.empirical_occupancy(two_state_chain, cfg, [-0.5, 0.7])
         # every comparison with nan is False: it must not pass as a checkpoint
-        for bad in ([math.nan], [0.2, math.nan], [-math.inf, 0.5]):
-            with pytest.raises(ValueError, match="t_values: .* not finite"):
+        for bad, i, got in (([math.nan], 0, "nan"), ([0.2, math.nan], 1, "nan"),
+                            ([-math.inf, 0.5], 0, "-inf")):
+            message = rf"t_values\[{i}\]: must be nonnegative, got {got}"
+            with pytest.raises(ValueError, match=message):
                 b.empirical_occupancy(two_state_chain, cfg, bad)
+
+    def test_checkpoint_read_as_a_real(self, two_state_chain, bad_real):
+        # True was the checkpoint 1.0; "1" and None raised a bare TypeError
+        cfg = b.SimConfig(10, 2.0, 3, b.InitialDistribution({1: 1.0}))
+        with pytest.raises(ValueError, match=r"^t_values\[1\]: must "):
+            b.empirical_occupancy(two_state_chain, cfg, [0.5, bad_real])
 
 
 class TestEmpiricalTransition:
@@ -454,8 +476,14 @@ class TestEmpiricalTransition:
         for j in (2.5, True):
             with pytest.raises(ValueError, match="j: must be an integer"):
                 b.empirical_transition(two_state_chain, cfg, 0.5, j)
-        with pytest.raises(ValueError, match="t: must be finite"):
+        with pytest.raises(ValueError, match="t: must be nonnegative, got nan"):
             b.empirical_transition(two_state_chain, cfg, math.nan, 0)
+
+    def test_time_read_as_a_real(self, two_state_chain, bad_real):
+        # True was t = 1; "1" and None raised a bare TypeError
+        cfg = b.SimConfig(10, 2.0, 3, b.InitialDistribution({1: 1.0}))
+        with pytest.raises(ValueError, match="^t: must "):
+            b.empirical_transition(two_state_chain, cfg, bad_real, 0)
 
 
 class TestKSStatistic:

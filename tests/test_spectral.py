@@ -586,6 +586,12 @@ class TestStieltjesRatio:
         with pytest.raises(ValueError, match=f"i_max: must be an integer, got {i_max}"):
             b.stieltjes_check(b.symmetric_rw_spec(1, 20), 1.0, i_max)
 
+    def test_theta_read_as_a_real(self, bad_real):
+        # "1" and None raised a bare TypeError, 10**400 an OverflowError;
+        # True was theta = 1
+        with pytest.raises(ValueError, match="^theta: must "):
+            b.stieltjes_check(b.symmetric_rw_spec(1, 20), bad_real, 5)
+
     def test_nan_theta_refused(self):
         # once returned (nan, nan)
         with pytest.raises(ValueError, match="theta: must be positive, got nan"):
