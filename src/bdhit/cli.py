@@ -12,6 +12,12 @@ and _run_job writes them.  So outputs are written only after the job has
 computed everything, and a refused run writes nothing and creates no
 directory.
 
+density and transition tabulate their value at --t-count points from
+--t-min to --t-max.  On the default, evenly spaced grid the values come
+from densities' grid kernel (_grid_sum), which evaluates at t_min + m h,
+within rounding of the np.linspace point in the t column; a --log-grid
+goes through spectral_sum.
+
 CSV numbers are written as '%.17g' % x: 17 significant digits, which
 read back to the same float (0.1 is written 0.10000000000000001), and
 nan, inf and -inf spelled that way.  Tables of floats go through the
@@ -40,6 +46,7 @@ from ._floatfmt import FLOAT_FMT, format_rows
 from .cmatrix import build_c_matrix, verify_columns
 from .densities import (
     InitialDistribution,
+    _grid_sum,
     finite_evaluator,
     rw_evaluator,
     spectral_sum,
@@ -294,9 +301,13 @@ def _cmd_spectrum(args, parser):
 
 
 def _grid_series(args, ev, t_min, start, target, column):
-    """(grid config, (t, column) table) of spectral_sum over the grid flags."""
+    """(grid config, (t, column) table) over the grid flags: a log grid
+    through spectral_sum, an evenly spaced one through the grid kernel."""
     grid = time_grid(t_min, args.t_max, args.t_count, log=args.log_grid)
-    values = spectral_sum(ev, grid, start, target)
+    if args.log_grid:
+        values = spectral_sum(ev, grid, start, target)
+    else:
+        values = _grid_sum(ev, grid[0], grid[-1], len(grid), start, target)
     cfg = {
         "t_min": float(grid[0]),
         "t_max": args.t_max,

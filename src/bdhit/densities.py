@@ -9,14 +9,27 @@ nodes for the symmetric walk):
     hitting cdf:  P_i[T_0 <= t]  =      sum_k w_k psi_k(i) (1 - exp(-theta_k t)) / theta_k
 
 with psi_k(1) = 1/mu_1, so f_i(t) = mu_1 P_i[X_t = 1].  finite_evaluator
-and rw_evaluator build the evaluator for the two cases.  One kernel,
-spectral_sum, evaluates them all over an array of t, and it is the only
-evaluator: callers with several times pass them together.  It forms the
-coefficient vector once, takes exp(-theta t) (expm1 for the CDF) over
-t-blocks of _BLOCK_ENTRIES = 2^17 entries (1 MiB) and reduces each row by
-numpy's pairwise sum over the atoms, so a value never depends on the block
-or on the rest of the grid: a one-point call gives the same bits as the
-same t inside a long array.
+and rw_evaluator build the evaluator for the two cases.  Each sum is
+sum_k c_k exp(-theta_k t); one builder checks the start, target and
+transform and forms the coefficient rows c, and two kernels take the
+exponentials (no other module does, apart from the independent oracles):
+
+- spectral_sum, over an array of t: callers with several times pass them
+  together.  It takes exp(-theta t) (expm1 for the CDF) over t-blocks of
+  _BLOCK_ENTRIES = 2^17 entries (1 MiB) and reduces each row by numpy's
+  pairwise sum over the atoms, so on an array a value never depends on
+  the block or on the rest of the array: a one-point call gives the same
+  bits as the same t inside a long array.
+- _grid_sum, over the evenly spaced grid t_m = a + m h of the density and
+  transition commands: with m = I w + J, exp(-theta t_m) is
+  exp(-theta (a + I w h)) exp(-theta J h), so about 2 sqrt(n) exponentials
+  per atom and one matrix product give all n values.  Its value at t_m is
+  for a + m h, which is within rounding of the np.linspace point printed
+  beside it.
+
+Both err by order eps sum_k |c_k exp(-theta_k t)|, as any sum of rounded
+terms does (Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 3-4), but their bits differ.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ __all__ = [
     "time_grid",
 ]
 
-_BLOCK_ENTRIES = 1 << 17  # spectral_sum's t-by-atoms work array: 1 MiB of float64
+_BLOCK_ENTRIES = 1 << 17  # a kernel's t-by-atoms work array: 1 MiB of float64
 
 
 class InitialDistribution:
@@ -156,6 +169,90 @@ def _ascending_states(ev, start):
     return states
 
 
+def _coefficient_rows(ev, start, target, transform):
+    """Check a sum's start, target and transform, as spectral_sum takes them.
+
+    Returns (many, count, rows): many tells whether start is a sequence
+    of states, count is the number of rows, and rows yields each row's
+    coefficients c_k, one row at a time.
+    """
+    neg_theta = -ev.theta
+    nu = start if isinstance(start, InitialDistribution) else None
+    many = nu is None and not isinstance(start, (int, np.integer)) and np.ndim(start) > 0
+    if nu is not None:
+        nu._check_support(ev.n_states)
+        reads = nu.states
+    elif many:
+        reads = _ascending_states(ev, start)
+    else:
+        _as_int(start, "state", 1, ev.n_states)
+        reads = (start,)
+    kind = None
+    if target != "absorption":
+        try:
+            kind, j = () if isinstance(target, str) else target
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"target: expected 'absorption' or a (kind, state) pair, got {target!r}"
+            ) from None
+        if kind == "state":
+            j = _as_int(j, "target state", 1, ev.n_states)
+        elif kind == "c_row":
+            j = _as_int(j, "target state", 1)
+            if j > ev.c.max_index:
+                raise ValueError(
+                    f"state {j}: evaluator keeps C-matrix rows up to {ev.c.max_index}"
+                )
+        else:
+            raise ValueError(f"target: expected 'state' or 'c_row', got {kind!r}")
+    if transform == "cdf":
+        if ev.is_continuous:
+            raise ValueError(
+                "transform 'cdf': needs the discrete spectrum of a finite chain "
+                "(the quadrature version loses the 1/theta tail)"
+            )
+    else:
+        transform = _as_int(transform, "transform order", 0)
+        power = neg_theta**transform
+    if kind == "state":
+        factor = next(ev.psi_stream((j,)))
+    elif kind == "c_row":
+        c_row = [float(v) for v in diff_operator_coeffs(ev.c, j)]
+        factor = np.polyval(c_row[::-1], neg_theta)
+    rows = ev.psi_stream(reads)
+    if nu is not None:
+        (_, mass), *rest = nu.items
+        coef = mass * next(rows)
+        for (_, mass), psi in zip(rest, rows):
+            coef += mass * psi
+        coef *= ev.weights
+        coefs = (coef,)
+    else:
+        coefs = (ev.weights * psi for psi in rows)
+
+    def finished():
+        for coef in coefs:
+            if kind is not None:
+                coef *= factor
+                coef *= ev.pi[j - 1]
+            if transform == "cdf":
+                coef /= neg_theta
+            elif transform:
+                coef *= power
+            yield coef
+
+    return many, len(reads) if many else 1, finished()
+
+
+def _check_times(ev, t):
+    """Refuse a negative or NaN t, and t = 0 on the continuous spectrum."""
+    bad = ~(t >= 0)  # negative or NaN; +inf stays (the CDF there is the total mass)
+    if bad.any():
+        raise ValueError(f"t: must be nonnegative, got {t[bad][0]}")
+    if ev.is_continuous and (t == 0).any():
+        raise ValueError("t: the continuous-spectrum evaluator needs t > 0")
+
+
 def spectral_sum(ev, t, start, target="absorption", transform=0):
     """sum_k w_k exp(-theta_k t) a_k b_k at every t of a 1-D array.
 
@@ -187,80 +284,17 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
     pi_j, then over -theta or times (-theta)^k, and reduced by the same
     t-blocked kernel, so every row has the bits of its one-state call.
     """
-    neg_theta = -ev.theta
-    nu = start if isinstance(start, InitialDistribution) else None
-    many = nu is None and not isinstance(start, (int, np.integer)) and np.ndim(start) > 0
-    if nu is not None:
-        nu._check_support(ev.n_states)
-        reads = nu.states
-    elif many:
-        reads = _ascending_states(ev, start)
-    else:
-        _as_int(start, "state", 1, ev.n_states)
-        reads = (start,)
-    kind = None
-    if target != "absorption":
-        try:
-            kind, j = () if isinstance(target, str) else target
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"target: expected 'absorption' or a (kind, state) pair, got {target!r}"
-            ) from None
-        if kind == "state":
-            j = _as_int(j, "target state", 1, ev.n_states)
-        elif kind == "c_row":
-            j = _as_int(j, "target state", 1)
-            if j > ev.c.max_index:
-                raise ValueError(
-                    f"state {j}: evaluator keeps C-matrix rows up to {ev.c.max_index}"
-                )
-        else:
-            raise ValueError(f"target: expected 'state' or 'c_row', got {kind!r}")
+    many, count, rows = _coefficient_rows(ev, start, target, transform)
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"t: expected a one-dimensional array, got shape {t.shape}")
-    bad = ~(t >= 0)  # negative or NaN; +inf stays (the CDF there is the total mass)
-    if bad.any():
-        raise ValueError(f"t: must be nonnegative, got {t[bad][0]}")
-    if ev.is_continuous and (t == 0).any():
-        raise ValueError("t: the continuous-spectrum evaluator needs t > 0")
-    if transform == "cdf":
-        if ev.is_continuous:
-            raise ValueError(
-                "transform 'cdf': needs the discrete spectrum of a finite chain "
-                "(the quadrature version loses the 1/theta tail)"
-            )
-        decay = np.expm1
-    else:
-        transform = _as_int(transform, "transform order", 0)
-        power = neg_theta**transform
-        decay = np.exp
-    if kind == "state":
-        factor = next(ev.psi_stream((j,)))
-    elif kind == "c_row":
-        c_row = [float(v) for v in diff_operator_coeffs(ev.c, j)]
-        factor = np.polyval(c_row[::-1], neg_theta)
-    rows = ev.psi_stream(reads)
-    if nu is not None:
-        (_, mass), *rest = nu.items
-        coef = mass * next(rows)
-        for (_, mass), psi in zip(rest, rows):
-            coef += mass * psi
-        coef *= ev.weights
-        coefs = (coef,)
-    else:
-        coefs = (ev.weights * psi for psi in rows)
-    out = np.empty((1 if nu is not None else len(reads), len(t)))
+    _check_times(ev, t)
+    decay = np.expm1 if transform == "cdf" else np.exp
+    neg_theta = -ev.theta
+    out = np.empty((count, len(t)))
     step = max(1, _BLOCK_ENTRIES // len(neg_theta))
     work = np.empty((min(step, len(t)), len(neg_theta)))
-    for values, coef in zip(out, coefs):
-        if kind is not None:
-            coef *= factor
-            coef *= ev.pi[j - 1]
-        if transform == "cdf":
-            coef /= neg_theta
-        elif transform:
-            coef *= power
+    for values, coef in zip(out, rows):
         for lo in range(0, len(t), step):
             block = work[: len(t) - lo]
             np.multiply(t[lo : lo + step, None], neg_theta, out=block)
@@ -268,6 +302,44 @@ def spectral_sum(ev, t, start, target="absorption", transform=0):
             block *= coef
             np.add.reduce(block, axis=-1, out=values[lo : lo + step])
     return out if many else out[0]
+
+
+def _grid_sum(ev, t_min, t_max, count, start, target="absorption"):
+    """spectral_sum(ev, t, start, target) on the evenly spaced grid
+    t_m = t_min + m h, m < count, h = (t_max - t_min) / (count - 1).
+
+    start is one state or an InitialDistribution, and target as in
+    spectral_sum; the order is 0.  With m = I w + J, J < w,
+    exp(-theta t_m) = exp(-theta (t_min + I w h)) exp(-theta J h): the w x
+    atoms tail table exp(-theta J h) is built once, each head row I is
+    exp(-theta (t_min + I w h)) times the coefficients, and values[I w + J]
+    come from one product of the head rows with the tail table.  So the
+    count x atoms exponentials of spectral_sum fall to about
+    (count / w + w) x atoms, with w = ceil(sqrt(count)) capped so the tail
+    table holds at most _BLOCK_ENTRIES; head rows go _BLOCK_ENTRIES // atoms
+    at a time.  The error stays in spectral_sum's class,
+    eps sum_k |c_k exp(-theta_k t_m)|, but the bits are not its bits.
+    """
+    _, _, rows = _coefficient_rows(ev, start, target, 0)
+    _check_times(ev, np.array([t_min, t_max]))
+    (coef,) = rows
+    neg_theta = -ev.theta
+    h = (t_max - t_min) / (count - 1) if count > 1 else 0.0
+    step = max(1, _BLOCK_ENTRIES // len(neg_theta))
+    width = min(math.isqrt(count - 1) + 1, step)  # ceil(sqrt(count)), at least 1
+    heads = -(-count // width)
+    tail = np.multiply.outer(np.arange(width) * h, neg_theta)
+    np.exp(tail, out=tail)
+    out = np.empty(heads * width)
+    work = np.empty((min(step, heads), len(neg_theta)))
+    for lo in range(0, heads, step):
+        block = work[: heads - lo]
+        m = np.arange(lo * width, (lo + len(block)) * width, width)
+        np.multiply((m * h + t_min)[:, None], neg_theta, out=block)
+        np.exp(block, out=block)
+        block *= coef
+        np.matmul(block, tail.T, out=out[m[0] : m[-1] + width].reshape(len(block), width))
+    return out[:count]
 
 
 def time_grid(t_min, t_max, count, log=False):

@@ -44,7 +44,9 @@ class HTransform:
     gamma must be a finite number >= 0 and each k(i) a finite positive
     one; both are stored as given, so exact values keep the transform
     exact.  The eigenvalue equation Q k = gamma k is validated on the
-    interior states 1..N-1 at relative tolerance 1e-12 on construction.
+    interior states 1..N-1 at relative tolerance 1e-12 on construction;
+    a state whose scale (lambda + mu + gamma) k(i) leaves float range is
+    refused, naming it.
     """
 
     gamma: object
@@ -67,15 +69,26 @@ class HTransform:
         mu = self.base.mu
         g = self.gamma
         for i in range(1, n):
-            resid = lam[i - 1] * k[i + 1] + mu[i - 1] * k[i - 1] - (
-                lam[i - 1] + mu[i - 1] + g
-            ) * k[i]
-            scale = (lam[i - 1] + mu[i - 1] + g) * k[i]
-            # a nan residual, or a scale that overflowed, proves nothing and fails
-            if not abs(resid) <= 1e-12 * float(scale) < math.inf:
+            try:
+                resid = lam[i - 1] * k[i + 1] + mu[i - 1] * k[i - 1] - (
+                    lam[i - 1] + mu[i - 1] + g
+                ) * k[i]
+                scale = (lam[i - 1] + mu[i - 1] + g) * k[i]
+                # a nan residual, or a scale that overflowed, proves nothing and fails
+                ok = abs(resid) <= 1e-12 * float(scale) < math.inf
+            except OverflowError:  # an exact term beyond float range became a float
+                raise ValueError(
+                    f"k_values: at state {i}, the scale (lambda + mu + gamma) k({i}) "
+                    "leaves float range"
+                ) from None
+            if not ok:
+                try:
+                    shown = f"{float(resid):g}"
+                except OverflowError:  # an exact residual far above its scale
+                    shown = "beyond float range"
                 raise ValueError(
                     f"k_values: Q k = gamma k fails at state {i} "
-                    f"(residual {float(resid):g} against scale {float(scale):g})"
+                    f"(residual {shown} against scale {float(scale):g})"
                 )
 
     @property

@@ -49,7 +49,8 @@ def _is_exact_number(x):
 
 def _read_only_floats(values, name):
     """The values as a read-only float array; an exact value beyond float
-    range is refused as an OverflowError naming the first, as name[index]."""
+    range, or a nonzero one whose float is 0.0, is refused as an
+    OverflowError naming the first, as name[index]."""
     try:
         out = np.array([float(v) for v in values])
     except OverflowError:
@@ -58,6 +59,14 @@ def _read_only_floats(values, name):
             f"{name}[{i}]: beyond float range; the floating-point routes need "
             "it below 1.8e308 in magnitude (exact routes such as cmatrix still run)"
         ) from None
+    # true zeros (the top birth rate) are the only entries read one by one
+    lost = [i for i in np.flatnonzero(out == 0.0) if values[i] != 0]
+    if lost:
+        raise OverflowError(
+            f"{name}[{lost[0]}]: below float range, so its float is 0.0; the "
+            "floating-point routes need it at least 4.9e-324 in magnitude "
+            "(exact routes such as cmatrix still run)"
+        )
     out.flags.writeable = False
     return out
 
@@ -182,14 +191,14 @@ class ProcessSpec:
 
     def lam_array(self):
         """Birth rates as floats, converted once per spec: every call
-        returns the same read-only array.  An exact rate beyond float range
-        raises OverflowError naming the first."""
+        returns the same read-only array.  An exact rate beyond float range,
+        or a positive one below it, raises OverflowError naming the first."""
         return self._lam_floats
 
     def mu_array(self):
         """Death rates as floats, converted once per spec: every call
-        returns the same read-only array.  An exact rate beyond float range
-        raises OverflowError naming the first."""
+        returns the same read-only array.  An exact rate beyond float range,
+        or a positive one below it, raises OverflowError naming the first."""
         return self._mu_floats
 
     @functools.cached_property

@@ -121,7 +121,7 @@ def apply_psi_dt_numeric(samples, coeffs, t_eval):
     if j < 1:
         raise ValueError("coeffs: need at least the order-zero coefficient")
     t, f = _as_sample_arrays(samples)
-    t_eval = float(t_eval)
+    t_eval = _as_real(t_eval, "t_eval")
     n_pts = 10 * j + 1
     if len(t) < n_pts:
         raise ValueError(

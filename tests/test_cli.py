@@ -298,6 +298,29 @@ class TestDensityCommand:
         t, f = np.array(data).T
         assert f == pytest.approx(b.spectral_sum(ev, t, nu), rel=1e-15)
 
+    def test_linear_grid_takes_the_grid_kernel(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name, real):
+            def kernel(ev, *args, **kwargs):
+                calls.append(name)
+                return real(ev, *args, **kwargs)
+
+            monkeypatch.setattr(b.cli, name, kernel)
+
+        counted("spectral_sum", b.cli.spectral_sum)
+        counted("_grid_sum", b.cli._grid_sum)
+        chain = ["--model", "symmetric_rw", "--kappa", "1", "--N", "10", "--t-min", "0.1"]
+        for argv, kernel in (
+            (["density", *chain], "_grid_sum"),
+            (["transition", *chain, "--from", "1", "--to", "3"], "_grid_sum"),
+            (["density", *chain, "--log-grid"], "spectral_sum"),
+            (["transition", *chain, "--from", "1", "--to", "3", "--log-grid"], "spectral_sum"),
+        ):
+            calls.clear()
+            assert run(argv, tmp_path, monkeypatch) == 0
+            assert calls == [kernel], argv
+
     def test_rerun_is_byte_identical(self, tmp_path, monkeypatch):
         args = ["density", "--model", "symmetric_rw", "--kappa", "1", "--N", "10",
                 "--t-count", "20"]

@@ -11,6 +11,7 @@ import scipy.integrate
 import scipy.linalg
 
 import bdhit as b
+from bdhit.densities import _grid_sum
 from bdhit.oracles import interior_rate_matrix, rw_hitting_density_closed_form
 from conftest import walk_table
 
@@ -390,6 +391,114 @@ class TestSpectralSum:
         ev = b.finite_evaluator(b.symmetric_rw_spec(1, 10))
         with pytest.raises(ValueError, match=re.escape(message)):
             b.spectral_sum(ev, (1.0, 2.0), **{"start": 1, **kwargs})
+
+
+def sum_coefficients(ev, start, target):
+    """c_k of f = sum_k c_k exp(-theta_k t), read off the evaluator's own data."""
+    pairs = start.items if isinstance(start, b.InitialDistribution) else ((start, 1.0),)
+    states, masses = zip(*pairs)
+    c = ev.weights * (ev.psi_at(states) @ np.array(masses))
+    if target != "absorption":
+        j = target[1]
+        c = c * ev.pi[j - 1] * ev.psi_at((j,))[:, 0]
+    return c
+
+
+def term_scale(ev, c, t):
+    """sum_k |c_k exp(-theta_k t)| at every t, 500 times at a time."""
+    parts = np.array_split(t, max(1, len(t) // 500))
+    return np.concatenate([np.exp(np.multiply.outer(p, -ev.theta)) @ np.abs(c) for p in parts])
+
+
+@pytest.fixture(scope="module")
+def walk_2000():
+    return b.finite_evaluator(b.symmetric_rw_spec(1, 2000))
+
+
+class TestGridKernel:
+    """_grid_sum: spectral_sum on an evenly spaced grid, as one matrix product."""
+
+    @staticmethod
+    def assert_matches_array_kernel(ev, t_min, t_max, count, start, target="absorption"):
+        # same points as the grid kernel's t_min + m h; its error class,
+        # eps sum_k |c_k exp(-theta_k t)|, with room for the atom count
+        h = (t_max - t_min) / (count - 1) if count > 1 else 0.0
+        t = t_min + np.arange(count) * h
+        got = _grid_sum(ev, t_min, t_max, count, start, target)
+        want = b.spectral_sum(ev, t, start, target)
+        assert got.shape == (count,)
+        scale = term_scale(ev, sum_coefficients(ev, start, target), t)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize(
+        "which, start, target",
+        [
+            ("walk-200", b.InitialDistribution({1: 0.2, 5: 0.5, 9: 0.3}), "absorption"),
+            ("walk-200", 3, ("state", 7)),
+            ("random-20", 2, ("state", 11)),
+            ("continuous-512", 1, "absorption"),
+            ("walk-1000", 1, "absorption"),
+        ],
+    )
+    def test_matches_array_kernel(self, chain_factory, which, start, target):
+        if which == "continuous-512":
+            ev = b.rw_evaluator(1, n_nodes=512, n_states=64)
+        elif which == "random-20":
+            ev = b.finite_evaluator(chain_factory(79, n=20))
+        else:
+            ev = b.finite_evaluator(b.symmetric_rw_spec(1, int(which[5:])))
+        self.assert_matches_array_kernel(ev, 0.01, 5.0, 20000, start, target)
+
+    def test_matches_array_kernel_over_head_blocks(self, walk_2000):
+        # 2000 atoms: 65-point tail rows, head rows 65 at a time, 5 blocks
+        self.assert_matches_array_kernel(walk_2000, 0.0, 20.0, 20000, 1)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 144, 13 * 12 - 1])
+    def test_grid_counts(self, count):
+        # a single point, a single head row, a perfect square and a
+        # ragged last row (155 points: 12 head rows of 13, one short)
+        ev = b.finite_evaluator(b.symmetric_rw_spec(1, 30))
+        self.assert_matches_array_kernel(ev, 0.5, 3.0, count, 2, ("state", 5))
+
+    def test_alternating_sums_against_mpmath(self):
+        # the exact sum of the float spectral data at the kernel's points
+        mpmath = pytest.importorskip("mpmath")
+        ev = b.finite_evaluator(b.symmetric_rw_spec(1, 60))
+        t_min, t_max, count = 0.0, 10.0, 1001
+        h = (t_max - t_min) / (count - 1)
+        for start, target in ((1, "absorption"), (3, ("state", 9))):
+            got = _grid_sum(ev, t_min, t_max, count, start, target)
+            c = sum_coefficients(ev, start, target)
+            with mpmath.workdps(50):
+                for m in (0, 1, 7, 500, 999, 1000):
+                    t = mpmath.mpf(t_min) + m * mpmath.mpf(h)
+                    terms = [mpmath.mpf(ck) * mpmath.exp(-mpmath.mpf(th) * t)
+                             for ck, th in zip(c, ev.theta)]
+                    want = mpmath.fsum(terms)
+                    scale = float(mpmath.fsum(abs(x) for x in terms))
+                    assert abs(got[m] - float(want)) <= 1e-13 * scale, (start, m)
+
+    def test_memory_is_blocked(self, walk_2000):
+        # the array kernel's peak is 1.4 MiB; here a 1 MiB tail table and
+        # a 1 MiB head block
+        _grid_sum(walk_2000, 0.0, 20.0, 200, 1)  # BLAS buffers outside the trace
+        tracemalloc.start()
+        try:
+            _grid_sum(walk_2000, 0.0, 20.0, 20000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
+    def test_time_validation(self):
+        ev = b.finite_evaluator(b.symmetric_rw_spec(1, 10))
+        with pytest.raises(ValueError, match="t: must be nonnegative, got -1.0"):
+            _grid_sum(ev, -1.0, 1.0, 5, 1)
+        rw = b.rw_evaluator(1.0, n_nodes=64, n_states=8)
+        with pytest.raises(ValueError, match="needs t > 0"):
+            _grid_sum(rw, 0.0, 1.0, 5, 1)
+        with pytest.raises(ValueError, match="target state 11: outside 1..10"):
+            _grid_sum(ev, 0.0, 1.0, 5, 1, ("state", 11))
 
 
 class TestRWEvaluator:

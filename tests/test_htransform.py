@@ -64,6 +64,20 @@ class TestHTransformValidation:
         with pytest.raises(ValueError, match=rf"state 1 \(residual {residual} against scale inf"):
             b.HTransform(0, k, b.symmetric_rw_spec(kappa, 2))
 
+    def test_exact_scale_beyond_float_range_refused(self):
+        # once a raw "int too large to convert to float" from float(scale)
+        message = r"k_values: at state 1, the scale \(lambda \+ mu \+ gamma\) k\(1\) leaves float"
+        with pytest.raises(ValueError, match=message):
+            b.HTransform(0, (1, 1, 1), b.symmetric_rw_spec(10**400, 2))
+
+    def test_exact_residual_beyond_float_range_refused(self):
+        # scale 10**100 fits, the residual about 10**400 does not; once a raw
+        # "integer division result too large for a float" from its message
+        k = (1, Fraction(1, 10**300), 1)
+        with pytest.raises(ValueError, match=r"state 1 \(residual beyond float range against "
+                                             r"scale 1e\+100\)"):
+            b.HTransform(0, k, b.ProcessSpec((10**400, 0), (1, 1)))
+
     @pytest.mark.parametrize("k_values, field", [
         ((1, None, 1), "k_values: k(1)"), ((1, 1, None), "k_values: k(2)"),
     ], ids=["k1", "k2"])

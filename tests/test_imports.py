@@ -1,7 +1,8 @@
 """Every name a bdhit module imports is read somewhere in that module,
 every name it exports is read somewhere else, and the package exports each
 module's public names once; only model.py words the refusal of a
-non-integer or non-real argument.
+non-integer or non-real argument, and only densities and oracles take
+np.exp or np.expm1.
 
 An AST scan stands in for a linter: a module that imports a name and
 never reads it fails here.  __init__.py is exempt (its imports are the
@@ -255,6 +256,35 @@ def test_one_module_reads_reals(phrase):
     # likewise model._as_real for times, horizons, theta, gamma, k(i),
     # walk rates and masses
     assert wordings_outside_model(phrase) == []
+
+
+def numpy_exponentials(source):
+    """Line numbers where the source reads np.exp or np.expm1."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("exp", "expm1")
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    ]
+
+
+def test_exponentials_stay_in_the_kernels():
+    # every exp(-theta t) is taken by the two densities kernels, so their
+    # error statement covers every value; oracles stay independent of them
+    found = [
+        (path.name, line)
+        for path in MODULES
+        if path.stem not in ("densities", "oracles")
+        for line in numpy_exponentials(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_exponential_scan_sees_reads_and_calls():
+    source = "import numpy as np\nf = np.exp\nnp.expm1(x, out=x)\nmath.exp(1)\nx.exp()\n"
+    assert numpy_exponentials(source) == [2, 3]
 
 
 def test_text_scan_sees_plain_and_formatted_strings():

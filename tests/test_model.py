@@ -97,6 +97,17 @@ class TestProcessSpec:
         with pytest.raises(OverflowError, match=f"^{field}: beyond float range"):
             getattr(spec, floats)()
 
+    @pytest.mark.parametrize("lam, mu, floats, field", [
+        ((Fraction(1, 10**400), 0), (1, 1), "lam_array", r"lambda\[0\]"),
+        ((1, 0), (1, Fraction(1, 10**400)), "mu_array", r"mu\[1\]"),
+    ])
+    def test_exact_rate_below_float_range_named(self, lam, mu, floats, field):
+        # once silently 0.0; the true zero lambda[N-1] stays accepted
+        spec = b.ProcessSpec(lam, mu)
+        with pytest.raises(OverflowError, match=f"^{field}: below float range"):
+            getattr(spec, floats)()
+        assert b.ProcessSpec((1, 0), (1, 1)).lam_array().tolist() == [1.0, 0.0]
+
     def test_rejects_nan_rate(self):
         with pytest.raises(ValueError, match="finite"):
             b.ProcessSpec((float("nan"), 0.0), (1.0, 1.0))

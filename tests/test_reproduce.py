@@ -140,6 +140,12 @@ class TestNumericOperator:
         with pytest.raises(ValueError, match="zero spread"):
             b.apply_psi_dt_numeric((t_grid, f), (1.0,), 0.5)
 
+    def test_t_eval_read_as_a_real(self, bad_real):
+        # None raised a bare TypeError, 10**400 an OverflowError; True was t_eval = 1
+        t_grid = np.linspace(0.5, 1.5, 41)
+        with pytest.raises(ValueError, match="^t_eval: must "):
+            b.apply_psi_dt_numeric((t_grid, np.ones(41)), (1.0,), bad_real)
+
     def test_conditioning_flag(self, chain_factory, monkeypatch):
         monkeypatch.setattr(b.reproduce, "_COND_THRESHOLD", 1.0)
         ev = b.finite_evaluator(chain_factory(78))
