@@ -11,10 +11,10 @@ symmetric and asymmetric walks, and a Monte Carlo oracle.
 
 __version__ = "0.1.0"
 
-# _lapack comes first, before any module that imports numpy: it loads
-# scipy's and numpy's bundled OpenBLAS, with one BLAS thread only while
-# numpy is not yet imported (see its docstring).  Imported after numpy, it
-# leaves both libraries their thread pools: on a 2-vCPU host the median
+# _lapack comes first, before any module that imports numpy: it imports
+# numpy, and with it numpy's bundled OpenBLAS, with one BLAS thread only
+# while numpy is not yet imported (see its docstring).  Imported after
+# numpy, it leaves OpenBLAS its thread pool: on a 2-vCPU host the median
 # `import bdhit.cli` took about as long (0.114 s against 0.115 s) but twice
 # the CPU time (0.29 s against 0.14 s), and its upper quartile rose from
 # 0.125 s to 0.157 s.

@@ -31,17 +31,27 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+try:
+    # CPython's own SHA-256, as random.py takes its SHA-512: hashlib would
+    # load OpenSSL (3.5 MB) to hash a 1 KB config
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
+from . import __version__, _lapack
 from ._floatfmt import FLOAT_FMT, format_rows
 from .cmatrix import build_c_matrix, verify_columns
 from .densities import (
@@ -238,7 +248,7 @@ def _run_job(args, parser):
         else:
             _write_table(path, *content)
     config = _jsonable(config)  # the one conversion: hashed and written as is
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
     manifest = {
@@ -249,7 +259,7 @@ def _run_job(args, parser):
         "versions": {
             "bdhit": __version__,
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
+            "lapack": _lapack.SOURCE,
             "python": sys.version.split()[0],
         },
         "wall_clock_s": round(time.monotonic() - started, 6),
@@ -874,6 +884,22 @@ def _build_parser(argv):
     return parser
 
 
+def _warning_line(show):
+    """A showwarning that prints a UserWarning as one 'warning: ...' line.
+
+    Other categories go to show.  Filters act before showwarning, so a
+    warning the caller's filters ignore or raise never reaches it.
+    """
+
+    def show_line(message, category, *args, **kwargs):
+        if issubclass(category, UserWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *args, **kwargs)
+
+    return show_line
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -886,7 +912,9 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _run_job(args, parser)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line(warnings.showwarning)
+            return _run_job(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except (ValueError, OverflowError, OSError) as exc:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the spectral machinery: transition
 matrices come from a uniformized power series in the rate matrix, Bessel
 values from their defining series, and the constant-rate-walk C-matrix
-from an explicit Chebyshev coefficient formula.  Agreement between these
+from an explicit Chebyshev coefficient formula, and the atoms are checked
+against Keilson's passage-time identities, which read only the rates.  Agreement between these
 routes and the spectral ones is what the test suite and the ``verify``
 command certify.
 """
@@ -22,6 +23,7 @@ __all__ = [
     "rw_hitting_density_closed_form",
     "chebyshev_u_coeff",
     "rw_cmatrix_closed_form",
+    "passage_identities",
 ]
 
 
@@ -133,3 +135,32 @@ def rw_cmatrix_closed_form(kappa, max_index):
             row.append(Fraction(total) / (2 ** (j - 1) * kap**j))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def passage_identities(spec, theta):
+    """Two O(N) checks of a finite chain's atoms theta that read no eigenvector.
+
+    The passage time from N to 0 is a sum of independent exponentials with
+    rates theta_k (Keilson 1979; Fill 2009), so
+
+        (a) sum_k log theta_k = sum_i log mu_i  (prod theta = det -T = prod mu),
+        (b) sum_k 1/theta_k = E_N[T_0] = sum_m R_m / mu_m,
+            R_m = 1 + (lambda_m / mu_{m+1}) R_{m+1},  R_N = 1.
+
+    Returns (a)'s difference sum log theta - sum log mu and (b)'s relative
+    defect |sum 1/theta - sum R/mu| / sum R/mu.  Every term of (b) is
+    positive, so its float sums are accurate; where 1/theta_min dominates
+    the sum, (b) checks theta_min to about its own defect.  R overflows on
+    strongly upward-drifted chains (the (2, 1) walk from N = 1024).
+    """
+    theta = np.asarray(theta, dtype=float)
+    lam = spec.lam_array()
+    mu = spec.mu_array()
+    log_defect = math.fsum(np.log(theta)) - math.fsum(np.log(mu))
+    r = 1.0
+    terms = [r / mu[-1]]
+    for m in range(len(mu) - 2, -1, -1):
+        r = 1.0 + lam[m] / mu[m + 1] * r
+        terms.append(r / mu[m])
+    mean = math.fsum(terms)
+    return log_defect, abs(math.fsum(1.0 / theta) - mean) / mean

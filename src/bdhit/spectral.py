@@ -7,11 +7,12 @@ chains get it from finite_spectrum: an exact discrete spectrum from the
 bidiagonal factor of the negated symmetrized generator, whose singular
 values square to the atoms with high relative accuracy, however small.
 They come from LAPACK's dqds routine dlasq1, which _lapack takes from
-scipy's bundled LAPACK without importing scipy.linalg.  The weights come
-from one pass of the psi recurrence over the states, which keeps no psi
-row, so the spectrum path holds O(N) memory and no N x N array; a read of
-psi, at one state or at all of them, runs the recurrence of the
-evaluator's own chain again, in one pass from state 1.  The constant-rate
+the OpenBLAS numpy links, or from scipy's bundled LAPACK if that one
+lacks it.  The weights come from one pass of the psi recurrence over the
+states, which keeps no psi row, so the spectrum path holds O(N) memory
+and no N x N array; a read of psi, at one state or at all of them, runs
+the recurrence of the evaluator's own chain again, in one pass from
+state 1.  The constant-rate
 symmetric walk has a closed-form continuous spectral density;
 densities.rw_evaluator discretizes it by a trigonometric quadrature rule
 that is exact on the eigenfunction products it is used for, into the
@@ -21,7 +22,6 @@ serves as an independent cross-check of the whole spectral setup.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -185,23 +185,12 @@ def _bidiagonal_singular_values(diag, sup):
     dqds computes every singular value to high relative accuracy, so an
     exponentially small one keeps its leading digits.
     """
-    n = len(diag)
     d = np.array(diag, dtype=float)
-    e = np.zeros(n)
-    e[: n - 1] = sup
-    work = np.empty(4 * n)
-    n_c = ctypes.c_int(n)
-    info = ctypes.c_int(0)
-    dbl_p = ctypes.POINTER(ctypes.c_double)
-    dlasq1(
-        ctypes.byref(n_c),
-        d.ctypes.data_as(dbl_p),
-        e.ctypes.data_as(dbl_p),
-        work.ctypes.data_as(dbl_p),
-        ctypes.byref(info),
-    )
-    if info.value != 0:
-        raise ValueError(f"bidiagonal SVD failed (dlasq1 info = {info.value})")
+    e = np.zeros(len(d))
+    e[: len(d) - 1] = sup
+    info = dlasq1(d, e)
+    if info != 0:
+        raise ValueError(f"bidiagonal SVD failed (dlasq1 info = {info})")
     return d
 
 

@@ -184,6 +184,46 @@ class TestCMatrixCommand:
         assert len(doc["input_digest"]) == 64
 
 
+    def test_manifest_names_the_lapack_source(self, tmp_path, monkeypatch):
+        run(
+            ["spectrum", "--model", "symmetric_rw", "--kappa", "1", "--N", "4"],
+            tmp_path, monkeypatch,
+        )
+        versions = json.loads((tmp_path / "spectrum_manifest.json").read_text())["versions"]
+        assert sorted(versions) == ["bdhit", "lapack", "numpy", "python"]
+        assert versions["lapack"] == b._lapack.SOURCE
+
+
+class TestLibraryWarnings:
+    WALK = ("--model", "symmetric_rw", "--kappa", "1")
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (("cmatrix", *WALK, "--N", "5", "--rows", "99"), 0,
+         "C-matrix rows beyond 5 are not constructible (lambda_5 = 0); "
+         "truncating the requested max_index 99 to 5"),
+        (("htransform", *WALK, "--N", "5", "--gamma", "0.5", "--rows", "99"), 0,
+         "C-matrix rows beyond 5 are not constructible (lambda_5 = 0); "
+         "truncating the requested max_index 99 to 5"),
+        (("reproduce", *WALK, "--N", "10", "--nu", "1:0.5,2:0.5", "--mode", "numeric",
+          "--j-max", "7", "--force"), 2,
+         "numeric recovery at j_max = 7 exceeds the reliable range (6)"),
+    ], ids=["cmatrix", "htransform", "reproduce"])
+    def test_user_warning_is_one_line(self, argv, code, message, tmp_path, monkeypatch, capfd):
+        assert run(argv, tmp_path, monkeypatch) == code
+        err = capfd.readouterr().err.splitlines()
+        assert err[0] == f"warning: {message}"
+        assert not any("cli.py" in line or "Warning" in line for line in err)
+
+    def test_runtime_warning_still_follows_the_filters(self, tmp_path, monkeypatch):
+        # pytest's configuration makes RuntimeWarning an error; main keeps it one
+        def warn(*args):
+            warnings.warn("overflow in a rate", RuntimeWarning)
+
+        monkeypatch.setattr(cli, "build_c_matrix", warn)
+        with pytest.raises(RuntimeWarning, match="overflow in a rate"):
+            run(["cmatrix", *self.WALK, "--N", "5"], tmp_path, monkeypatch)
+
+
 class TestSpectrumCommand:
     def test_discrete_atoms_match_library(self, tmp_path, monkeypatch):
         code = run(

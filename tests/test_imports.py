@@ -1,8 +1,10 @@
 """Every name a bdhit module imports is read somewhere in that module,
 every name it exports is read somewhere else, and the package exports each
 module's public names once; only model.py words the refusal of a
-non-integer or non-real argument, and only densities and oracles take
-np.exp or np.expm1.
+non-integer or non-real argument; only densities and oracles take
+np.exp or np.expm1; and no module loads scipy or hashlib as it is
+imported (only _lapack reaches scipy, in its fallback), nor does oracles
+import a main-path module.
 
 An AST scan stands in for a linter: a module that imports a name and
 never reads it fails here.  __init__.py is exempt (its imports are the
@@ -295,3 +297,107 @@ def test_text_scan_sees_plain_and_formatted_strings():
         "g = 'must be positive'\n"
     )
     assert texts_containing(source, "must be an integer") == [2, 3]
+
+
+HEAVY = ("scipy", "hashlib")
+# the scipy fallback of _lapack: scipy is reached only in these functions
+LAPACK_FALLBACK = ("_linalg_dirs", "_load")
+
+
+def heavy_reaches(source):
+    """(line, top-level function or None, module) where source reaches scipy or hashlib.
+
+    A reach is an import of the module, or a call that names it in a string
+    argument, directly or through a module-level constant (find_spec("scipy"),
+    __import__(name)).  Statements in the `except` handlers of a module-level
+    try count as a function's: they run only when the try body fails.
+    """
+    tree = ast.parse(source)
+    constants = {
+        t.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+
+    def heavy(name):
+        return name if isinstance(name, str) and name.split(".")[0] in HEAVY else None
+
+    def named(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or ""]
+        if isinstance(node, ast.Call):
+            return [
+                arg.value if isinstance(arg, ast.Constant) else constants.get(arg.id)
+                for arg in node.args
+                if isinstance(arg, (ast.Constant, ast.Name))
+            ]
+        return []
+
+    def scan(nodes, where):
+        return [
+            (node.lineno, where, name)
+            for stmt in nodes
+            for node in ast.walk(stmt)
+            for name in named(node)
+            if heavy(name)
+        ]
+
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += scan([stmt], stmt.name)
+        elif isinstance(stmt, ast.Try):
+            found += scan(stmt.body + stmt.orelse + stmt.finalbody, None)
+            found += scan(stmt.handlers, "except")
+        else:
+            found += scan([stmt], None)
+    return sorted(found)
+
+
+def test_no_module_loads_scipy_or_hashlib_on_import():
+    # numpy's own LAPACK gives dlasq1 and CPython's own SHA-256 the digest;
+    # scipy (a second OpenBLAS) and hashlib (OpenSSL) cost 7 MB per process
+    found = [
+        (path.name, line, where, name)
+        for path in sorted(SRC.glob("*.py"))
+        for line, where, name in heavy_reaches(path.read_text(encoding="utf-8"))
+        if where is None
+        or (name.startswith("scipy") and not (path.stem == "_lapack" and where in LAPACK_FALLBACK))
+    ]
+    assert found == []
+
+
+def test_heavy_scan_sees_imports_calls_and_constants():
+    source = (
+        "import os, scipy.linalg\n"
+        "_NAME = 'scipy.linalg.cython_lapack'\n"
+        "try:\n"
+        "    from _sha256 import sha256\n"
+        "except ImportError:\n"
+        "    from hashlib import sha256\n"
+        "def f():\n"
+        "    import hashlib\n"
+        "    return find_spec('scipy'), find_spec(_NAME), find_spec('numpy'), '_hashlib'\n"
+        "g = __import__('scipy').__version__\n"
+    )
+    assert heavy_reaches(source) == [
+        (1, None, "scipy.linalg"),
+        (6, "except", "hashlib"),
+        (8, "f", "hashlib"),
+        (9, "f", "scipy"),
+        (9, "f", "scipy.linalg.cython_lapack"),
+        (10, None, "scipy"),
+    ]
+
+
+def test_oracles_import_no_main_path_module():
+    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {
+        "." * n.level + (n.module or "") for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+    }
+    assert imported <= {"__future__", "math", "fractions", "numpy"}

@@ -9,13 +9,16 @@ import scipy.linalg
 import scipy.special
 from numpy.polynomial import polynomial as P
 
+from bdhit import ProcessSpec, asymmetric_rw_spec, symmetric_rw_spec
 from bdhit.oracles import (
     bessel_i1,
     chebyshev_u_coeff,
     interior_rate_matrix,
+    passage_identities,
     rw_hitting_density_closed_form,
     uniformized_transition_matrix,
 )
+from bdhit.spectral import _bidiagonal_singular_values
 from conftest import random_chain
 
 
@@ -88,3 +91,49 @@ def test_chebyshev_coeffs_out_of_range_are_zero():
     assert chebyshev_u_coeff(3, 5) == 0
     assert chebyshev_u_coeff(4, 3) == 0  # parity mismatch
     assert chebyshev_u_coeff(-1, 0) == 0
+
+
+def dqds_atoms(spec):
+    """The atoms finite_spectrum takes: squared dqds singular values, ascending."""
+    lam, mu = spec.lam_array(), spec.mu_array()
+    sigma = _bidiagonal_singular_values(np.sqrt(mu), -np.sqrt(lam[:-1]))
+    return np.sort(sigma * sigma)
+
+
+# the (2, 1) walk stops short of N = 1024, where R_1 ~ 2^N overflows
+PASSAGE_CHAINS = {
+    "random3-200": lambda: random_chain(3, 200),
+    "random5-200": lambda: random_chain(5, 200),
+    "random3-2000": lambda: random_chain(3, 2000),
+    "walk21-1000": lambda: asymmetric_rw_spec(2, 1, 1000),
+    "walk12-2000": lambda: asymmetric_rw_spec(1, 2, 2000),
+    "walk-2000": lambda: symmetric_rw_spec(1, 2000),
+    "linear12-400": lambda: ProcessSpec((*range(1, 400), 0), tuple(range(2, 801, 2))),
+}
+
+
+@pytest.mark.parametrize("make", PASSAGE_CHAINS.values(), ids=PASSAGE_CHAINS.keys())
+def test_passage_identities_hold_on_dqds_atoms(make):
+    spec = make()
+    log_defect, mean_defect = passage_identities(spec, dqds_atoms(spec))
+    assert abs(log_defect) <= 1e-10
+    assert mean_defect <= 1e-12
+
+
+def test_passage_mean_sees_a_perturbed_smallest_atom():
+    spec = random_chain(3, 200)
+    theta = dqds_atoms(spec)
+    theta[0] *= 1 + 1e-8
+    assert passage_identities(spec, theta)[1] > 1e-12
+
+
+def test_passage_product_sees_a_dropped_atom():
+    spec = random_chain(5, 200)
+    assert abs(passage_identities(spec, dqds_atoms(spec)[:-1])[0]) > 1e-10
+
+
+def test_passage_identities_on_two_states(two_state_chain):
+    # atoms (3 -+ sqrt 5)/2: product 1 = mu_1 mu_2, sum 1/theta = 3 = R_1/mu_1 + R_2/mu_2
+    theta = np.array([(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2])
+    log_defect, mean_defect = passage_identities(two_state_chain, theta)
+    assert abs(log_defect) < 1e-15 and mean_defect < 1e-15
