@@ -2,11 +2,11 @@
 
 Everything here deliberately avoids the spectral machinery: transition
 matrices come from a uniformized power series in the rate matrix, Bessel
-values from their defining series, and the constant-rate-walk C-matrix
-from an explicit Chebyshev coefficient formula, and the atoms are checked
-against Keilson's passage-time identities, which read only the rates.  Agreement between these
-routes and the spectral ones is what the test suite and the ``verify``
-command certify.
+values from their defining series, the constant-rate-walk C-matrix from
+an explicit Chebyshev coefficient formula, and checks of a chain's atoms
+from Keilson's passage-time identities, which read only the rates.
+Agreement between these routes and the spectral ones is what the test
+suite and the ``verify`` command certify.
 """
 
 from __future__ import annotations
