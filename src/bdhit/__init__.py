@@ -6,7 +6,8 @@ C-matrix whose row j is a differential operator in t, spectral measures
 (exact atoms for finite chains, closed-form quadrature for the symmetric
 walk), density and transition evaluators, the reconstruction itself
 (spectral and blind-numeric routes), Doob h-transforms connecting
-symmetric and asymmetric walks, and a Monte Carlo oracle.
+symmetric and asymmetric walks, a Monte Carlo oracle, and the battery of
+cross-module property checks behind `bdhit verify`.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +20,7 @@ __version__ = "0.1.0"
 # the CPU time (0.29 s against 0.14 s), and its upper quartile rose from
 # 0.125 s to 0.157 s.
 from . import _lapack  # noqa: F401
-from . import cmatrix, densities, htransform, model, reproduce, simulate, spectral
+from . import checks, cmatrix, densities, htransform, model, reproduce, simulate, spectral
 from .model import *  # noqa: F401,F403
 from .cmatrix import *  # noqa: F401,F403
 from .spectral import *  # noqa: F401,F403
@@ -27,6 +28,7 @@ from .densities import *  # noqa: F401,F403
 from .reproduce import *  # noqa: F401,F403
 from .htransform import *  # noqa: F401,F403
 from .simulate import *  # noqa: F401,F403
+from .checks import *  # noqa: F401,F403
 
 # The independent references are used by no module on the main path; load
 # them with the package all the same, so `bdhit.oracles` is at hand after
@@ -42,4 +44,5 @@ __all__ = [
     *reproduce.__all__,
     *htransform.__all__,
     *simulate.__all__,
+    *checks.__all__,
 ]

@@ -67,9 +67,9 @@ class CMatrix:
     def s(self):
         """The scale function of spec, built from pi on first read.
 
-        Only the verify battery reads it, so a spectrum never builds it.
-        It is no field: equality and hashing see (rows, rational, spec,
-        pi), of which s is a function.
+        Only the verify battery (checks.run_checks) reads it, so a
+        spectrum never builds it.  It is no field: equality and hashing
+        see (rows, rational, spec, pi), of which s is a function.
         """
         return build_scale_function(self.spec, self.pi)
 

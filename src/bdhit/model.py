@@ -84,6 +84,12 @@ def _is_number(value):
     return isinstance(value, _NUMBER_TYPES) and not isinstance(value, bool)
 
 
+def _fraction_text(x):
+    """A Fraction as "p/q", the string _as_rate reads back: the one
+    spelling of exact numbers in specs, manifests, JSON and CSV."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def _rate(value, name, index=None):
     """The one reader of a rate: an int or numpy integer as int, a Fraction
     as is, a finite float (numpy floats too) as float; anything else is
@@ -213,9 +219,7 @@ class ProcessSpec:
         """JSON-ready document; exact rates become "p/q" strings."""
 
         def enc(r):
-            if isinstance(r, Fraction):
-                return f"{r.numerator}/{r.denominator}"
-            return r
+            return _fraction_text(r) if isinstance(r, Fraction) else r
 
         return {
             "N": self.n_states,

@@ -26,6 +26,8 @@ __all__ = [
     "passage_identities",
 ]
 
+_POISSON_TOL = 1e-16  # the Poisson weight below which uniformization stops
+
 
 def interior_rate_matrix(spec):
     """Dense generator on interior states 1..N (row = source state)."""
@@ -42,18 +44,19 @@ def interior_rate_matrix(spec):
     return q
 
 
-def uniformized_transition_matrix(spec, t, tol=1e-16):
+def uniformized_transition_matrix(spec, t):
     """exp(tQ) on interior states via uniformization.
 
     Writes Q = Lam (A - I) with A = I + Q/Lam substochastic and
     nonnegative, then sums the Poisson-weighted powers
-    sum_n e^(-Lam t) (Lam t)^n / n! A^n until the Poisson tail drops
-    below ``tol``.  Every term is nonnegative, so there is no
-    cancellation: this is the reference route for transition
-    probabilities.
+    sum_n e^(-Lam t) (Lam t)^n / n! A^n until the Poisson weight drops
+    below _POISSON_TOL past the mode.  Every term is nonnegative, so there
+    is no cancellation: this is the reference route for transition
+    probabilities.  t must be nonnegative and finite (NaN and inf are
+    refused here, before they reach the term count).
     """
-    if t < 0:
-        raise ValueError(f"t: must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t: must be nonnegative and finite, got {t}")
     n = spec.n_states
     q = interior_rate_matrix(spec)
     rate = float(np.max(spec.lam_array() + spec.mu_array()))
@@ -70,7 +73,7 @@ def uniformized_transition_matrix(spec, t, tol=1e-16):
         power = power @ a
         w *= x / k
         out += w * power
-        if w < tol and k > x:
+        if w < _POISSON_TOL and k > x:
             break
     return out
 
@@ -151,9 +154,15 @@ def passage_identities(spec, theta):
     defect |sum 1/theta - sum R/mu| / sum R/mu.  Every term of (b) is
     positive, so its float sums are accurate; where 1/theta_min dominates
     the sum, (b) checks theta_min to about its own defect.  R overflows on
-    strongly upward-drifted chains (the (2, 1) walk from N = 1024).
+    strongly upward-drifted chains (the (2, 1) walk from N = 1024).  An
+    atom that is not positive and finite is refused by index (an atom that
+    underflowed to 0.0 too); a missing atom is not, and shows in (a).
     """
     theta = np.asarray(theta, dtype=float)
+    bad = np.flatnonzero(~((theta > 0) & (theta < math.inf)))
+    if len(bad):
+        k = int(bad[0])
+        raise ValueError(f"theta[{k}]: must be positive and finite, got {theta[k]}")
     lam = spec.lam_array()
     mu = spec.mu_array()
     log_defect = math.fsum(np.log(theta)) - math.fsum(np.log(mu))

@@ -391,8 +391,10 @@ def ks_statistic(sample, cdf):
     """sup_t |F_n(t) - F(t)| for a fully observed sample against a CDF.
 
     sample is a HittingSample (censoring refused: the empirical CDF would
-    be defective) or any array of times.  cdf is called once, with the
-    sorted times as a 1-D array, and must return one value per time.
+    be defective) or any array of finite times (a NaN or inf is refused by
+    index: np.sort would put it last, where it reads as a time past every
+    other).  cdf is called once, with the sorted times as a 1-D array, and
+    must return one value per time.
     """
     if isinstance(sample, HittingSample):
         if sample.n_censored:
@@ -402,7 +404,12 @@ def ks_statistic(sample, cdf):
             )
         x = sample.times
     else:
-        x = np.sort(np.asarray(sample, dtype=float))
+        x = np.asarray(sample, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(x))
+        if len(bad):
+            k = int(bad[0])
+            raise ValueError(f"sample[{k}]: not a finite time, got {x[k]}")
+        x = np.sort(x)
     n = len(x)
     if n == 0:
         raise ValueError("sample: empty")

@@ -602,13 +602,13 @@ class TestSimulateCommand:
 
     def test_ks_is_one_kernel_call(self, tmp_path, monkeypatch):
         calls = []
-        real = b.cli.spectral_sum
+        real = b.checks.spectral_sum
 
         def counted(ev, t, *args, **kwargs):
             calls.append(len(t))
             return real(ev, t, *args, **kwargs)
 
-        monkeypatch.setattr(b.cli, "spectral_sum", counted)
+        monkeypatch.setattr(b.checks, "spectral_sum", counted)
         spec_path = tmp_path / "chain.json"
         spec_path.write_text(json.dumps({"N": 2, "lambda": [1, 0], "mu": [1, 1]}))
         code = run(
@@ -673,14 +673,14 @@ class TestVerifyCommand:
 
     def test_battery_builds_each_quantity_once(self, tmp_path, monkeypatch, capsys):
         # pi, s and the C rows come from the one evaluator, and the
-        # transformed chain from the transformed evaluator: cli builds
-        # none of them itself.
+        # transformed chain from the transformed evaluator: the battery
+        # builds none of them itself.
         for name in ("build_speed_measure", "build_scale_function", "transform_rates"):
-            assert not hasattr(b.cli, name)
+            assert not hasattr(b.checks, name)
         built = []
-        real = b.cli.finite_evaluator
+        real = b.checks.finite_evaluator
         monkeypatch.setattr(
-            b.cli, "finite_evaluator", lambda *a, **k: built.append(a) or real(*a, **k)
+            b.checks, "finite_evaluator", lambda *a, **k: built.append(a) or real(*a, **k)
         )
         tilted = []
         real_rates = b.htransform.transform_rates
@@ -728,7 +728,7 @@ class TestVerifyCommand:
         def refuse(ev, ht):
             raise error("speed measure overflows at pi[7]")
 
-        monkeypatch.setattr(b.cli, "transformed_evaluator", refuse)
+        monkeypatch.setattr(b.checks, "transformed_evaluator", refuse)
         code = run(
             ["verify", "--model", "symmetric_rw", "--kappa", "1", "--N", "6"],
             tmp_path, monkeypatch,
@@ -755,7 +755,7 @@ class TestVerifyCommand:
         def raising(ev, i, j):
             raise error("-inf + inf in fsum")
 
-        monkeypatch.setattr(b.cli, "orthogonality_defect", raising)
+        monkeypatch.setattr(b.checks, "orthogonality_defect", raising)
         code = run(
             ["verify", "--model", "symmetric_rw", "--kappa", "1", "--N", "6"],
             tmp_path, monkeypatch,

@@ -2,9 +2,9 @@
 every name it exports is read somewhere else, and the package exports each
 module's public names once; only model.py words the refusal of a
 non-integer or non-real argument; only densities and oracles take
-np.exp or np.expm1; and no module loads scipy or hashlib as it is
-imported (only _lapack reaches scipy, in its fallback), nor does oracles
-import a main-path module.
+np.exp or np.expm1; cli runs no verify check itself; and no module loads
+scipy or hashlib as it is imported (only _lapack reaches scipy, in its
+fallback), nor does oracles import a main-path module.
 
 An AST scan stands in for a linter: a module that imports a name and
 never reads it fails here.  __init__.py is exempt (its imports are the
@@ -297,6 +297,50 @@ def test_text_scan_sees_plain_and_formatted_strings():
         "g = 'must be positive'\n"
     )
     assert texts_containing(source, "must be an integer") == [2, 3]
+
+
+# the kernels only the verify battery runs: cli reaches them through
+# checks.run_checks, and keeps none of the checks itself
+CHECK_KERNELS = (
+    "apply_Q", "apply_DpiDs", "verify_columns", "orthogonality_defect", "stieltjes_check",
+    "derivative_bound_sequence", "sample_path", "transformed_evaluator",
+)
+
+
+def check_kernel_reaches(source):
+    """(line, name) where source imports one of CHECK_KERNELS or reads it,
+    bare or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {
+                (node.lineno, alias.name.split(".")[-1])
+                for alias in node.names
+                if alias.name.split(".")[-1] in CHECK_KERNELS
+            }
+        found |= {(node.lineno, name) for name in loads([node]) if name in CHECK_KERNELS}
+    return sorted(found)
+
+
+def test_cli_runs_no_check_itself():
+    assert check_kernel_reaches((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_check_kernel_scan_sees_imports_and_reads():
+    source = (
+        "from .model import apply_Q as q, load_spec\n"
+        "import bdhit.spectral.orthogonality_defect\n"
+        "from . import htransform\n"
+        "ev2 = htransform.transformed_evaluator(ev, ht)\n"
+        "sample_path = None\n"
+        "f(stieltjes_check, verify_columns=1)\n"
+    )
+    assert check_kernel_reaches(source) == [
+        (1, "apply_Q"),
+        (2, "orthogonality_defect"),
+        (4, "transformed_evaluator"),
+        (6, "stieltjes_check"),
+    ]
 
 
 HEAVY = ("scipy", "hashlib")

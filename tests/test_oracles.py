@@ -49,6 +49,13 @@ def test_uniformization_rejects_negative_t():
         uniformized_transition_matrix(random_chain(104), -1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_uniformization_refuses_non_finite_t_by_name(t):
+    # once a bare "cannot convert float NaN to integer" and an OverflowError
+    with pytest.raises(ValueError, match=f"t: must be nonnegative and finite, got {t}"):
+        uniformized_transition_matrix(random_chain(104), t)
+
+
 @pytest.mark.parametrize("z", [0.01, 0.5, 2.0, 8.0, 25.0])
 def test_bessel_series_matches_scipy(z):
     assert bessel_i1(z) == pytest.approx(scipy.special.iv(1, z), rel=1e-13)
@@ -130,6 +137,18 @@ def test_passage_mean_sees_a_perturbed_smallest_atom():
 def test_passage_product_sees_a_dropped_atom():
     spec = random_chain(5, 200)
     assert abs(passage_identities(spec, dqds_atoms(spec)[:-1])[0]) > 1e-10
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_passage_identities_refuse_an_atom_not_positive_and_finite(bad):
+    # a 0.0 atom is what an underflowed theta_0 reads; once a log warning and NaN
+    spec = random_chain(5, 20)
+    theta = dqds_atoms(spec)
+    theta[3] = bad
+    with pytest.raises(ValueError, match=f"theta\\[3\\]: must be positive and finite, got {bad}"):
+        passage_identities(spec, theta)
+    with pytest.raises(ValueError, match="theta\\[0\\]"):
+        passage_identities(spec, -dqds_atoms(spec))
 
 
 def test_passage_identities_on_two_states(two_state_chain):

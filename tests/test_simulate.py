@@ -545,3 +545,17 @@ class TestKSStatistic:
         )
         with pytest.raises(ValueError, match="empty"):
             b.ks_statistic(sample, lambda t: t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_time_that_is_not_finite(self, bad):
+        # a NaN once sorted last and read as a time past every other: D = 1.0
+        with pytest.raises(ValueError, match=rf"sample\[1\]: not a finite time, got {bad}"):
+            b.ks_statistic([0.5, bad, 1.0], lambda t: np.zeros_like(t))
+
+    def test_finite_sample_keeps_its_bits(self):
+        times = np.array([0.9, 0.05, 0.3, 2.5, 0.7])
+        x = np.sort(times)
+        f = 1.0 - np.exp(-x)
+        i = np.arange(1, len(x) + 1)
+        want = float(max(np.max(i / len(x) - f), np.max(f - (i - 1) / len(x))))
+        assert b.ks_statistic(times, lambda t: 1.0 - np.exp(-t)) == want

@@ -278,16 +278,14 @@ class TestManyStarts:
         assert walks == [11, 12, 13]
 
     def test_verify_total_mass_is_one_walk(self, monkeypatch):
-        from bdhit.cli import _verify_battery
-
         spec = b.symmetric_rw_spec(1, 30)
-        battery = _verify_battery(spec)
+        battery = b.run_checks(spec)
         walks = counted_walks(monkeypatch)
-        for name, passed, _ in battery:
-            if name == "eigenfunction-orthogonality":
+        for r in battery:
+            if r.name == "eigenfunction-orthogonality":
                 walks.clear()
-            if name == "density-total-mass":
-                assert passed
+            if r.name == "density-total-mass":
+                assert r.passed
                 break
         assert walks == [30]  # states 1..30, once each
 
